@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"repro/internal/debugreg"
+	"repro/internal/mem"
 	"repro/internal/pmu"
 	"repro/internal/trace"
 )
@@ -112,10 +114,13 @@ func (m *Machine) runSamplingColumns(cols *trace.Columns, i int) int {
 	return j + 1
 }
 
-// runWatchedColumns mirrors runWatched over columns: each access is
-// materialized for the armed-slot pre-screen (Covers reads address,
-// size and kind), PMU counting stays a local pending advance flushed
-// before any event delivery.
+// runWatchedColumns mirrors runWatched over columns. When the sampler
+// counts every access (or there is none), only a watchpoint hit or the
+// overflow — headroom accesses ahead — can be an event, so the segment
+// scans the address column alone against the armed slots
+// (screenWatchedColumns). Filtered events need each access's kind:
+// those accesses are materialized one by one, PMU counting staying a
+// local pending advance flushed before any event delivery.
 func (m *Machine) runWatchedColumns(cols *trace.Columns, i int) int {
 	n := cols.Len()
 
@@ -126,32 +131,18 @@ func (m *Machine) runWatchedColumns(cols *trace.Columns, i int) int {
 	}
 	m.wpScratch = wps
 
-	var (
-		h          uint64
-		ev         pmu.EventSelect
-		all, qual  uint64 // pending bulk advance for already-executed accesses
-		hasSampler = m.pmu != nil
-	)
-	if hasSampler {
-		h = m.pmu.Headroom()
-		ev = m.pmu.Config().Event
+	if m.pmu == nil || m.pmu.Config().Event == pmu.AllAccesses {
+		return m.screenWatchedColumns(cols, i, wps)
 	}
-
+	h := m.pmu.Headroom()
+	ev := m.pmu.Config().Event
+	var qual uint64 // pending bulk advance: i-start accesses, qual qualifying
+	start := i
 	for ; i < n; i++ {
 		a := cols.Access(i)
-
-		hit := false
-		for k := range wps {
-			if wps[k].Covers(a) {
-				hit = true
-				break
-			}
-		}
-		matches := hasSampler && ev.Matches(a)
-		overflow := matches && qual == h
-
-		if !hit && !overflow {
-			all++
+		hit := coversAny(wps, a)
+		matches := ev.Matches(a)
+		if !hit && !(matches && qual == h) {
 			if matches {
 				qual++
 			}
@@ -162,26 +153,98 @@ func (m *Machine) runWatchedColumns(cols *trace.Columns, i int) int {
 
 		m.accessIndex = m.executed
 		m.account.Accesses++
-		if hasSampler {
-			m.pmu.Advance(all, qual)
-			all, qual = 0, 0
-		}
+		m.pmu.Advance(uint64(i-start), qual)
 		if hit {
 			if t := m.drs.Check(a); t > 0 {
 				m.account.Traps += uint64(t)
 			}
 		}
-		if hasSampler {
-			if m.pmu.Tick(a) {
-				m.account.Samples++
-			}
+		if m.pmu.Tick(a) {
+			m.account.Samples++
 		}
 		m.executed++
 		return i + 1 // armed set / period changed: re-dispatch
 	}
-
-	if hasSampler {
-		m.pmu.Advance(all, qual)
-	}
+	m.pmu.Advance(uint64(n-start), qual)
 	return n
+}
+
+// maxMetaSize is the largest access size a meta byte can hold
+// (trace.MetaSize), so an access at addr touches at most [addr, addr+15).
+const maxMetaSize = 0x0f
+
+// addrScreen is one armed slot's address pre-screen: an access at addr
+// can overlap the slot only if addr-lo < span, unsigned, so the window
+// wraps around address 0 exactly as the addresses do. lo backs off from
+// the slot's base by the widest access, so the screen passes every
+// access Covers accepts, and Covers then decides each candidate exactly.
+type addrScreen struct{ lo, span mem.Addr }
+
+// screenWatchedColumns is runWatchedColumns for a sampler counting every
+// access, or none. The event is the first screened candidate Covers
+// confirms before the overflow index, else the overflow, else none in
+// this batch.
+func (m *Machine) screenWatchedColumns(cols *trace.Columns, i int, wps []debugreg.Watchpoint) int {
+	n := cols.Len()
+	end := n
+	if m.pmu != nil {
+		if h := m.pmu.Headroom(); h < uint64(n-i) {
+			end = i + int(h)
+		}
+	}
+	screens := m.screenScratch[:0]
+	for _, wp := range wps {
+		screens = append(screens, addrScreen{lo: wp.Addr - maxMetaSize, span: mem.Addr(wp.Width) + maxMetaSize})
+	}
+	m.screenScratch = screens
+
+	j, hit := end, false
+scan:
+	for k, addr := range cols.Addrs[i:end] {
+		for _, s := range screens {
+			if addr-s.lo < s.span {
+				if coversAny(wps, cols.Access(i+k)) {
+					j, hit = i+k, true
+					break scan
+				}
+				break
+			}
+		}
+	}
+	skipped := uint64(j - i)
+	m.account.Accesses += skipped
+	m.executed += skipped
+	if m.pmu != nil {
+		m.pmu.Advance(skipped, skipped)
+	}
+	if j == n {
+		return n
+	}
+
+	// cols[j] traps, overflows, or both: deliver precisely, then
+	// re-dispatch (the armed set or period changed).
+	a := cols.Access(j)
+	hit = hit || coversAny(wps, a) // the overflow index was not screened
+	m.accessIndex = m.executed
+	m.account.Accesses++
+	if hit {
+		if t := m.drs.Check(a); t > 0 {
+			m.account.Traps += uint64(t)
+		}
+	}
+	if m.pmu != nil && m.pmu.Tick(a) {
+		m.account.Samples++
+	}
+	m.executed++
+	return j + 1
+}
+
+// coversAny reports whether any of wps would trap on a.
+func coversAny(wps []debugreg.Watchpoint, a mem.Access) bool {
+	for k := range wps {
+		if wps[k].Covers(a) {
+			return true
+		}
+	}
+	return false
 }

@@ -1,0 +1,55 @@
+package cpu_test
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cpumodel"
+	"repro/internal/trace"
+	"repro/internal/workloads"
+)
+
+// BenchmarkExecuteColumns times ExecuteColumns as a streaming daemon
+// runs it: the suite kernels in 8192-access columnar batches through an
+// RDX profiler at the featherlight 64K period, reported in ns/access.
+// Each iteration profiles the whole kernel trace on a fresh profiler.
+func BenchmarkExecuteColumns(b *testing.B) {
+	const (
+		batch    = 8192
+		accesses = 1 << 20
+	)
+	for _, kernel := range []string{"lbm", "mcf", "xalancbmk", "exchange2"} {
+		b.Run(kernel, func(b *testing.B) {
+			r, err := workloads.Build(kernel, 1, accesses)
+			if err != nil {
+				b.Fatal(err)
+			}
+			accs, err := trace.Collect(r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var batches []trace.Columns
+			for off := 0; off < len(accs); off += batch {
+				var c trace.Columns
+				c.AppendBatch(accs[off:min(off+batch, len(accs))])
+				batches = append(batches, c)
+			}
+			cfg := core.DefaultConfig()
+			cfg.SamplePeriod = 64 << 10
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p, err := core.NewProfiler(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m := p.NewMachine(cpumodel.Default())
+				b.StartTimer()
+				for k := range batches {
+					m.ExecuteColumns(&batches[k])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(accs)), "ns/access")
+		})
+	}
+}

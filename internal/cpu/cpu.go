@@ -59,8 +59,9 @@ type Machine struct {
 	executed    uint64 // accesses executed so far (index of the next one)
 	running     bool
 
-	wpScratch   []debugreg.Watchpoint // armed-set snapshot, reused per segment
-	slotScratch []int
+	wpScratch     []debugreg.Watchpoint // armed-set snapshot, reused per segment
+	slotScratch   []int
+	screenScratch []addrScreen // wpScratch's address screens (ExecuteColumns)
 }
 
 // Option configures a Machine.

@@ -32,6 +32,7 @@ type rdxLike struct {
 	p      *pmu.PMU
 	f      *debugreg.File
 	events []event
+	watch  debugreg.WatchKind // kind of the watchpoints samples arm
 }
 
 func newRDXLike(cfg pmu.Config, slots int, costs cpumodel.Costs) *rdxLike {
@@ -54,7 +55,7 @@ func newRDXLike(cfg pmu.Config, slots int, costs cpumodel.Costs) *rdxLike {
 			count: s.Count,
 		})
 		if slot := r.f.FreeSlot(); slot >= 0 {
-			if err := r.f.Arm(slot, s.Access.Addr, 8, debugreg.WatchReadWrite, s.Count); err != nil {
+			if err := r.f.Arm(slot, s.Access.Addr, 8, r.watch, s.Count); err != nil {
 				panic(err)
 			}
 		}

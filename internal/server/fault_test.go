@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/mem"
 	"repro/internal/server"
@@ -383,11 +384,7 @@ func TestFinalResultSurvivesLostReply(t *testing.T) {
 
 	// A resume against the finished session reports Done and serves the
 	// retained result to a retried Finish.
-	c2 := dial(t, s)
-	r2, err := c2.Resume(cfg, reply.Token, 1)
-	if err != nil {
-		t.Fatalf("resume of finished session: %v", err)
-	}
+	c2, r2 := resumeRetrying(t, s, cfg, reply.Token, 1)
 	if !r2.Done {
 		t.Error("resume of finished session not marked done")
 	}
@@ -400,6 +397,28 @@ func TestFinalResultSurvivesLostReply(t *testing.T) {
 
 	if got2.StateBytes != got1.StateBytes || got2.Accesses != got1.Accesses {
 		t.Error("retained result differs from the original reply")
+	}
+}
+
+// resumeRetrying resumes token on a fresh connection, retrying while
+// the server sheds the resume with a retry-after — as it does while the
+// previous connection's teardown still holds the token — the way
+// ReconnectingClient does, until a deadline.
+func resumeRetrying(t *testing.T, s *server.Server, cfg core.Config, token string, lastAcked uint64) (*wire.Client, wire.OpenReply) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c := dial(t, s)
+		r, err := c.Resume(cfg, token, lastAcked)
+		if err == nil {
+			return c, r
+		}
+		var ra *wire.RetryAfterError
+		if !errors.As(err, &ra) || time.Now().After(deadline) {
+			t.Fatalf("resume of session %s: %v", token, err)
+		}
+		c.Close()
+		time.Sleep(time.Millisecond)
 	}
 }
 

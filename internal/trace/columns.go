@@ -3,6 +3,8 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -18,23 +20,26 @@ import (
 // compresses far better than the row-wise RDT3 record stream where the
 // three interleave.
 //
-// Column encodings (shared by the wire layer and recorded traces):
+// Column encodings (the wire protocol's v3 batch sections):
 //
 //   - Addrs and PCs: either per-value delta against the previous value
 //     (starting from 0), zig-zag mapped and varint encoded — the same
 //     delta discipline as RDT3 — or zero-run delta-of-delta, where a
 //     constant stride makes every second-order delta zero and a whole
 //     run of accesses collapses to one run-length integer. The encoder
-//     produces both and keeps the smaller, so irregular streams never
-//     pay for the second-order model;
+//     sizes both in one pass and writes only the smaller, so irregular
+//     streams never pay for the second-order model;
 //   - Meta: one byte per access packing kind and size exactly like an
 //     RDT3 record header (bit 0 kind, bits 1-4 size), either raw or
 //     run-length encoded as (value, run length) pairs — real workloads
 //     hold these constant for thousands of accesses.
 //
-// All Append*/Decode* helpers are allocation-free once dst has grown to
-// its steady size, which is what lets the ingest pipeline stay at zero
-// allocations per batch.
+// Encoding is size-then-write: AddrColumnLens and RLEColumnLen compute
+// a column's exact encoded length, the caller reserves it plus
+// ColumnSlack, and a Put*Column encoder writes the column by index —
+// so a caller choosing between encodings writes only the winner. The
+// Decode* decoders are allocation-free once dst has grown to its steady
+// size, which keeps the ingest pipeline at zero allocations per batch.
 
 // Columns is one batch of accesses in columnar (struct-of-arrays) form.
 // The three slices always have equal length.
@@ -68,41 +73,27 @@ func (c *Columns) Reset() {
 	c.Meta = c.Meta[:0]
 }
 
-// Append adds one access.
-func (c *Columns) Append(a mem.Access) {
-	c.Addrs = append(c.Addrs, a.Addr)
-	c.PCs = append(c.PCs, a.PC)
-	c.Meta = append(c.Meta, PackMeta(a))
-}
-
 // Grow ensures capacity for n more accesses, so the appends or column
 // decodes that follow reallocate at most once per column instead of
 // doubling their way up — the difference between ~3 and ~40 allocations
 // when cold scratch meets its first full batch.
 func (c *Columns) Grow(n int) {
-	if need := len(c.Addrs) + n; cap(c.Addrs) < need {
-		addrs := make([]mem.Addr, len(c.Addrs), need)
-		copy(addrs, c.Addrs)
-		c.Addrs = addrs
-	}
-	if need := len(c.PCs) + n; cap(c.PCs) < need {
-		pcs := make([]mem.Addr, len(c.PCs), need)
-		copy(pcs, c.PCs)
-		c.PCs = pcs
-	}
-	if need := len(c.Meta) + n; cap(c.Meta) < need {
-		meta := make([]byte, len(c.Meta), need)
-		copy(meta, c.Meta)
-		c.Meta = meta
-	}
+	c.Addrs = slices.Grow(c.Addrs, n)
+	c.PCs = slices.Grow(c.PCs, n)
+	c.Meta = slices.Grow(c.Meta, n)
 }
 
 // AppendBatch adds a recorded batch of accesses — the columnar builder
 // for streams that are already materialized row-wise.
 func (c *Columns) AppendBatch(accs []mem.Access) {
 	c.Grow(len(accs))
-	for _, a := range accs {
-		c.Append(a)
+	base, n := len(c.Addrs), len(c.Addrs)+len(accs)
+	c.Addrs, c.PCs, c.Meta = c.Addrs[:n], c.PCs[:n], c.Meta[:n]
+	addrs, pcs, meta := c.Addrs[base:n], c.PCs[base:n], c.Meta[base:n]
+	for i, a := range accs {
+		addrs[i] = a.Addr
+		pcs[i] = a.PC
+		meta[i] = PackMeta(a)
 	}
 }
 
@@ -128,71 +119,6 @@ func (c *Columns) AppendTo(dst []mem.Access) []mem.Access {
 	return dst
 }
 
-// AppendRDT3 decodes a complete in-memory RDT3 stream directly into the
-// columns — the columnar builder for recorded traces and v2 wire
-// payloads. The RDT3 record header byte is the meta byte, so decoding
-// is a straight delta accumulation with no intermediate mem.Access
-// values. Error behaviour matches BytesReader: truncation wraps
-// ErrTruncated, corruption is descriptive.
-func (c *Columns) AppendRDT3(data []byte) error {
-	if len(data) < len(fileMagic) {
-		return fmt.Errorf("trace: reading header: %w", ErrTruncated)
-	}
-	if [4]byte(data[:4]) != fileMagic {
-		return fmt.Errorf("trace: bad magic %q, want %q", data[:4], fileMagic)
-	}
-	pos := len(fileMagic)
-	var prev, prevPC mem.Addr
-	var n uint64
-	for {
-		if pos >= len(data) {
-			return fmt.Errorf("trace: stream ends after %d records with no end-of-stream trailer: %w", n, ErrTruncated)
-		}
-		hdr := data[pos]
-		pos++
-		if hdr == endSentinel {
-			want, vn := binary.Uvarint(data[pos:])
-			if vn == 0 {
-				return fmt.Errorf("trace: stream ends inside the end-of-stream trailer: %w", ErrTruncated)
-			}
-			if vn < 0 {
-				return fmt.Errorf("trace: reading end-of-stream trailer: uvarint overflows 64 bits")
-			}
-			pos += vn
-			if want != n {
-				return fmt.Errorf("trace: corrupt stream: trailer records %d accesses, decoded %d", want, n)
-			}
-			if rest := len(data) - pos; rest > 0 {
-				return fmt.Errorf("trace: %d trailing bytes after end-of-stream trailer", rest)
-			}
-			return nil
-		}
-		delta, vn := binary.Varint(data[pos:])
-		if vn <= 0 {
-			return rdt3VarintErr(vn, n)
-		}
-		pos += vn
-		pcDelta, vn := binary.Varint(data[pos:])
-		if vn <= 0 {
-			return rdt3VarintErr(vn, n)
-		}
-		pos += vn
-		prev = mem.Addr(int64(prev) + delta)
-		prevPC = mem.Addr(int64(prevPC) + pcDelta)
-		c.Addrs = append(c.Addrs, prev)
-		c.PCs = append(c.PCs, prevPC)
-		c.Meta = append(c.Meta, hdr)
-		n++
-	}
-}
-
-func rdt3VarintErr(n int, rec uint64) error {
-	if n == 0 {
-		return fmt.Errorf("trace: record %d cut off mid-stream: %w", rec, ErrTruncated)
-	}
-	return fmt.Errorf("trace: corrupt record %d: varint overflows 64 bits", rec)
-}
-
 // zigzag maps a signed delta onto an unsigned varint-friendly value
 // (small magnitudes of either sign encode short).
 func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
@@ -200,34 +126,133 @@ func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// AppendDeltaColumn appends the delta + zig-zag varint encoding of vals
-// to dst and returns the extended slice. The first value is encoded as
-// a delta against 0.
-func AppendDeltaColumn(dst []byte, vals []mem.Addr) []byte {
-	var scratch [binary.MaxVarintLen64]byte
+// ColumnSlack is the spare room a Put*Column encoder needs past the end
+// of the column it writes: every varint is stored as one 8-byte word, so
+// the last one may overhang the column by up to 7 bytes.
+const ColumnSlack = 8
+
+// uvarintLen is the encoded length of u as a uvarint: ceil(bits/7),
+// computed as (9*bits+64)/64 to avoid a division.
+func uvarintLen(u uint64) int { return (9*bits.Len64(u|1) + 64) >> 6 }
+
+// putUvarint writes u as a uvarint at dst[pos:], returning the position
+// after it. The low 56 bits' 7-bit groups are spread into bytes and
+// stored as one word, continuation bits set on all but the varint's last
+// byte (a 9- or 10-byte varint's top byte and final 1 follow); the store
+// may overhang the varint by up to 7 bytes.
+func putUvarint(dst []byte, pos int, u uint64) int {
+	n := uvarintLen(u)
+	w := u&0x0fffffff | u&0x00fffffff0000000<<4
+	w = w&0x00003fff00003fff | w&0x0fffc0000fffc000<<2
+	w = w&0x007f007f007f007f | w&0x3f803f803f803f80<<1
+	binary.LittleEndian.PutUint64(dst[pos:], w|0x8080808080808080&(uint64(1)<<(8*n-8)-1))
+	if n > 8 {
+		dst[pos+8] = byte(u >> 56) // bit 7 is u's bit 63: set exactly when a 10th byte follows
+		dst[pos+9] = 1
+	}
+	return pos + n
+}
+
+// uvarint decodes the uvarint at data[pos:] with binary.Uvarint's
+// results (n == 0 truncated, n < 0 overflow). While 8 bytes remain it
+// reads one word: the first clear continuation bit ends the varint, and
+// the 7-bit groups below it are compacted into the value. Varints longer
+// than 8 bytes and a column's last 7 bytes take binary.Uvarint.
+func uvarint(data []byte, pos int) (uint64, int) {
+	if pos <= len(data)-8 {
+		w := binary.LittleEndian.Uint64(data[pos:])
+		if stop := ^w & 0x8080808080808080; stop != 0 {
+			w &= (stop ^ (stop - 1)) & 0x7f7f7f7f7f7f7f7f
+			w = w&0x007f007f007f007f | w&0x7f007f007f007f00>>1
+			w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
+			return w&0x000000000fffffff | w&0x0fffffff00000000>>4, bits.TrailingZeros64(stop)>>3 + 1
+		}
+	}
+	return binary.Uvarint(data[pos:])
+}
+
+// AddrColumnLens returns the exact encoded lengths of vals as a delta
+// column (PutDeltaColumn) and as a zero-run delta-of-delta column
+// (PutDoDColumn), from one pass over the values.
+func AddrColumnLens(vals []mem.Addr) (delta, dod int) {
+	var prev, prevDelta mem.Addr
+	var zeros uint64
+	for _, v := range vals {
+		d := v - prev
+		prev = v
+		delta += uvarintLen(zigzag(int64(d)))
+		if d == prevDelta {
+			zeros++
+			continue
+		}
+		dod += uvarintLen(zeros) + uvarintLen(zigzag(int64(d-prevDelta)))
+		zeros = 0
+		prevDelta = d
+	}
+	if zeros > 0 {
+		dod += uvarintLen(zeros)
+	}
+	return delta, dod
+}
+
+// PutDeltaColumn writes the delta + zig-zag varint encoding of vals to
+// the front of dst and returns its length. The first value is encoded as
+// a delta against 0. dst must hold the column's length plus ColumnSlack.
+func PutDeltaColumn(dst []byte, vals []mem.Addr) int {
+	pos := 0
 	var prev mem.Addr
 	for _, v := range vals {
-		n := binary.PutUvarint(scratch[:], zigzag(int64(v)-int64(prev)))
-		dst = append(dst, scratch[:n]...)
+		pos = putUvarint(dst, pos, zigzag(int64(v-prev)))
 		prev = v
 	}
-	return dst
+	return pos
+}
+
+// PutDoDColumn writes the zero-run delta-of-delta encoding of vals to
+// the front of dst and returns its length; dst must hold the column's
+// length plus ColumnSlack. The column is (zeros, dod) pairs: a uvarint
+// run length of values continuing the previous stride, then the zig-zag
+// varint of the next non-zero second-order delta; a trailing run is a
+// bare final uvarint.
+func PutDoDColumn(dst []byte, vals []mem.Addr) int {
+	pos := 0
+	var prev, prevDelta mem.Addr
+	var zeros uint64
+	for _, v := range vals {
+		d := v - prev
+		prev = v
+		if d == prevDelta {
+			zeros++
+			continue
+		}
+		pos = putUvarint(dst, pos, zeros)
+		pos = putUvarint(dst, pos, zigzag(int64(d-prevDelta)))
+		zeros = 0
+		prevDelta = d
+	}
+	if zeros > 0 {
+		pos = putUvarint(dst, pos, zeros)
+	}
+	return pos
 }
 
 // DecodeDeltaColumn decodes exactly count delta + zig-zag varint values
 // from data, appending them to dst. Every byte of data must be
 // consumed; short or over-long columns are corruption.
 func DecodeDeltaColumn(dst []mem.Addr, data []byte, count int) ([]mem.Addr, error) {
+	base := len(dst)
+	dst = slices.Grow(dst, count)[:base+count]
+	out := dst[base:]
 	pos := 0
 	var prev mem.Addr
-	for i := 0; i < count; i++ {
-		u, n := binary.Uvarint(data[pos:])
+	for i := range out {
+		u, n := uvarint(data, pos)
 		if n <= 0 {
-			return dst, deltaVarintErr(n, i)
+			return dst[:base+i], deltaVarintErr(n, i)
 		}
 		pos += n
-		prev = mem.Addr(int64(prev) + unzigzag(u))
-		dst = append(dst, prev)
+		prev += mem.Addr(unzigzag(u))
+		out[i] = prev
 	}
 	if pos != len(data) {
 		return dst, fmt.Errorf("trace: delta column has %d trailing bytes after %d values", len(data)-pos, count)
@@ -242,91 +267,41 @@ func deltaVarintErr(n, i int) error {
 	return fmt.Errorf("trace: delta column value %d: varint overflows 64 bits", i)
 }
 
-// AppendDoDColumn appends the zero-run delta-of-delta encoding of vals
-// to dst: the column is a sequence of (zeros, dod) pairs, where zeros
-// is a uvarint run length of values whose second-order delta is zero
-// (the value continues the previous stride) and dod is the zig-zag
-// varint of the next non-zero second-order delta. A trailing all-zero
-// run is a bare final uvarint. Constant-stride streams — sequential
-// sweeps, strided lane traversals — collapse to a handful of bytes
-// regardless of length.
-func AppendDoDColumn(dst []byte, vals []mem.Addr) []byte {
-	dst, _ = AppendDoDColumnMax(dst, vals, -1)
-	return dst
-}
-
-// AppendDoDColumnMax is AppendDoDColumn with an early abort: once the
-// encoding would exceed limit bytes it gives up, truncates dst back to
-// its input length and reports false. An encoder choosing between
-// candidate encodings passes the size of the one it already holds, so
-// streams where delta-of-delta loses (irregular address jumps) pay for
-// only the losing prefix instead of the whole column. A negative limit
-// never aborts.
-func AppendDoDColumnMax(dst []byte, vals []mem.Addr, limit int) ([]byte, bool) {
-	var scratch [binary.MaxVarintLen64]byte
-	var prev, prevDelta int64
-	var zeros uint64
-	start := len(dst)
-	for _, v := range vals {
-		d := int64(v) - prev
-		prev = int64(v)
-		if d == prevDelta {
-			zeros++
-			continue
-		}
-		n := binary.PutUvarint(scratch[:], zeros)
-		dst = append(dst, scratch[:n]...)
-		n = binary.PutUvarint(scratch[:], zigzag(d-prevDelta))
-		dst = append(dst, scratch[:n]...)
-		zeros = 0
-		prevDelta = d
-		if limit >= 0 && len(dst)-start > limit {
-			return dst[:start], false
-		}
-	}
-	if zeros > 0 {
-		n := binary.PutUvarint(scratch[:], zeros)
-		dst = append(dst, scratch[:n]...)
-	}
-	if limit >= 0 && len(dst)-start > limit {
-		return dst[:start], false
-	}
-	return dst, true
-}
-
 // DecodeDoDColumn decodes exactly count values of a zero-run
 // delta-of-delta column from data, appending them to dst. Every byte
 // must be consumed; runs past count and truncation are corruption.
 func DecodeDoDColumn(dst []mem.Addr, data []byte, count int) ([]mem.Addr, error) {
-	pos := 0
-	var prev, prevDelta int64
-	decoded := 0
-	for decoded < count {
-		zeros, n := binary.Uvarint(data[pos:])
+	base := len(dst)
+	dst = slices.Grow(dst, count)[:base+count]
+	out := dst[base:]
+	pos, i := 0, 0
+	var prev, prevDelta mem.Addr
+	for i < count {
+		zeros, n := uvarint(data, pos)
 		if n <= 0 {
-			return dst, dodVarintErr(n, decoded)
+			return dst[:base+i], dodVarintErr(n, i)
 		}
 		pos += n
-		if zeros > uint64(count-decoded) {
-			return dst, fmt.Errorf("trace: delta-of-delta column runs past %d values", count)
+		if zeros > uint64(count-i) {
+			return dst[:base+i], fmt.Errorf("trace: delta-of-delta column runs past %d values", count)
 		}
-		for k := uint64(0); k < zeros; k++ {
+		for k := range out[i : i+int(zeros)] {
 			prev += prevDelta
-			dst = append(dst, mem.Addr(prev))
+			out[i+k] = prev
 		}
-		decoded += int(zeros)
-		if decoded == count {
+		i += int(zeros)
+		if i == count {
 			break
 		}
-		dod, n := binary.Uvarint(data[pos:])
+		dod, n := uvarint(data, pos)
 		if n <= 0 {
-			return dst, dodVarintErr(n, decoded)
+			return dst[:base+i], dodVarintErr(n, i)
 		}
 		pos += n
-		prevDelta += unzigzag(dod)
+		prevDelta += mem.Addr(unzigzag(dod))
 		prev += prevDelta
-		dst = append(dst, mem.Addr(prev))
-		decoded++
+		out[i] = prev
+		i++
 	}
 	if pos != len(data) {
 		return dst, fmt.Errorf("trace: delta-of-delta column has %d trailing bytes after %d values", len(data)-pos, count)
@@ -341,57 +316,91 @@ func dodVarintErr(n, i int) error {
 	return fmt.Errorf("trace: delta-of-delta column value %d: varint overflows 64 bits", i)
 }
 
-// AppendRLEColumn appends the run-length encoding of vals — (value,
-// run-length uvarint) pairs — to dst and returns the extended slice.
-func AppendRLEColumn(dst []byte, vals []byte) []byte {
-	var scratch [binary.MaxVarintLen64]byte
-	for i := 0; i < len(vals); {
-		v := vals[i]
-		j := i + 1
-		for j < len(vals) && vals[j] == v {
-			j++
+// runEnd returns the end of the run of equal bytes starting at vals[i],
+// comparing a word at a time.
+func runEnd(vals []byte, i int) int {
+	v := vals[i]
+	bcast := uint64(v) * 0x0101010101010101
+	j := i + 1
+	for ; j <= len(vals)-8; j += 8 {
+		if x := binary.LittleEndian.Uint64(vals[j:]) ^ bcast; x != 0 {
+			return j + bits.TrailingZeros64(x)>>3
 		}
-		dst = append(dst, v)
-		n := binary.PutUvarint(scratch[:], uint64(j-i))
-		dst = append(dst, scratch[:n]...)
+	}
+	for j < len(vals) && vals[j] == v {
+		j++
+	}
+	return j
+}
+
+// RLEColumnLen returns the exact length of the run-length encoding of
+// vals (PutRLEColumn).
+func RLEColumnLen(vals []byte) int {
+	n := 0
+	for i := 0; i < len(vals); {
+		j := runEnd(vals, i)
+		n += 1 + uvarintLen(uint64(j-i))
 		i = j
 	}
-	return dst
+	return n
+}
+
+// PutRLEColumn writes the run-length encoding of vals — (value,
+// run-length uvarint) pairs — to the front of dst and returns its
+// length. dst must hold the column's length plus ColumnSlack.
+func PutRLEColumn(dst []byte, vals []byte) int {
+	pos := 0
+	for i := 0; i < len(vals); {
+		j := runEnd(vals, i)
+		dst[pos] = vals[i]
+		pos = putUvarint(dst, pos+1, uint64(j-i))
+		i = j
+	}
+	return pos
 }
 
 // DecodeRLEColumn decodes a run-length encoded column of exactly count
 // bytes from data, appending them to dst. Zero-length runs, a total
 // other than count, and trailing bytes are corruption.
 func DecodeRLEColumn(dst []byte, data []byte, count int) ([]byte, error) {
-	pos := 0
-	total := 0
+	base := len(dst)
+	dst = slices.Grow(dst, count)[:base+count]
+	out := dst[base:]
+	pos, total := 0, 0
 	for total < count {
 		if pos >= len(data) {
-			return dst, fmt.Errorf("trace: RLE column ends after %d of %d values: %w", total, count, ErrTruncated)
+			return dst[:base+total], fmt.Errorf("trace: RLE column ends after %d of %d values: %w", total, count, ErrTruncated)
 		}
 		v := data[pos]
 		pos++
-		run, n := binary.Uvarint(data[pos:])
+		run, n := uvarint(data, pos)
 		if n <= 0 {
 			if n == 0 {
-				return dst, fmt.Errorf("trace: RLE column cut off inside a run length: %w", ErrTruncated)
+				return dst[:base+total], fmt.Errorf("trace: RLE column cut off inside a run length: %w", ErrTruncated)
 			}
-			return dst, fmt.Errorf("trace: RLE column run length overflows 64 bits")
+			return dst[:base+total], fmt.Errorf("trace: RLE column run length overflows 64 bits")
 		}
 		pos += n
 		if run == 0 {
-			return dst, fmt.Errorf("trace: RLE column contains a zero-length run")
+			return dst[:base+total], fmt.Errorf("trace: RLE column contains a zero-length run")
 		}
 		if run > uint64(count-total) {
-			return dst, fmt.Errorf("trace: RLE column runs past %d values", count)
+			return dst[:base+total], fmt.Errorf("trace: RLE column runs past %d values", count)
 		}
-		for k := uint64(0); k < run; k++ {
-			dst = append(dst, v)
-		}
+		fill(out[total:total+int(run)], v)
 		total += int(run)
 	}
 	if pos != len(data) {
 		return dst, fmt.Errorf("trace: RLE column has %d trailing bytes after %d values", len(data)-pos, count)
 	}
 	return dst, nil
+}
+
+// fill sets every byte of s to v by doubling a copied prefix, so a long
+// run costs a few memmoves rather than a byte loop.
+func fill(s []byte, v byte) {
+	s[0] = v
+	for k := 1; k < len(s); k *= 2 {
+		copy(s[k:], s[:k])
+	}
 }

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -42,6 +45,32 @@ func randomAccesses(seed uint64, n int) []mem.Access {
 	return accs
 }
 
+// putColumn writes one column of the sized length n with put, checking
+// that the encoder writes exactly what the sizing pass promised and
+// stays within the promised ColumnSlack.
+func putColumn(t testing.TB, n int, put func([]byte) int) []byte {
+	t.Helper()
+	buf := make([]byte, n+ColumnSlack)
+	if got := put(buf); got != n {
+		t.Fatalf("encoder wrote %d bytes, sizing pass said %d", got, n)
+	}
+	return buf[:n]
+}
+
+func deltaColumn(t testing.TB, vals []mem.Addr) []byte {
+	n, _ := AddrColumnLens(vals)
+	return putColumn(t, n, func(b []byte) int { return PutDeltaColumn(b, vals) })
+}
+
+func dodColumn(t testing.TB, vals []mem.Addr) []byte {
+	_, n := AddrColumnLens(vals)
+	return putColumn(t, n, func(b []byte) int { return PutDoDColumn(b, vals) })
+}
+
+func rleColumn(t testing.TB, vals []byte) []byte {
+	return putColumn(t, RLEColumnLen(vals), func(b []byte) int { return PutRLEColumn(b, vals) })
+}
+
 // TestColumnsRoundTrip: batch -> columns -> column encodings -> decode
 // must reproduce the accesses bit-exactly, for batches of many shapes.
 func TestColumnsRoundTrip(t *testing.T) {
@@ -56,13 +85,13 @@ func TestColumnsRoundTrip(t *testing.T) {
 		for _, enc := range []string{"delta", "dod"} {
 			var addrCol, pcCol []byte
 			if enc == "delta" {
-				addrCol = AppendDeltaColumn(nil, c.Addrs)
-				pcCol = AppendDeltaColumn(nil, c.PCs)
+				addrCol = deltaColumn(t, c.Addrs)
+				pcCol = deltaColumn(t, c.PCs)
 			} else {
-				addrCol = AppendDoDColumn(nil, c.Addrs)
-				pcCol = AppendDoDColumn(nil, c.PCs)
+				addrCol = dodColumn(t, c.Addrs)
+				pcCol = dodColumn(t, c.PCs)
 			}
-			metaCol := AppendRLEColumn(nil, c.Meta)
+			metaCol := rleColumn(t, c.Meta)
 
 			decode := func(col []byte) ([]mem.Addr, error) {
 				if enc == "delta" {
@@ -100,7 +129,7 @@ func TestColumnsRoundTrip(t *testing.T) {
 // survive the zig-zag mapping.
 func TestColumnsZigzagExtremes(t *testing.T) {
 	vals := []mem.Addr{0, math.MaxUint64, 0, 1 << 63, 42, math.MaxInt64, 0}
-	col := AppendDeltaColumn(nil, vals)
+	col := deltaColumn(t, vals)
 	got, err := DecodeDeltaColumn(nil, col, len(vals))
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +139,7 @@ func TestColumnsZigzagExtremes(t *testing.T) {
 			t.Fatalf("delta value %d: %#x -> %#x", i, uint64(vals[i]), uint64(got[i]))
 		}
 	}
-	dod := AppendDoDColumn(nil, vals)
+	dod := dodColumn(t, vals)
 	got, err = DecodeDoDColumn(nil, dod, len(vals))
 	if err != nil {
 		t.Fatal(err)
@@ -122,45 +151,10 @@ func TestColumnsZigzagExtremes(t *testing.T) {
 	}
 }
 
-// TestAppendRDT3MatchesReader: the direct RDT3->columns builder must
-// agree with BytesReader record for record, and classify truncation at
-// every byte offset the same way.
-func TestAppendRDT3MatchesReader(t *testing.T) {
-	accs := randomAccesses(3, 777)
-	var buf bytes.Buffer
-	if _, err := Record(&buf, FromSlice(accs)); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	var c Columns
-	if err := c.AppendRDT3(data); err != nil {
-		t.Fatal(err)
-	}
-	got := c.AppendTo(nil)
-	if len(got) != len(accs) {
-		t.Fatalf("decoded %d of %d accesses", len(got), len(accs))
-	}
-	for i := range got {
-		if got[i] != accs[i] {
-			t.Fatalf("access %d changed: %v -> %v", i, accs[i], got[i])
-		}
-	}
-
-	// Truncation anywhere must fail (and never panic); the streaming
-	// reader is the classification oracle.
-	for cut := 0; cut < len(data); cut++ {
-		var tc Columns
-		if err := tc.AppendRDT3(data[:cut]); err == nil {
-			t.Fatalf("truncation at byte %d accepted", cut)
-		}
-	}
-}
-
 // TestDecodeColumnCorruption: malformed columns fail descriptively.
 func TestDecodeColumnCorruption(t *testing.T) {
 	vals := []mem.Addr{1, 2, 3}
-	col := AppendDeltaColumn(nil, vals)
+	col := deltaColumn(t, vals)
 	if _, err := DecodeDeltaColumn(nil, col[:len(col)-1], len(vals)); err == nil {
 		t.Error("truncated delta column accepted")
 	}
@@ -171,7 +165,7 @@ func TestDecodeColumnCorruption(t *testing.T) {
 		t.Error("overlong varint accepted")
 	}
 
-	dod := AppendDoDColumn(nil, []mem.Addr{1, 2, 100, 3})
+	dod := dodColumn(t, []mem.Addr{1, 2, 100, 3})
 	if _, err := DecodeDoDColumn(nil, dod[:len(dod)-1], 4); err == nil {
 		t.Error("truncated dod column accepted")
 	}
@@ -182,7 +176,7 @@ func TestDecodeColumnCorruption(t *testing.T) {
 		t.Error("dod zero-run past count accepted")
 	}
 
-	meta := AppendRLEColumn(nil, []byte{5, 5, 5, 7})
+	meta := rleColumn(t, []byte{5, 5, 5, 7})
 	if _, err := DecodeRLEColumn(nil, meta, 3); err == nil {
 		t.Error("RLE column running past count accepted")
 	}
@@ -213,15 +207,121 @@ func TestColumnCompression(t *testing.T) {
 		var c Columns
 		c.AppendBatch(accs)
 		pick := func(vals []mem.Addr) int {
-			d := len(AppendDeltaColumn(nil, vals))
-			dd := len(AppendDoDColumn(nil, vals))
+			d := len(deltaColumn(t, vals))
+			dd := len(dodColumn(t, vals))
 			return min(d, dd)
 		}
-		total := pick(c.Addrs) + pick(c.PCs) + len(AppendRLEColumn(nil, c.Meta))
+		total := pick(c.Addrs) + pick(c.PCs) + len(rleColumn(t, c.Meta))
 		perAccess := float64(total) / float64(len(accs))
 		t.Logf("%s: %.3f bytes/access columnar", tc.name, perAccess)
 		if perAccess > tc.budget {
 			t.Errorf("%s stream encodes at %.3f bytes/access, want <= %.2f", tc.name, perAccess, tc.budget)
+		}
+	}
+}
+
+// TestUvarintMatchesBinary: the word-at-a-time varint decoder must agree
+// with binary.Uvarint — value and byte count, truncation (0) and
+// overflow (< 0) alike — at every offset of a buffer cut at every
+// length, so varints end inside the last 8 bytes as well as before
+// them. The buffer holds varints of every length 1-10, values with bit
+// 63 set, a non-canonical zero, an 11-byte overlong varint and a 10-byte
+// varint overflowing 64 bits.
+func TestUvarintMatchesBinary(t *testing.T) {
+	var buf []byte
+	for shift := 0; shift < 64; shift += 7 {
+		buf = binary.AppendUvarint(buf, 1<<shift)
+		buf = binary.AppendUvarint(buf, 1<<shift-1)
+	}
+	buf = binary.AppendUvarint(buf, 1<<63)
+	buf = binary.AppendUvarint(buf, math.MaxUint64)
+	buf = append(buf, 0x80, 0x00)
+	buf = append(append(buf, bytes.Repeat([]byte{0x80}, 10)...), 0x01)
+	buf = append(append(buf, bytes.Repeat([]byte{0xff}, 9)...), 0x02)
+	for cut := 0; cut <= len(buf); cut++ {
+		data := buf[:cut]
+		for pos := 0; pos <= cut; pos++ {
+			u, n := uvarint(data, pos)
+			wu, wn := binary.Uvarint(data[pos:])
+			if u != wu || n != wn {
+				t.Fatalf("cut %d pos %d: uvarint = (%#x, %d), binary.Uvarint = (%#x, %d)", cut, pos, u, n, wu, wn)
+			}
+		}
+	}
+}
+
+// TestDecodeColumnVarintBoundaries: address columns whose last value is
+// a long varint — 8, 9 and 10 bytes, bit 63 set — placed at every
+// alignment against the column end must round-trip under both
+// encodings, every truncation of a delta column must wrap ErrTruncated,
+// and an 11-byte overlong varint must be refused as an overflow.
+func TestDecodeColumnVarintBoundaries(t *testing.T) {
+	for _, tail := range []mem.Addr{1 << 55, 1 << 56, 1 << 62, 1 << 63, math.MaxUint64} {
+		for lead := 0; lead < 10; lead++ {
+			vals := make([]mem.Addr, 0, lead+2)
+			for i := range lead {
+				vals = append(vals, mem.Addr(i*3))
+			}
+			vals = append(vals, tail, tail^0x5a)
+			for _, enc := range []struct {
+				name   string
+				col    []byte
+				decode func([]mem.Addr, []byte, int) ([]mem.Addr, error)
+			}{
+				{"delta", deltaColumn(t, vals), DecodeDeltaColumn},
+				{"dod", dodColumn(t, vals), DecodeDoDColumn},
+			} {
+				got, err := enc.decode(nil, enc.col, len(vals))
+				if err != nil {
+					t.Fatalf("%s tail %#x lead %d: %v", enc.name, uint64(tail), lead, err)
+				}
+				if !slices.Equal(got, vals) {
+					t.Fatalf("%s tail %#x lead %d: decoded %#x, want %#x", enc.name, uint64(tail), lead, got, vals)
+				}
+				if enc.name != "delta" {
+					continue
+				}
+				for cut := range len(enc.col) {
+					if _, err := enc.decode(nil, enc.col[:cut], len(vals)); !errors.Is(err, ErrTruncated) {
+						t.Fatalf("delta tail %#x lead %d cut %d: err %v, want ErrTruncated", uint64(tail), lead, cut, err)
+					}
+				}
+			}
+		}
+	}
+	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0x01)
+	for _, pad := range []int{0, 8} {
+		col := append(overlong, bytes.Repeat([]byte{0}, pad)...)
+		if _, err := DecodeDeltaColumn(nil, col, 1+pad); err == nil || errors.Is(err, ErrTruncated) {
+			t.Errorf("11-byte overlong varint (pad %d): err %v, want an overflow error", pad, err)
+		}
+	}
+}
+
+// TestColumnCodecBulkRuns: long zero runs and long RLE runs decode by
+// bulk fill; runs of every length around the word size must land
+// exactly, including ones that end the column.
+func TestColumnCodecBulkRuns(t *testing.T) {
+	for run := 1; run < 40; run++ {
+		vals := make([]mem.Addr, 0, 2*run+3)
+		meta := make([]byte, 0, 2*run+3)
+		for i := range run {
+			vals = append(vals, mem.Addr(64*i))
+			meta = append(meta, 3)
+		}
+		vals = append(vals, 7, 9)
+		meta = append(meta, 4, 5)
+		for i := range run {
+			vals = append(vals, mem.Addr(100+8*i))
+			meta = append(meta, 6)
+		}
+		got, err := DecodeDoDColumn(nil, dodColumn(t, vals), len(vals))
+		if err != nil || !slices.Equal(got, vals) {
+			t.Fatalf("run %d: dod round trip: %v", run, err)
+		}
+		gotMeta, err := DecodeRLEColumn([]byte{1, 2}, rleColumn(t, meta), len(meta))
+		if err != nil || !bytes.Equal(gotMeta, append([]byte{1, 2}, meta...)) {
+			t.Fatalf("run %d: RLE round trip onto a non-empty dst: %v", run, err)
 		}
 	}
 }

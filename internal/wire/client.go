@@ -53,7 +53,7 @@ type Client struct {
 	opened bool
 	// onPush receives subscribed snapshot pushes that arrive interleaved
 	// ahead of a pending reply (see expect); set via OnPush.
-	onPush func(*Push)
+	onPush  func(*Push)
 	done    bool
 	closed  bool // Close ran; the pooled buffers are gone
 	reply   OpenReply

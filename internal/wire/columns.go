@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -23,7 +24,7 @@ const (
 
 // Column encoding tags carried in a v3 column section header. Address
 // and PC columns use delta or delta-of-delta; the meta column uses raw
-// or run-length. The encoder produces both candidates and keeps the
+// or run-length. The encoder sizes both candidates and writes the
 // smaller, so irregular streams never regress past plain delta.
 const (
 	colEncDelta = 0x00 // per-value delta, zig-zag varint
@@ -59,73 +60,64 @@ func colCRC(tag byte, data []byte) uint32 {
 // number and access count, then the address, PC and meta column
 // sections. Each section carries its own encoding tag, length and
 // crc32, so a decoder localizes corruption to a column. Address and PC
-// sections are encoded both ways (delta and delta-of-delta) and the
-// smaller wins; the meta section picks raw or RLE the same way.
+// sections are sized both ways (delta and delta-of-delta) and only the
+// smaller is written; the meta section picks raw or RLE the same way.
 // Steady-state encoding into a reused dst allocates nothing.
 func EncodeColumns(dst []byte, seq uint64, cols *trace.Columns) ([]byte, error) {
 	if cols.Len() > MaxColumnBatch {
 		return dst, fmt.Errorf("wire: columnar batch of %d accesses exceeds limit %d", cols.Len(), MaxColumnBatch)
 	}
-	dst = dst[:0]
-	// Reserve the worst case up front — header, three section headers,
-	// both candidate address encodings held at once (≤ ~21 bytes per
-	// value each while the winner is picked) plus the meta column — so a
-	// cold encode buffer pays one allocation instead of append-doubling
-	// its way up on every new connection.
-	if worst := columnsHdrBytes + 3*colSectionHdr + cols.Len()*(2*2*21+2); cap(dst) < worst {
+	if worst := encodeReserve(cols.Len()); cap(dst) < worst {
 		dst = make([]byte, 0, worst)
 	}
-	var hdr [columnsHdrBytes]byte
-	binary.BigEndian.PutUint64(hdr[:batchSeqBytes], seq)
-	binary.BigEndian.PutUint32(hdr[batchSeqBytes:], uint32(cols.Len()))
-	dst = append(dst, hdr[:]...)
+	dst = dst[:columnsHdrBytes]
+	binary.BigEndian.PutUint64(dst, seq)
+	binary.BigEndian.PutUint32(dst[batchSeqBytes:], uint32(cols.Len()))
 	dst = appendAddrSection(dst, cols.Addrs)
 	dst = appendAddrSection(dst, cols.PCs)
 	dst = appendMetaSection(dst, cols.Meta)
 	return dst, nil
 }
 
-// appendAddrSection appends one address-valued column section, encoding
-// the values both as plain deltas and as zero-run delta-of-deltas into
-// dst's tail and keeping whichever came out smaller (the loser is
-// sliced off, or the winner slid over it — an overlapping copy, which
-// Go's copy handles).
+// encodeReserve is the worst-case encoded size of an n-access batch,
+// which EncodeColumns reserves up front so a cold buffer pays one
+// allocation: the header and three section headers, at most 10 bytes
+// per address and PC value (a delta-of-delta column is written only when
+// it is smaller than the delta one), at most one byte per meta value
+// (RLE likewise), and the column encoders' store slack.
+func encodeReserve(n int) int {
+	return columnsHdrBytes + 3*colSectionHdr + n*(2*binary.MaxVarintLen64+1) + trace.ColumnSlack
+}
+
+// appendAddrSection appends one address-valued column section: both
+// candidate encodings are sized in one pass and only the smaller is
+// written (delta-of-delta only when strictly smaller).
 func appendAddrSection(dst []byte, vals []mem.Addr) []byte {
 	off := len(dst)
-	var hdr [colSectionHdr]byte
-	dst = append(dst, hdr[:]...)
 	body := off + colSectionHdr
-	dst = trace.AppendDeltaColumn(dst, vals)
-	deltaLen := len(dst) - body
-	tag := byte(colEncDelta)
-	// Try the delta-of-delta candidate in the tail, giving up as soon as
-	// it outgrows the delta encoding already in hand — irregular streams
-	// pay only for the losing prefix.
-	if dod, ok := trace.AppendDoDColumnMax(dst, vals, deltaLen-1); ok {
-		dodLen := len(dod) - body - deltaLen
-		tag = colEncDoD
-		copy(dod[body:], dod[body+deltaLen:])
-		dst = dod[:body+dodLen]
-	} else {
-		dst = dod // truncated back to the delta encoding, capacity kept
+	n, dodLen := trace.AddrColumnLens(vals)
+	tag, put := byte(colEncDelta), trace.PutDeltaColumn
+	if dodLen < n {
+		tag, n, put = colEncDoD, dodLen, trace.PutDoDColumn
 	}
-	return finishSection(dst, off, tag)
+	dst = slices.Grow(dst, colSectionHdr+n+trace.ColumnSlack)
+	put(dst[body:body+n+trace.ColumnSlack], vals)
+	return finishSection(dst[:body+n], off, tag)
 }
 
 // appendMetaSection appends the meta column section, run-length encoded
 // unless the raw bytes are no larger.
 func appendMetaSection(dst []byte, meta []byte) []byte {
 	off := len(dst)
-	var hdr [colSectionHdr]byte
-	dst = append(dst, hdr[:]...)
 	body := off + colSectionHdr
-	dst = trace.AppendRLEColumn(dst, meta)
-	tag := byte(colEncRLE)
-	if len(dst)-body >= len(meta) {
-		tag = colEncRaw
-		dst = append(dst[:body], meta...)
+	n := trace.RLEColumnLen(meta)
+	if n >= len(meta) {
+		dst = append(slices.Grow(dst, colSectionHdr+len(meta))[:body], meta...)
+		return finishSection(dst, off, colEncRaw)
 	}
-	return finishSection(dst, off, tag)
+	dst = slices.Grow(dst, colSectionHdr+n+trace.ColumnSlack)
+	trace.PutRLEColumn(dst[body:body+n+trace.ColumnSlack], meta)
+	return finishSection(dst[:body+n], off, colEncRLE)
 }
 
 // finishSection backfills the section header reserved at off: tag,
@@ -159,7 +151,7 @@ func DecodeColumnsInto(cols *trace.Columns, payload []byte) (uint64, error) {
 	// cold columns pay one allocation each instead of append-doubling.
 	// The MaxColumnBatch bound above keeps a hostile count from turning
 	// this into a huge speculative allocation.
-	cols.Grow(int(count) - cols.Len())
+	cols.Grow(int(count))
 	rest := payload[columnsHdrBytes:]
 	var err error
 	if cols.Addrs, rest, err = decodeAddrSection(cols.Addrs, rest, int(count), "address"); err != nil {

@@ -5,6 +5,14 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if ! test -z "$unformatted"; then
+    echo "check: files not gofmt-clean:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -57,12 +65,14 @@ go test -run='^TestPoolE2EFaultsAndBackendDeath$' -count=1 ./internal/pool
 echo "==> migration chaos smoke (-race)"
 go test -race -run='^TestControlPlaneE2EChaos$' -count=1 ./internal/ctrl
 
-# Short fuzz smoke on the wire-protocol decoders: enough to catch a
+# Short fuzz smoke on the wire-protocol decoders and the v3 column
+# encoder (byte-identical to its reference encoder): enough to catch a
 # regression in the corpus or an obvious panic, cheap enough for CI.
-echo "==> fuzz smoke (wire decoders, 10s each)"
+echo "==> fuzz smoke (wire codecs, 10s each)"
 go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime=10s ./internal/wire
 go test -run='^$' -fuzz='^FuzzDecodeBatch$' -fuzztime=10s ./internal/wire
 go test -run='^$' -fuzz='^FuzzDecodeColumns$' -fuzztime=10s ./internal/wire
+go test -run='^$' -fuzz='^FuzzEncodeColumns$' -fuzztime=10s ./internal/wire
 
 # Wire-compression regression gate: the strided workload's v3
 # compression ratio is re-measured and held against the baseline
