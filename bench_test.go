@@ -251,7 +251,7 @@ func BenchmarkMachineThroughput(b *testing.B) {
 }
 
 // BenchmarkExactOlkenThroughput measures the ground-truth profiler's
-// per-access cost (hash map + order-statistics treap).
+// per-access cost (block table + live-slot order statistics).
 func BenchmarkExactOlkenThroughput(b *testing.B) {
 	r := trace.ZipfAccess(1, 0, 1<<20, 1.0, uint64(b.N)+1)
 	b.ReportAllocs()

@@ -73,7 +73,7 @@ func measureSequentialResult(r trace.Reader, g mem.Granularity, attrib bool) (*P
 		opts = append(opts, WithAttribution())
 	}
 	p := New(g, opts...)
-	if err := trace.ForEach(r, func(a mem.Access) bool { p.Observe(a); return true }); err != nil {
+	if err := p.observeStream(r); err != nil {
 		return nil, err
 	}
 	return &ParallelResult{

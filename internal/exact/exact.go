@@ -1,7 +1,7 @@
 // Package exact implements the exhaustive ground-truth reuse-distance
 // measurement that RDX is evaluated against: Olken's algorithm, which
 // observes every memory access (via instrumentation) and maintains a
-// hash map of last-access times plus an order-statistics tree of live
+// hash table of last-access times plus an order-statistics set of live
 // timestamps. It yields exact reuse-distance and reuse-time histograms at
 // the configured granularity — at the classic cost of instrumenting every
 // access and holding per-distinct-block state, which is precisely the
@@ -9,6 +9,9 @@
 package exact
 
 import (
+	"io"
+	"runtime"
+
 	"repro/internal/histogram"
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -19,8 +22,9 @@ import (
 // instrumentation) and read the histograms when done.
 type Profiler struct {
 	gran mem.Granularity
-	last map[mem.Addr]lastUse // block -> previous access
-	tree *osList
+	last blockTable[lastUse] // block -> previous access
+	live liveSet             // slots of the blocks' last uses
+	next uint64              // the next free slot
 
 	time     uint64
 	distHist *histogram.Histogram
@@ -29,10 +33,12 @@ type Profiler struct {
 	pairs map[PairKey]*PairAgg // nil unless WithAttribution
 }
 
-// lastUse records a block's most recent access.
+// lastUse records a block's most recent access: its time (never 0, so
+// a stored lastUse is never the zero value) and its slot in the live
+// set. Slots keep the order of the times they stand for.
 type lastUse struct {
 	time uint64
-	pc   mem.Addr
+	slot uint64
 }
 
 // PairKey identifies a use→reuse pair of code sites (the exhaustive
@@ -65,18 +71,20 @@ func WithAttribution() Option {
 	return func(p *Profiler) { p.pairs = make(map[PairKey]*PairAgg) }
 }
 
-// New returns a profiler measuring at granularity g.
+// New returns a profiler measuring at granularity g. Its state starts
+// small and doubles with the footprint: a table sized for the stream
+// would be sparser than its blocks, and probes would miss more cache.
 func New(g mem.Granularity, opts ...Option) *Profiler {
 	p := &Profiler{
 		gran:     g,
-		last:     make(map[mem.Addr]lastUse),
-		tree:     newOSList(),
 		distHist: histogram.New(),
 		timeHist: histogram.New(),
 	}
 	for _, o := range opts {
 		o(p)
 	}
+	p.last = newBlockTable[lastUse](0, p.pairs != nil)
+	p.live = newLiveSet(64)
 	return p
 }
 
@@ -85,28 +93,61 @@ func (p *Profiler) Observe(a mem.Access) {
 	p.time++
 	t := p.time
 	b := p.gran.Block(a.Addr)
-	if prev, ok := p.last[b]; ok {
-		// Reuse: distance = distinct blocks touched strictly between the
-		// two accesses = live timestamps newer than prev.
-		dist, _ := p.tree.CountGreaterAndDelete(prev.time)
-		p.distHist.Add(dist, 1)
-		p.timeHist.Add(t-prev.time, 1)
-		if p.pairs != nil {
-			key := PairKey{UsePC: prev.pc, ReusePC: a.PC}
-			agg := p.pairs[key]
-			if agg == nil {
-				agg = &PairAgg{}
-				p.pairs[key] = agg
-			}
-			agg.Count++
-			agg.DistSum += float64(dist)
-		}
-	} else {
+	i, found := p.last.find(b)
+	if !found {
 		p.distHist.Add(histogram.Infinite, 1)
 		p.timeHist.Add(histogram.Infinite, 1)
+		i = p.last.insert(i, b, lastUse{time: t, slot: p.nextSlot()})
+		if p.pairs != nil {
+			p.last.pcs[i] = a.PC
+		}
+		return
 	}
-	p.tree.InsertMax(t)
-	p.last[b] = lastUse{time: t, pc: a.PC}
+	// Reuse: distance = distinct blocks touched strictly between the two
+	// accesses = live last uses newer than the previous one.
+	prev := &p.last.ents[i].rec
+	dist := p.live.removeCountGreater(prev.slot)
+	p.distHist.Add(dist, 1)
+	p.timeHist.Add(t-prev.time, 1)
+	if p.pairs != nil {
+		addPair(p.pairs, PairKey{UsePC: p.last.pcs[i], ReusePC: a.PC}, dist)
+		p.last.pcs[i] = a.PC
+	}
+	*prev = lastUse{time: t, slot: p.nextSlot()}
+}
+
+// nextSlot returns a live slot for a new last use, after every slot in
+// use. When the bitmap is full it first renumbers every block's slot to
+// its rank (dropping the dead slots) and makes room for three new slots
+// per live one, so slots stay O(distinct blocks) and the renumbering is
+// amortized O(1) per access. The caller's own block may hold a
+// just-removed slot then; it is overwritten right after.
+func (p *Profiler) nextSlot() uint64 {
+	if p.next == p.live.capacity() {
+		ranks := p.live.wordRanks()
+		for i := range p.last.ents {
+			if u := &p.last.ents[i].rec; u.time != 0 {
+				u.slot = p.live.rank(u.slot, ranks)
+			}
+		}
+		p.live.fillDense(4 * p.live.live)
+		p.next = p.live.live
+	}
+	s := p.next
+	p.next++
+	p.live.insert(s)
+	return s
+}
+
+// addPair bumps one code pair's exact aggregation.
+func addPair(pairs map[PairKey]*PairAgg, key PairKey, dist uint64) {
+	agg := pairs[key]
+	if agg == nil {
+		agg = &PairAgg{}
+		pairs[key] = agg
+	}
+	agg.Count++
+	agg.DistSum += float64(dist)
 }
 
 // Pairs returns the exact per-code-pair aggregation (nil unless the
@@ -128,35 +169,52 @@ func (p *Profiler) Accesses() uint64 { return p.time }
 
 // DistinctBlocks returns the number of distinct blocks seen (the
 // program's footprint at the measurement granularity).
-func (p *Profiler) DistinctBlocks() uint64 { return uint64(len(p.last)) }
+func (p *Profiler) DistinctBlocks() uint64 { return uint64(p.last.n) }
 
-// StateBytes approximates the profiler's heap state: the
-// order-statistics tree plus the last-access hash map. This is the
-// "memory bloat" the exhaustive approach pays per distinct block.
+// StateBytes is the profiler's heap state: the capacity of the
+// last-access table plus the live-slot bitmap and its Fenwick tree. This
+// is the "memory bloat" the exhaustive approach pays per distinct block.
 func (p *Profiler) StateBytes() uint64 {
-	// Go map overhead per entry is roughly 2x the key+value payload once
-	// bucket metadata is included; 56 bytes/entry is a conservative
-	// model for a map[Addr]lastUse.
-	const mapEntryBytes = 56
-	return p.tree.StateBytes() + uint64(len(p.last))*mapEntryBytes
+	return p.last.stateBytes() + p.live.stateBytes()
 }
 
 // Measure runs the profiler over an entire stream and returns it.
 func Measure(r trace.Reader, g mem.Granularity) (*Profiler, error) {
 	p := New(g)
-	err := trace.ForEach(r, func(a mem.Access) bool {
-		p.Observe(a)
-		return true
-	})
-	if err != nil {
+	if err := p.observeStream(r); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
+// observeStream observes every access of r in order. Unlike a loop of
+// Observe calls it sees accesses ahead, and touches their table entries
+// prefetchDistance accesses early.
+func (p *Profiler) observeStream(r trace.Reader) error {
+	buf := trace.BatchBuf()
+	defer trace.ReleaseBatchBuf(buf)
+	var touched mem.Addr
+	for {
+		n, err := r.Read(buf)
+		for k := range n {
+			if ahead := k + prefetchDistance; ahead < n {
+				touched ^= p.last.touch(p.gran.Block(buf[ahead].Addr))
+			}
+			p.Observe(buf[k])
+		}
+		if err == io.EOF {
+			runtime.KeepAlive(touched)
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
 // NaiveReuseDistances computes reuse distances with the O(N·M)
-// definition-following algorithm. It exists to property-test the treap
-// implementation and is only usable on small traces.
+// definition-following algorithm. It exists to property-test the
+// oracle and is only usable on small traces.
 func NaiveReuseDistances(accs []mem.Access, g mem.Granularity) []uint64 {
 	out := make([]uint64, len(accs))
 	blocks := make([]mem.Addr, len(accs))

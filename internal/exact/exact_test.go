@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -139,32 +140,19 @@ func TestAgainstNaive(t *testing.T) {
 }
 
 // TestAgainstNaivePerAccess checks individual distances, not just the
-// histogram, via a modified profiler run that records per-access values.
+// histogram: every access carries its own PC, so each exact code pair
+// is one reuse and its DistSum is that reuse's distance.
 func TestAgainstNaivePerAccess(t *testing.T) {
 	f := func(blocks []uint8) bool {
 		accs := accessesFromBlocks(blocks)
-		want := NaiveReuseDistances(accs, mem.WordGranularity)
-
-		// Recompute with the treap directly, mirroring Observe.
-		last := map[mem.Addr]uint64{}
-		tree := newOrderTreap(1)
-		for i, a := range accs {
-			tm := uint64(i + 1)
-			b := mem.WordGranularity.Block(a.Addr)
-			var got uint64
-			if prev, ok := last[b]; ok {
-				got = tree.CountGreater(prev)
-				tree.Delete(prev)
-			} else {
-				got = histogram.Infinite
-			}
-			if got != want[i] {
-				return false
-			}
-			tree.Insert(tm)
-			last[b] = tm
+		for i := range accs {
+			accs[i].PC = mem.Addr(i + 1)
 		}
-		return true
+		p := New(mem.WordGranularity, WithAttribution())
+		for _, a := range accs {
+			p.Observe(a)
+		}
+		return perAccessMismatch(accs, mem.WordGranularity, p.ReuseDistance(), p.Pairs()) == ""
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {
@@ -172,51 +160,52 @@ func TestAgainstNaivePerAccess(t *testing.T) {
 	}
 }
 
-func TestTreapBasics(t *testing.T) {
-	tr := newOrderTreap(7)
-	for i := uint64(1); i <= 100; i++ {
-		tr.Insert(i)
-	}
-	if tr.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", tr.Len())
-	}
-	if got := tr.CountGreater(50); got != 50 {
-		t.Errorf("CountGreater(50) = %d, want 50", got)
-	}
-	if got := tr.CountGreater(0); got != 100 {
-		t.Errorf("CountGreater(0) = %d, want 100", got)
-	}
-	if got := tr.CountGreater(100); got != 0 {
-		t.Errorf("CountGreater(100) = %d, want 0", got)
-	}
-	if !tr.Delete(50) {
-		t.Error("Delete(50) reported not found")
-	}
-	if tr.Delete(50) {
-		t.Error("second Delete(50) reported found")
-	}
-	if got := tr.CountGreater(49); got != 50 {
-		t.Errorf("CountGreater(49) after delete = %d, want 50", got)
-	}
-	if tr.Len() != 99 {
-		t.Errorf("Len after delete = %d", tr.Len())
-	}
-}
-
-func TestTreapFreeListReuse(t *testing.T) {
-	tr := newOrderTreap(3)
-	for i := uint64(1); i <= 1000; i++ {
-		tr.Insert(i)
-		if i > 10 {
-			tr.Delete(i - 10)
+// perAccessMismatch checks a measurement of accs — whose PCs are unique
+// — against NaiveReuseDistances access by access, through the exact
+// pair aggregation, and returns a description of the first mismatch or
+// "".
+func perAccessMismatch(accs []mem.Access, g mem.Granularity, dist *histogram.Histogram, pairs map[PairKey]*PairAgg) string {
+	want := NaiveReuseDistances(accs, g)
+	last := make(map[mem.Addr]mem.Addr)
+	reuses := 0
+	for i, a := range accs {
+		b := g.Block(a.Addr)
+		prev, ok := last[b]
+		last[b] = a.PC
+		if want[i] == histogram.Infinite {
+			if ok {
+				return fmt.Sprintf("access %d: naive says cold after a previous access", i)
+			}
+			continue
+		}
+		reuses++
+		agg := pairs[PairKey{UsePC: prev, ReusePC: a.PC}]
+		if agg == nil || agg.Count != 1 || agg.DistSum != float64(want[i]) {
+			return fmt.Sprintf("access %d (block %#x): got %+v, want distance %d", i, b, agg, want[i])
 		}
 	}
-	// Live set is bounded at ~10, so node storage should be too.
-	if tr.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", tr.Len())
+	if len(pairs) != reuses {
+		return fmt.Sprintf("%d pairs, want %d", len(pairs), reuses)
 	}
-	if cap(tr.nodes) > 64 {
-		t.Errorf("treap did not reuse freed nodes: %d slots allocated", cap(tr.nodes))
+	if cold := uint64(len(accs) - reuses); dist.Cold() != float64(cold) {
+		return fmt.Sprintf("cold = %v, want %d", dist.Cold(), cold)
+	}
+	return ""
+}
+
+// TestProfilerStateBoundedByLiveBlocks streams 100K accesses over 64
+// live blocks: the slot compaction must keep the state near the live
+// footprint rather than growing with the stream.
+func TestProfilerStateBoundedByLiveBlocks(t *testing.T) {
+	p, err := Measure(trace.Cyclic(0, 64, 100000), mem.WordGranularity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.DistinctBlocks() != 64 {
+		t.Fatalf("DistinctBlocks = %d, want 64", p.DistinctBlocks())
+	}
+	if p.StateBytes() > 8*1024 {
+		t.Errorf("StateBytes = %d after 100K accesses over 64 blocks, want <= 8 KiB", p.StateBytes())
 	}
 }
 

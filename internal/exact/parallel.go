@@ -2,7 +2,9 @@ package exact
 
 import (
 	"io"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/histogram"
@@ -28,11 +30,12 @@ import (
 //     last access of b at p, the distinct blocks accessed in (p, t)
 //     split into (a) blocks touched earlier in B — exactly the B
 //     records already processed — and (b) blocks untouched in B before
-//     t whose last access in A exceeds p: a CountGreater over A's
-//     last-access times after evicting the already-processed blocks'
-//     stale keys. The distance is (a) + (b); every intervening access
-//     lies inside A·B, so the value is final and bit-exact with the
-//     sequential algorithm no matter what surrounds the pair.
+//     t whose last access in A exceeds p: a count of A's live
+//     last-access times greater than p, after removing the
+//     already-processed blocks' stale ones. The distance is (a) + (b);
+//     every intervening access lies inside A·B, so the value is final
+//     and bit-exact with the sequential algorithm no matter what
+//     surrounds the pair.
 //
 // The combine is an associative monoid over contiguous windows (a
 // combined window's boundary records are again first/last records), so
@@ -48,6 +51,10 @@ import (
 // O(distinct) merge work, small enough to bound in-flight memory
 // (1M accesses × 16 B × ~workers in flight).
 const DefaultShardSize = 1 << 20
+
+// maxShardSize bounds a shard so its 1-based local clock fits a
+// shardUse.
+const maxShardSize = math.MaxUint32 - 1
 
 // ParallelOptions tunes MeasureParallel.
 type ParallelOptions struct {
@@ -85,8 +92,8 @@ func (r *ParallelResult) Accesses() uint64 { return r.accesses }
 func (r *ParallelResult) DistinctBlocks() uint64 { return r.distinct }
 
 // StateBytes approximates the heap state a sequential measurement of the
-// same trace would hold (merge tree of one key per distinct block plus
-// the last-access map model the sequential Profiler uses).
+// same trace would hold: a last-access table holding every distinct
+// block, plus a live-slot set with one slot per block.
 func (r *ParallelResult) StateBytes() uint64 { return r.state }
 
 // Pairs returns the exact per-code-pair aggregation (nil unless
@@ -104,8 +111,10 @@ type blockBoundary struct {
 	lastPC    mem.Addr
 }
 
-// shardResult is one worker's output for one contiguous shard.
+// shardResult is one worker's output for one contiguous shard, or the
+// combination of adjacent ones.
 type shardResult struct {
+	start    uint64 // the global time before the window's first access
 	accesses uint64
 	dist     *histogram.Histogram // intra-shard reuses only
 	time     *histogram.Histogram
@@ -113,11 +122,22 @@ type shardResult struct {
 	blocks   []blockBoundary      // distinct blocks, in first-touch order
 }
 
+// shardUse is a block's entry in a shard's table: the shard-local times
+// (1-based, so a stored shardUse is never zero) of its first and last
+// access. The last access's time is its live slot.
+type shardUse struct {
+	first uint32
+	last  uint32
+}
+
 // measureShard runs local Olken over one shard. startTime is the global
 // timestamp of the access before accs[0] (i.e. accs[k] executes at
 // startTime+k+1), so boundary records carry globally comparable times.
+// Slots are shard-local times, so the live set never needs compacting,
+// and PCs are read back from accs by time, so the table keeps none.
 func measureShard(accs []mem.Access, startTime uint64, g mem.Granularity, attrib bool) *shardResult {
 	sr := &shardResult{
+		start:    startTime,
 		accesses: uint64(len(accs)),
 		dist:     histogram.New(),
 		time:     histogram.New(),
@@ -125,51 +145,62 @@ func measureShard(accs []mem.Access, startTime uint64, g mem.Granularity, attrib
 	if attrib {
 		sr.pairs = make(map[PairKey]*PairAgg)
 	}
-	idx := make(map[mem.Addr]int32)
-	tree := newOSList()
+	tab := newBlockTable[shardUse](0, false)
+	live := newLiveSet(uint64(len(accs)) + 1)
+	var touched mem.Addr
 	for k := range accs {
+		if ahead := k + prefetchDistance; ahead < len(accs) {
+			touched ^= tab.touch(g.Block(accs[ahead].Addr))
+		}
 		a := &accs[k]
-		t := startTime + uint64(k) + 1
+		t := uint32(k) + 1
 		b := g.Block(a.Addr)
-		if bi, ok := idx[b]; ok {
-			rec := &sr.blocks[bi]
-			d, _ := tree.CountGreaterAndDelete(rec.lastTime)
+		i, found := tab.find(b)
+		if found {
+			u := &tab.ents[i].rec
+			d := live.removeCountGreater(uint64(u.last))
 			sr.dist.Add(d, 1)
-			sr.time.Add(t-rec.lastTime, 1)
+			sr.time.Add(uint64(t-u.last), 1)
 			if attrib {
-				key := PairKey{UsePC: rec.lastPC, ReusePC: a.PC}
-				agg := sr.pairs[key]
-				if agg == nil {
-					agg = &PairAgg{}
-					sr.pairs[key] = agg
-				}
-				agg.Count++
-				agg.DistSum += float64(d)
+				addPair(sr.pairs, PairKey{UsePC: accs[u.last-1].PC, ReusePC: a.PC}, d)
 			}
-			rec.lastTime, rec.lastPC = t, a.PC
+			u.last = t
 		} else {
 			// First touch within the shard: cold here, but possibly a
 			// cross-shard reuse globally — the merge decides, so no
 			// histogram entry yet.
-			idx[b] = int32(len(sr.blocks))
-			sr.blocks = append(sr.blocks, blockBoundary{
-				block: b, firstTime: t, lastTime: t, firstPC: a.PC, lastPC: a.PC,
-			})
+			tab.insert(i, b, shardUse{first: t, last: t})
 		}
-		tree.InsertMax(t)
+		live.insert(uint64(t))
+	}
+	runtime.KeepAlive(touched)
+
+	// The boundary records, in first-touch order: a block's index is the
+	// rank of its first-touch time among all first touches.
+	firsts := newLiveSet(uint64(len(accs)) + 1)
+	for i := range tab.ents {
+		if u := tab.ents[i].rec; u != (shardUse{}) {
+			firsts.mark(uint64(u.first))
+		}
+	}
+	ranks := firsts.wordRanks()
+	sr.blocks = make([]blockBoundary, tab.n)
+	for i := range tab.ents {
+		e := &tab.ents[i]
+		if e.rec == (shardUse{}) {
+			continue
+		}
+		rec := &sr.blocks[firsts.rank(uint64(e.rec.first), ranks)]
+		*rec = blockBoundary{
+			block:     e.block,
+			firstTime: startTime + uint64(e.rec.first),
+			lastTime:  startTime + uint64(e.rec.last),
+		}
+		if attrib {
+			rec.firstPC, rec.lastPC = accs[e.rec.first-1].PC, accs[e.rec.last-1].PC
+		}
 	}
 	return sr
-}
-
-// addShardPair bumps one code pair's exact aggregation.
-func addShardPair(pairs map[PairKey]*PairAgg, key PairKey, dist uint64) {
-	agg := pairs[key]
-	if agg == nil {
-		agg = &PairAgg{}
-		pairs[key] = agg
-	}
-	agg.Count++
-	agg.DistSum += float64(dist)
 }
 
 // combineShards merges two adjacent contiguous windows A·B into one,
@@ -178,7 +209,6 @@ func addShardPair(pairs map[PairKey]*PairAgg, key PairKey, dist uint64) {
 // window lives in a, and b must not be used afterwards. The operation
 // is associative, which is what licenses the parallel reduction tree.
 func combineShards(a, b *shardResult, attrib bool) *shardResult {
-	a.accesses += b.accesses
 	a.dist.AddHistogram(b.dist)
 	a.time.AddHistogram(b.time)
 	for key, agg := range b.pairs {
@@ -191,30 +221,40 @@ func combineShards(a, b *shardResult, attrib bool) *shardResult {
 		g.DistSum += agg.DistSum
 	}
 
-	// A's last-access times, one tree key per block; B's records evict
-	// their block's stale key as they resolve against it.
-	idx := make(map[mem.Addr]int32, len(a.blocks))
-	tree := newOrderTreap(1)
+	// A's blocks by block number, and A's last-access times as live
+	// slots indexed by time within A's window; B's records remove their
+	// block's stale slot as they resolve against it.
+	tab := newBlockTable[uint32](len(a.blocks), false)
+	live := newLiveSet(a.accesses)
+	var touched mem.Addr
 	for i := range a.blocks {
-		idx[a.blocks[i].block] = int32(i)
-		tree.Insert(a.blocks[i].lastTime)
+		if ahead := i + prefetchDistance; ahead < len(a.blocks) {
+			touched ^= tab.touch(a.blocks[ahead].block)
+		}
+		j, _ := tab.find(a.blocks[i].block)
+		tab.insert(j, a.blocks[i].block, uint32(i)+1)
+		live.mark(a.blocks[i].lastTime - a.start - 1)
 	}
+	live.build()
 	// Resolve B's first touches in first-touch order. `removed` counts
 	// B records already processed: each was accessed in B before the
 	// current first touch, hence inside any A→B reuse window ending
 	// here.
-	removed := 0
+	var removed uint64
+	a.blocks = slices.Grow(a.blocks, len(b.blocks))
 	for i := range b.blocks {
+		if ahead := i + prefetchDistance; ahead < len(b.blocks) {
+			touched ^= tab.touch(b.blocks[ahead].block)
+		}
 		rec := &b.blocks[i]
-		if ai, ok := idx[rec.block]; ok {
-			arec := &a.blocks[ai]
-			d := uint64(removed) + tree.CountGreater(arec.lastTime)
+		if j, ok := tab.find(rec.block); ok {
+			arec := &a.blocks[tab.ents[j].rec-1]
+			d := removed + live.removeCountGreater(arec.lastTime-a.start-1)
 			a.dist.Add(d, 1)
 			a.time.Add(rec.firstTime-arec.lastTime, 1)
 			if attrib {
-				addShardPair(a.pairs, PairKey{UsePC: arec.lastPC, ReusePC: rec.firstPC}, d)
+				addPair(a.pairs, PairKey{UsePC: arec.lastPC, ReusePC: rec.firstPC}, d)
 			}
-			tree.Delete(arec.lastTime)
 			// The block's window-wide last access is now B's.
 			arec.lastTime, arec.lastPC = rec.lastTime, rec.lastPC
 		} else {
@@ -224,6 +264,8 @@ func combineShards(a, b *shardResult, attrib bool) *shardResult {
 		}
 		removed++
 	}
+	runtime.KeepAlive(touched)
+	a.accesses += b.accesses
 	return a
 }
 
@@ -278,12 +320,10 @@ func finishShards(root *shardResult) *ParallelResult {
 		res.distHist.Add(histogram.Infinite, 1)
 		res.timeHist.Add(histogram.Infinite, 1)
 	}
-	// State model, as the sequential merge held it: one order-tree key
-	// (24-byte treap node + 4-byte free-list slot) plus one last-use map
-	// entry per distinct block.
-	const mapEntryBytes = 56 // as Profiler.StateBytes models map[Addr]lastUse
-	const treeKeyBytes = 28
-	res.state = uint64(len(root.blocks)) * (mapEntryBytes + treeKeyBytes)
+	// The sequential Profiler's state for this many blocks: its table
+	// sized to hold them all, and one live slot per block.
+	n := len(root.blocks)
+	res.state = tableBytes[lastUse](tableSize(n), root.pairs != nil) + liveSetBytes(uint64(n))
 	return res
 }
 
@@ -294,7 +334,8 @@ func finishShards(root *shardResult) *ParallelResult {
 // are identical to the sequential measurement for any worker count and
 // shard size. Boundary records for all shards are held until the
 // reduction, so peak memory is O(sum of per-shard distinct blocks) —
-// the price of a parallel (rather than streaming left-fold) merge.
+// the price of a parallel (rather than streaming left-fold) merge — plus
+// one bit per access of the left window in each combine.
 func MeasureParallel(r trace.Reader, g mem.Granularity, opt ParallelOptions) (*ParallelResult, error) {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -304,15 +345,51 @@ func MeasureParallel(r trace.Reader, g mem.Granularity, opt ParallelOptions) (*P
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
 	}
+	shardSize = min(shardSize, maxShardSize)
+	return measureParallel(r, g, workers, opt.Attribution, newShardBufs(workers, shardSize))
+}
 
+// shardBufs recycles shard buffers: a worker returns its buffer once
+// measureShard is done with it, and the reader reuses it for a later
+// shard. At most cap(free) buffers are ever allocated — one per
+// in-flight shard plus the one being filled — and the reader waits for a
+// returned one beyond that; free holds them all, so put never blocks.
+type shardBufs struct {
+	free chan []mem.Access
+	size int
+	made int // buffers allocated; only the reader touches it
+}
+
+func newShardBufs(workers, size int) *shardBufs {
+	return &shardBufs{free: make(chan []mem.Access, workers+2), size: size}
+}
+
+func (s *shardBufs) get() []mem.Access {
+	select {
+	case buf := <-s.free:
+		return buf
+	default:
+	}
+	if s.made < cap(s.free) {
+		s.made++
+		return make([]mem.Access, s.size)
+	}
+	return <-s.free
+}
+
+func (s *shardBufs) put(buf []mem.Access) { s.free <- buf[:s.size] }
+
+// measureParallel is MeasureParallel with its options resolved and its
+// shard buffers drawn from bufs.
+func measureParallel(r trace.Reader, g mem.Granularity, workers int, attrib bool, bufs *shardBufs) (*ParallelResult, error) {
 	type job struct {
 		accs  []mem.Access
 		start uint64
 		out   chan *shardResult
 	}
 	jobs := make(chan job, workers)
-	// pending preserves shard order; its capacity (plus the jobs buffer)
-	// bounds in-flight shard memory.
+	// pending preserves shard order; its capacity bounds the shards in
+	// flight, and bufs their memory.
 	pending := make(chan chan *shardResult, workers+1)
 
 	var wg sync.WaitGroup
@@ -321,7 +398,9 @@ func MeasureParallel(r trace.Reader, g mem.Granularity, opt ParallelOptions) (*P
 		go func() {
 			defer wg.Done()
 			for jb := range jobs {
-				jb.out <- measureShard(jb.accs, jb.start, g, opt.Attribution)
+				sr := measureShard(jb.accs, jb.start, g, attrib)
+				bufs.put(jb.accs)
+				jb.out <- sr
 			}
 		}()
 	}
@@ -332,10 +411,10 @@ func MeasureParallel(r trace.Reader, g mem.Granularity, opt ParallelOptions) (*P
 		defer close(jobs)
 		var start uint64
 		for {
-			accs := make([]mem.Access, shardSize)
+			accs := bufs.get()
 			filled := 0
 			done := false
-			for filled < shardSize {
+			for filled < len(accs) {
 				n, err := r.Read(accs[filled:])
 				filled += n
 				if err == io.EOF {
@@ -354,6 +433,9 @@ func MeasureParallel(r trace.Reader, g mem.Granularity, opt ParallelOptions) (*P
 				jobs <- job{accs: accs[:filled], start: start, out: out}
 				start += uint64(filled)
 			}
+			if filled == 0 {
+				bufs.put(accs)
+			}
 			if done {
 				return
 			}
@@ -368,5 +450,5 @@ func MeasureParallel(r trace.Reader, g mem.Granularity, opt ParallelOptions) (*P
 	if readErr != nil {
 		return nil, readErr
 	}
-	return finishShards(reduceShards(shards, workers, opt.Attribution)), nil
+	return finishShards(reduceShards(shards, workers, attrib)), nil
 }

@@ -106,3 +106,30 @@ func TestMeasureParallelEmpty(t *testing.T) {
 		t.Fatalf("empty stream: accesses=%d distinct=%d", par.Accesses(), par.DistinctBlocks())
 	}
 }
+
+// TestMeasureParallelRecyclesShardBuffers checks that a measurement of
+// many shards allocates no more than workers+2 shard buffers — one per
+// in-flight shard plus the one being filled — and stays exact.
+func TestMeasureParallelRecyclesShardBuffers(t *testing.T) {
+	mk := func() trace.Reader { return trace.ZipfAccess(3, 0, 500, 1.0, 60000) }
+	seq, err := Measure(mk(), mem.WordGranularity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		bufs := newShardBufs(workers, 1000) // 60 shards
+		par, err := measureParallel(mk(), mem.WordGranularity, workers, false, bufs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bufs.made < 1 || bufs.made > workers+2 {
+			t.Errorf("workers=%d: %d shard buffers allocated for 60 shards, want 1..%d", workers, bufs.made, workers+2)
+		}
+		if len(bufs.free) != bufs.made {
+			t.Errorf("workers=%d: %d of %d shard buffers returned", workers, len(bufs.free), bufs.made)
+		}
+		if !reflect.DeepEqual(par.ReuseDistance(), seq.ReuseDistance()) || !reflect.DeepEqual(par.ReuseTime(), seq.ReuseTime()) {
+			t.Errorf("workers=%d: histograms differ from sequential", workers)
+		}
+	}
+}

@@ -74,6 +74,15 @@ go test -run='^$' -fuzz='^FuzzDecodeBatch$' -fuzztime=10s ./internal/wire
 go test -run='^$' -fuzz='^FuzzDecodeColumns$' -fuzztime=10s ./internal/wire
 go test -run='^$' -fuzz='^FuzzEncodeColumns$' -fuzztime=10s ./internal/wire
 
+# Short fuzz smoke on the exact oracle: arbitrary short traces at byte,
+# word and line granularity, every access's distance checked against
+# the naive definition for the sequential and every sharded layout. One
+# exec runs the sharded oracle at every shard size, so minimizing a new
+# input is capped at 50 execs instead of the default 60s, which would
+# take the whole smoke.
+echo "==> fuzz smoke (exact oracle vs naive, 10s)"
+go test -run='^$' -fuzz='^FuzzExactMatchesNaive$' -fuzztime=10s -fuzzminimizetime=50x ./internal/exact
+
 # Wire-compression regression gate: the strided workload's v3
 # compression ratio is re-measured and held against the baseline
 # committed in BENCH_server.json. The columnar encoding is
@@ -88,6 +97,13 @@ go run ./cmd/rdexper -n 1048576 -compress-check BENCH_server.json
 # prediction drifts beyond the tolerances committed in internal/mrc.
 echo "==> MRC differential gate (curve and hierarchy vs simulation)"
 go run ./cmd/rdexper -n 524288 -period 1024 -exp MRC
+
+# Accuracy gate (the paper's >90% claim): T2 profiles the whole suite
+# at rdexper's default operating point, where every accuracy repeats
+# exactly per seed, and fails if any workload falls more than the
+# committed margin below its committed accuracy (internal/experiments).
+echo "==> T2 accuracy gate (per-workload floors)"
+go run ./cmd/rdexper -exp T2
 
 # Drift-detection gate: the DRIFT experiment injects three locality
 # shifts into a four-phase workload and fails unless every boundary is
