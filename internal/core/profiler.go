@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/cpu"
@@ -211,22 +210,8 @@ func (p *Profiler) Run(r trace.Reader, costs cpumodel.Costs) (*Result, error) {
 // same engine through the batch-invariant Execute/Finish pair.
 func (p *Profiler) RunContext(ctx context.Context, r trace.Reader, costs cpumodel.Costs) (*Result, error) {
 	m := p.NewMachine(costs)
-	buf := trace.BatchBuf()
-	defer trace.ReleaseBatchBuf(buf)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		n, err := r.Read(buf)
-		if n > 0 {
-			m.Execute(buf[:n])
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+	if err := trace.EachBatch(ctx, r, m.Execute); err != nil {
+		return nil, err
 	}
 	m.Finish()
 	return p.Result(), nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/histogram"
 	"repro/internal/mem"
 	"repro/internal/pmu"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 )
 
@@ -529,4 +531,34 @@ func TestMarkovWorkloadProfiles(t *testing.T) {
 	// footprint conversion averages over the whole (non-stationary)
 	// stream, so within-phase distances blur toward the mixture mean.
 	// Segmented profiling (TestPhasedWorkloadProfiles) is the remedy.
+}
+
+// TestRunContextFromSliceAllocsPerBatch: profiling an in-memory trace
+// reads it as views of the slice, so a run's allocations do not grow
+// with its batch count.
+func TestRunContextFromSliceAllocsPerBatch(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	cfg := testConfig(1 << 40) // no sample lands: allocations are per run only
+	accs, err := trace.Collect(trace.Sequential(0, 64*trace.DefaultBatchSize, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			p, err := NewProfiler(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.RunContext(context.Background(), trace.FromSlice(accs[:n]), cpumodel.Default()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := allocs(trace.DefaultBatchSize), allocs(len(accs))
+	if many > one {
+		t.Fatalf("RunContext allocated %.0f times over 64 batches, %.0f over one: %.2f allocs per extra batch",
+			many, one, (many-one)/63)
+	}
 }

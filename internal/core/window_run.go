@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"io"
 
 	"repro/internal/cpumodel"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -26,36 +26,24 @@ func (p *Profiler) RunWindowedContext(ctx context.Context, r trace.Reader, costs
 		return p.RunContext(ctx, r, costs)
 	}
 	m := p.NewMachine(costs)
-	buf := trace.BatchBuf()
-	defer trace.ReleaseBatchBuf(buf)
 	var sinceObs uint64
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		n, err := r.Read(buf)
-		if n > 0 {
-			batch := buf[:n]
-			for len(batch) > 0 {
-				k := uint64(len(batch))
-				if room := windowAccesses - sinceObs; k > room {
-					k = room
-				}
-				m.Execute(batch[:k])
-				batch = batch[k:]
-				sinceObs += k
-				if sinceObs == windowAccesses {
-					observe(p.Snapshot())
-					sinceObs = 0
-				}
+	err := trace.EachBatch(ctx, r, func(batch []mem.Access) {
+		for len(batch) > 0 {
+			k := uint64(len(batch))
+			if room := windowAccesses - sinceObs; k > room {
+				k = room
+			}
+			m.Execute(batch[:k])
+			batch = batch[k:]
+			sinceObs += k
+			if sinceObs == windowAccesses {
+				observe(p.Snapshot())
+				sinceObs = 0
 			}
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	m.Finish()
 	return p.Result(), nil

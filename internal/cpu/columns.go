@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"repro/internal/debugreg"
-	"repro/internal/mem"
 	"repro/internal/pmu"
 	"repro/internal/trace"
 )
@@ -38,8 +37,7 @@ func (m *Machine) ExecuteColumns(cols *trace.Columns) {
 			continue
 		}
 		// Free run: no profiling hardware can observe these accesses.
-		m.account.Accesses += uint64(n - i)
-		m.executed += uint64(n - i)
+		m.skip(uint64(n-i), 0)
 		i = n
 	}
 }
@@ -97,20 +95,12 @@ func (m *Machine) runSamplingColumns(cols *trace.Columns, i int) int {
 		}
 	}
 
-	m.pmu.Advance(uint64(j-i), qual)
-	m.account.Accesses += uint64(j - i)
-	m.executed += uint64(j - i)
+	m.skip(uint64(j-i), qual)
 	if j == n {
 		return n
 	}
-
 	// cols[j] overflows: deliver precisely, then re-dispatch.
-	m.accessIndex = m.executed
-	m.account.Accesses++
-	if m.pmu.Tick(cols.Access(j)) {
-		m.account.Samples++
-	}
-	m.executed++
+	m.deliver(cols.Access(j), false)
 	return j + 1
 }
 
@@ -122,87 +112,41 @@ func (m *Machine) runSamplingColumns(cols *trace.Columns, i int) int {
 // those accesses are materialized one by one, PMU counting staying a
 // local pending advance flushed before any event delivery.
 func (m *Machine) runWatchedColumns(cols *trace.Columns, i int) int {
-	n := cols.Len()
-
-	m.slotScratch = m.drs.ArmedSlots(m.slotScratch[:0])
-	wps := m.wpScratch[:0]
-	for _, s := range m.slotScratch {
-		wps = append(wps, m.drs.Slot(s))
-	}
-	m.wpScratch = wps
-
+	wps := m.armedWatchpoints()
 	if m.pmu == nil || m.pmu.Config().Event == pmu.AllAccesses {
 		return m.screenWatchedColumns(cols, i, wps)
 	}
+	n := cols.Len()
 	h := m.pmu.Headroom()
 	ev := m.pmu.Config().Event
-	var qual uint64 // pending bulk advance: i-start accesses, qual qualifying
+	var qual uint64 // qualifying accesses among the event-free cols[start:i]
 	start := i
 	for ; i < n; i++ {
 		a := cols.Access(i)
 		hit := coversAny(wps, a)
 		matches := ev.Matches(a)
-		if !hit && !(matches && qual == h) {
-			if matches {
-				qual++
-			}
-			m.account.Accesses++
-			m.executed++
-			continue
+		if hit || (matches && qual == h) {
+			m.skip(uint64(i-start), qual)
+			m.deliver(a, hit)
+			return i + 1 // armed set / period changed: re-dispatch
 		}
-
-		m.accessIndex = m.executed
-		m.account.Accesses++
-		m.pmu.Advance(uint64(i-start), qual)
-		if hit {
-			if t := m.drs.Check(a); t > 0 {
-				m.account.Traps += uint64(t)
-			}
+		if matches {
+			qual++
 		}
-		if m.pmu.Tick(a) {
-			m.account.Samples++
-		}
-		m.executed++
-		return i + 1 // armed set / period changed: re-dispatch
 	}
-	m.pmu.Advance(uint64(n-start), qual)
+	m.skip(uint64(n-start), qual)
 	return n
 }
 
-// maxMetaSize is the largest access size a meta byte can hold
-// (trace.MetaSize), so an access at addr touches at most [addr, addr+15).
-const maxMetaSize = 0x0f
-
-// addrScreen is one armed slot's address pre-screen: an access at addr
-// can overlap the slot only if addr-lo < span, unsigned, so the window
-// wraps around address 0 exactly as the addresses do. lo backs off from
-// the slot's base by the widest access, so the screen passes every
-// access Covers accepts, and Covers then decides each candidate exactly.
-type addrScreen struct{ lo, span mem.Addr }
-
-// screenWatchedColumns is runWatchedColumns for a sampler counting every
-// access, or none. The event is the first screened candidate Covers
-// confirms before the overflow index, else the overflow, else none in
-// this batch.
+// screenWatchedColumns is screenWatched over the address column.
 func (m *Machine) screenWatchedColumns(cols *trace.Columns, i int, wps []debugreg.Watchpoint) int {
 	n := cols.Len()
-	end := n
-	if m.pmu != nil {
-		if h := m.pmu.Headroom(); h < uint64(n-i) {
-			end = i + int(h)
-		}
-	}
-	screens := m.screenScratch[:0]
-	for _, wp := range wps {
-		screens = append(screens, addrScreen{lo: wp.Addr - maxMetaSize, span: mem.Addr(wp.Width) + maxMetaSize})
-	}
-	m.screenScratch = screens
-
+	end, screens := m.screenSegment(wps, i, n, maxMetaSize)
 	j, hit := end, false
 scan:
 	for k, addr := range cols.Addrs[i:end] {
-		for _, s := range screens {
-			if addr-s.lo < s.span {
+		for g := range screens {
+			if screens[g].pass(addr) {
 				if coversAny(wps, cols.Access(i+k)) {
 					j, hit = i+k, true
 					break scan
@@ -211,40 +155,11 @@ scan:
 			}
 		}
 	}
-	skipped := uint64(j - i)
-	m.account.Accesses += skipped
-	m.executed += skipped
-	if m.pmu != nil {
-		m.pmu.Advance(skipped, skipped)
-	}
+	m.skip(uint64(j-i), uint64(j-i))
 	if j == n {
 		return n
 	}
-
-	// cols[j] traps, overflows, or both: deliver precisely, then
-	// re-dispatch (the armed set or period changed).
 	a := cols.Access(j)
-	hit = hit || coversAny(wps, a) // the overflow index was not screened
-	m.accessIndex = m.executed
-	m.account.Accesses++
-	if hit {
-		if t := m.drs.Check(a); t > 0 {
-			m.account.Traps += uint64(t)
-		}
-	}
-	if m.pmu != nil && m.pmu.Tick(a) {
-		m.account.Samples++
-	}
-	m.executed++
+	m.deliver(a, hit || coversAny(wps, a)) // the overflow index was not screened
 	return j + 1
-}
-
-// coversAny reports whether any of wps would trap on a.
-func coversAny(wps []debugreg.Watchpoint, a mem.Access) bool {
-	for k := range wps {
-		if wps[k].Covers(a) {
-			return true
-		}
-	}
-	return false
 }

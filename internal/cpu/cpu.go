@@ -12,7 +12,8 @@
 //
 // # Batched execution engine
 //
-// Run reads the stream in []mem.Access batches and executes each batch
+// Run reads the stream in []mem.Access batches (trace.EachBatch, which
+// lends in-memory traces without copying them) and executes each batch
 // in segments separated by profiling events, instead of dispatching a
 // closure per access:
 //
@@ -20,10 +21,16 @@
 //     until the next overflow) bounds a bulk Advance over the whole
 //     event-free stretch — accesses between samples cost a counter add,
 //     not a call;
-//   - with watchpoints armed, each access is pre-screened against a
-//     snapshot of the armed slots (O(armed) compares); PMU counting is
-//     still bulk-advanced lazily and flushed immediately before any trap
-//     or sample is delivered, so handlers observe exact counter values;
+//   - with watchpoints armed and the sampler counting every access (or
+//     no sampler), only addresses are scanned, up to the overflow index,
+//     against one unsigned range compare per armed slot (its address
+//     screen); Covers decides each screened candidate exactly, and the
+//     stretch before the first confirmed trap is one bulk Advance;
+//   - with watchpoints armed and a filtered event (loads or stores
+//     only), each access is checked against a snapshot of the armed
+//     slots, PMU counting accumulated and flushed immediately before any
+//     trap or sample is delivered, so handlers observe exact counter
+//     values;
 //   - after any delivered event the segment ends, because handlers may
 //     arm or disarm watchpoints and the PMU re-draws its next period.
 //
@@ -34,7 +41,8 @@
 package cpu
 
 import (
-	"io"
+	"context"
+	"math"
 
 	"repro/internal/cpumodel"
 	"repro/internal/debugreg"
@@ -61,7 +69,7 @@ type Machine struct {
 
 	wpScratch     []debugreg.Watchpoint // armed-set snapshot, reused per segment
 	slotScratch   []int
-	screenScratch []addrScreen // wpScratch's address screens (ExecuteColumns)
+	screenScratch []screenGroup // wpScratch's address screens
 }
 
 // Option configures a Machine.
@@ -114,21 +122,8 @@ func (m *Machine) AccessIndex() uint64 { return m.accessIndex }
 func (m *Machine) Run(r trace.Reader) error {
 	m.running = true
 	defer func() { m.running = false }()
-	// Borrowed, not allocated: repeated profiling runs (rdx.Profile in a
-	// sweep, every experiment harness) share one pooled batch buffer.
-	buf := trace.BatchBuf()
-	defer trace.ReleaseBatchBuf(buf)
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			m.executeBatch(buf[:n])
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
+	if err := trace.EachBatch(context.TODO(), r, m.executeBatch); err != nil {
+		return err
 	}
 	m.finish()
 	return nil
@@ -248,8 +243,7 @@ func (m *Machine) executeBatch(batch []mem.Access) {
 			continue
 		}
 		// Free run: no profiling hardware can observe these accesses.
-		m.account.Accesses += uint64(n - i)
-		m.executed += uint64(n - i)
+		m.skip(uint64(n-i), 0)
 		i = n
 	}
 }
@@ -311,100 +305,182 @@ func (m *Machine) runSampling(batch []mem.Access, i int) int {
 		}
 	}
 
-	m.pmu.Advance(uint64(j-i), qual)
-	m.account.Accesses += uint64(j - i)
-	m.executed += uint64(j - i)
+	m.skip(uint64(j-i), qual)
 	if j == n {
 		return n
 	}
-
 	// batch[j] overflows: deliver precisely, then let the dispatcher
 	// re-evaluate (the handler may have armed watchpoints).
-	m.accessIndex = m.executed
-	m.account.Accesses++
-	if m.pmu.Tick(batch[j]) {
-		m.account.Samples++
-	}
-	m.executed++
+	m.deliver(batch[j], false)
 	return j + 1
 }
 
 // runWatched advances through batch[i:] with at least one watchpoint
-// armed. Each access is pre-screened against a snapshot of the armed
-// watchpoints — valid because the armed set only changes when an event
-// fires, and the segment ends there. PMU counting is accumulated locally
-// and flushed into the unit immediately before any event delivery, so
-// trap and overflow handlers read exact counter values. Returns the
-// index after the last executed access.
+// armed. When the sampler counts every access (or there is none), only
+// a watchpoint hit or the overflow — headroom accesses ahead — can be an
+// event, so the segment scans addresses alone against the armed slots'
+// screens (screenWatched). Filtered events need each access's kind:
+// those accesses are checked one by one, PMU counting staying a local
+// pending advance flushed before any event delivery. Returns the index
+// after the last executed access.
 func (m *Machine) runWatched(batch []mem.Access, i int) int {
+	wps := m.armedWatchpoints()
+	if m.pmu == nil || m.pmu.Config().Event == pmu.AllAccesses {
+		return m.screenWatched(batch, i, wps)
+	}
 	n := len(batch)
+	h := m.pmu.Headroom()
+	ev := m.pmu.Config().Event
+	var qual uint64 // qualifying accesses among the event-free batch[start:i]
+	start := i
+	for ; i < n; i++ {
+		a := batch[i]
+		hit := coversAny(wps, a)
+		matches := ev.Matches(a)
+		if hit || (matches && qual == h) {
+			m.skip(uint64(i-start), qual)
+			m.deliver(a, hit)
+			return i + 1 // armed set / period changed: re-dispatch
+		}
+		if matches {
+			qual++
+		}
+	}
+	m.skip(uint64(n-start), qual)
+	return n
+}
 
+// screenWatched is runWatched for a sampler counting every access, or
+// none. The event is the first screened candidate Covers confirms before
+// the overflow index, else the overflow, else none in this batch.
+func (m *Machine) screenWatched(batch []mem.Access, i int, wps []debugreg.Watchpoint) int {
+	n := len(batch)
+	end, screens := m.screenSegment(wps, i, n, maxRowSize)
+	j, hit := end, false
+	rows := batch[i:end]
+scan:
+	for k := range rows {
+		addr := rows[k].Addr
+		for g := range screens {
+			if screens[g].pass(addr) {
+				if coversAny(wps, rows[k]) {
+					j, hit = i+k, true
+					break scan
+				}
+				break
+			}
+		}
+	}
+	m.skip(uint64(j-i), uint64(j-i))
+	if j == n {
+		return n
+	}
+	// batch[j] traps, overflows, or both: deliver precisely, then
+	// re-dispatch (the armed set or period changed). The overflow index
+	// was not screened.
+	m.deliver(batch[j], hit || coversAny(wps, batch[j]))
+	return j + 1
+}
+
+// Address screens. An armed slot [w, w+W) can trap an access [a, a+S)
+// only if a < w+W and w < a+S. With w+W not wrapping, every such access
+// has a in [w-S_max, w+W) mod 2^64, where S_max is the widest access the
+// stream can hold; when w+W wraps to 0 nothing is covered, and when a+S
+// wraps a cannot also lie below w+W. So "a-lo < span", unsigned, with
+// lo = w-S_max and span = W+S_max, passes every access Covers accepts,
+// including at both ends of the address space, and Covers then decides
+// each candidate exactly.
+const (
+	// maxRowSize is the widest access a mem.Access row can hold (its
+	// Size is a uint8).
+	maxRowSize = math.MaxUint8
+	// maxMetaSize is the widest access a columnar meta byte can hold
+	// (trace.MetaSize).
+	maxMetaSize = 0x0f
+)
+
+// screenGroup holds the address screens of up to four armed slots: an
+// access at addr can overlap slot k only if addr-lo[k] < span[k],
+// unsigned. An unused screen has span 0 and passes nothing. Four to a
+// group, the scan tests one address against four screens without a loop.
+type screenGroup struct{ lo, span [4]mem.Addr }
+
+// pass reports whether addr passes any of the group's screens.
+func (s *screenGroup) pass(addr mem.Addr) bool {
+	return addr-s.lo[0] < s.span[0] || addr-s.lo[1] < s.span[1] ||
+		addr-s.lo[2] < s.span[2] || addr-s.lo[3] < s.span[3]
+}
+
+// screenSegment prepares a screened segment over [i, n): end is where
+// the scan stops — the overflowing index, headroom accesses ahead, or n
+// — and screens holds the address screens of wps, four to a group, for
+// accesses at most widest bytes wide.
+func (m *Machine) screenSegment(wps []debugreg.Watchpoint, i, n int, widest mem.Addr) (end int, screens []screenGroup) {
+	end = n
+	if m.pmu != nil {
+		if h := m.pmu.Headroom(); h < uint64(n-i) {
+			end = i + int(h)
+		}
+	}
+	screens = m.screenScratch[:0]
+	for k, wp := range wps {
+		if k%4 == 0 {
+			screens = append(screens, screenGroup{})
+		}
+		s := &screens[len(screens)-1]
+		s.lo[k%4], s.span[k%4] = wp.Addr-widest, mem.Addr(wp.Width)+widest
+	}
+	m.screenScratch = screens
+	return end, screens
+}
+
+// armedWatchpoints snapshots the armed slots. The snapshot holds for one
+// segment: the armed set only changes when an event is delivered, and
+// the segment ends there.
+func (m *Machine) armedWatchpoints() []debugreg.Watchpoint {
 	m.slotScratch = m.drs.ArmedSlots(m.slotScratch[:0])
 	wps := m.wpScratch[:0]
 	for _, s := range m.slotScratch {
 		wps = append(wps, m.drs.Slot(s))
 	}
 	m.wpScratch = wps
+	return wps
+}
 
-	var (
-		h          uint64
-		ev         pmu.EventSelect
-		all, qual  uint64 // pending bulk advance for already-executed accesses
-		hasSampler = m.pmu != nil
-	)
-	if hasSampler {
-		h = m.pmu.Headroom()
-		ev = m.pmu.Config().Event
+// coversAny reports whether any of wps would trap on a.
+func coversAny(wps []debugreg.Watchpoint, a mem.Access) bool {
+	for k := range wps {
+		if wps[k].Covers(a) {
+			return true
+		}
 	}
+	return false
+}
 
-	for ; i < n; i++ {
-		a := batch[i]
-
-		hit := false
-		for k := range wps {
-			if wps[k].Covers(a) {
-				hit = true
-				break
-			}
-		}
-		matches := hasSampler && ev.Matches(a)
-		overflow := matches && qual == h
-
-		if !hit && !overflow {
-			all++
-			if matches {
-				qual++
-			}
-			m.account.Accesses++
-			m.executed++
-			continue
-		}
-
-		// Event access: flush the pending bulk advance so handlers read
-		// counter values covering every prior access, then run the
-		// precise check-then-tick sequence.
-		m.accessIndex = m.executed
-		m.account.Accesses++
-		if hasSampler {
-			m.pmu.Advance(all, qual)
-			all, qual = 0, 0
-		}
-		if hit {
-			if t := m.drs.Check(a); t > 0 {
-				m.account.Traps += uint64(t)
-			}
-		}
-		if hasSampler {
-			if m.pmu.Tick(a) {
-				m.account.Samples++
-			}
-		}
-		m.executed++
-		return i + 1 // armed set / period changed: re-dispatch
+// skip bulk-executes k event-free accesses, qual of which the sampler
+// counts.
+func (m *Machine) skip(k, qual uint64) {
+	m.account.Accesses += k
+	m.executed += k
+	if m.pmu != nil {
+		m.pmu.Advance(k, qual)
 	}
+}
 
-	if hasSampler {
-		m.pmu.Advance(all, qual)
+// deliver executes a, the access a segment ends on, with the precise
+// check-then-tick sequence of RunReference: it traps when hit, then
+// ticks the sampler. Every earlier access has been flushed by skip, so
+// handlers read exact counter values.
+func (m *Machine) deliver(a mem.Access, hit bool) {
+	m.accessIndex = m.executed
+	m.account.Accesses++
+	if hit {
+		if t := m.drs.Check(a); t > 0 {
+			m.account.Traps += uint64(t)
+		}
 	}
-	return n
+	if m.pmu != nil && m.pmu.Tick(a) {
+		m.account.Samples++
+	}
+	m.executed++
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -84,6 +85,31 @@ func randomTrace(seed uint64, n int, region uint64) []mem.Access {
 	return accs
 }
 
+// wideEdgeTrace is edgeTrace with sizes over a row's whole uint8 range
+// — a third each of 0, 1–15 and 16–255 bytes — so accesses reach armed
+// watchpoints from up to 255 bytes below, across both ends of the
+// address space.
+func wideEdgeTrace(seed uint64, n int) []mem.Access {
+	accs := edgeTrace(seed, n)
+	rng := stats.NewRNG(^seed)
+	for i := range accs {
+		switch rng.Uint64n(3) {
+		case 0:
+			accs[i].Size = 0
+		case 1:
+			accs[i].Size = uint8(1 + rng.Uint64n(15))
+		default:
+			accs[i].Size = uint8(16 + rng.Uint64n(240))
+		}
+	}
+	return accs
+}
+
+// TestBatchedEngineMatchesReference is the row engine's differential
+// gate: Run must reproduce RunReference bit-exactly for every trace
+// length and PMU configuration, over a random trace and over
+// wideEdgeTrace's address-space ends, arming read-write and write-only
+// watchpoints.
 func TestBatchedEngineMatchesReference(t *testing.T) {
 	costs := cpumodel.Default()
 	sizes := []int{0, 1, 17, trace.DefaultBatchSize - 1, trace.DefaultBatchSize, trace.DefaultBatchSize + 1, 3*trace.DefaultBatchSize + 5}
@@ -98,40 +124,119 @@ func TestBatchedEngineMatchesReference(t *testing.T) {
 	}
 	for _, n := range sizes {
 		for ci, cfg := range cfgs {
-			name := fmt.Sprintf("n=%d/cfg=%d", n, ci)
-			t.Run(name, func(t *testing.T) {
-				accs := randomTrace(uint64(n)*31+uint64(ci), n, 96)
-
-				fast := newRDXLike(cfg, 4, costs)
-				if err := fast.m.Run(trace.FromSlice(accs)); err != nil {
-					t.Fatal(err)
-				}
-				ref := newRDXLike(cfg, 4, costs)
-				if err := ref.m.RunReference(trace.FromSlice(accs)); err != nil {
-					t.Fatal(err)
-				}
-
-				if !reflect.DeepEqual(fast.events, ref.events) {
-					t.Fatalf("event logs diverge:\nfast %d events\nref  %d events\nfast=%v\nref=%v",
-						len(fast.events), len(ref.events), head(fast.events), head(ref.events))
-				}
-				if !reflect.DeepEqual(fast.m.Account(), ref.m.Account()) {
-					t.Fatalf("accounts diverge:\nfast=%+v\nref =%+v", fast.m.Account(), ref.m.Account())
-				}
-				if fast.p.Count() != ref.p.Count() || fast.p.AllCount() != ref.p.AllCount() || fast.p.Samples() != ref.p.Samples() {
-					t.Fatalf("PMU counters diverge: fast=(%d,%d,%d) ref=(%d,%d,%d)",
-						fast.p.Count(), fast.p.AllCount(), fast.p.Samples(),
-						ref.p.Count(), ref.p.AllCount(), ref.p.Samples())
-				}
-				if fast.f.Traps() != ref.f.Traps() || fast.f.Arms() != ref.f.Arms() {
-					t.Fatalf("debugreg counters diverge")
-				}
-				if fast.m.AccessIndex() != ref.m.AccessIndex() {
-					t.Fatalf("final AccessIndex: fast=%d ref=%d", fast.m.AccessIndex(), ref.m.AccessIndex())
+			t.Run(fmt.Sprintf("n=%d/cfg=%d", n, ci), func(t *testing.T) {
+				seed := uint64(n)*31 + uint64(ci)
+				for _, tc := range []struct {
+					name  string
+					accs  []mem.Access
+					watch debugreg.WatchKind
+				}{
+					{"random", randomTrace(seed, n, 96), debugreg.WatchReadWrite},
+					{"edges", wideEdgeTrace(seed, n), debugreg.WatchReadWrite},
+					{"edges-write", wideEdgeTrace(seed+1, n), debugreg.WatchWrite},
+				} {
+					t.Run(tc.name, func(t *testing.T) {
+						differReference(t, cfg, 4, costs, tc.accs, tc.watch)
+					})
 				}
 			})
 		}
 	}
+}
+
+// differReference runs accs through Run and RunReference on two
+// identically configured machines and requires identical event logs,
+// cycle accounts, PMU and debug-register counters and final index.
+func differReference(t *testing.T, cfg pmu.Config, slots int, costs cpumodel.Costs, accs []mem.Access, watch debugreg.WatchKind) {
+	t.Helper()
+	fast := newRDXLike(cfg, slots, costs)
+	ref := newRDXLike(cfg, slots, costs)
+	fast.watch, ref.watch = watch, watch
+	if err := fast.m.Run(trace.FromSlice(accs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.m.RunReference(trace.FromSlice(accs)); err != nil {
+		t.Fatal(err)
+	}
+
+	if !reflect.DeepEqual(fast.events, ref.events) {
+		t.Fatalf("event logs diverge:\nfast %d events\nref  %d events\nfast=%v\nref=%v",
+			len(fast.events), len(ref.events), head(fast.events), head(ref.events))
+	}
+	if !reflect.DeepEqual(fast.m.Account(), ref.m.Account()) {
+		t.Fatalf("accounts diverge:\nfast=%+v\nref =%+v", fast.m.Account(), ref.m.Account())
+	}
+	if fast.p.Count() != ref.p.Count() || fast.p.AllCount() != ref.p.AllCount() || fast.p.Samples() != ref.p.Samples() {
+		t.Fatalf("PMU counters diverge: fast=(%d,%d,%d) ref=(%d,%d,%d)",
+			fast.p.Count(), fast.p.AllCount(), fast.p.Samples(),
+			ref.p.Count(), ref.p.AllCount(), ref.p.Samples())
+	}
+	if fast.f.Traps() != ref.f.Traps() || fast.f.Arms() != ref.f.Arms() {
+		t.Fatalf("debugreg counters diverge")
+	}
+	if fast.m.AccessIndex() != ref.m.AccessIndex() {
+		t.Fatalf("final AccessIndex: fast=%d ref=%d", fast.m.AccessIndex(), ref.m.AccessIndex())
+	}
+}
+
+// FuzzRunMatchesReference drives Run and RunReference with arbitrary
+// accesses — any address, any size 0–255, either kind — under a fuzzed
+// PMU configuration, slot count and watchpoint kind, and requires the
+// same results from both.
+//
+// Input: a 4-byte header (event, randomize, skid and watch-kind bits;
+// period; seed; slots), then one 4-byte record per access: kind bit and
+// a 2-bit region (near 0, near 2^64, at 2^40, or a full 8-byte address
+// that follows the record), size, and a 16-bit offset.
+func FuzzRunMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 4, 1, 3, 0, 8, 40, 0, 1, 200, 0, 0, 0, 16, 48, 0, 1, 255, 8, 0})
+	f.Add([]byte{0x24, 2, 7, 0, 2, 255, 16, 0, 3, 255, 0, 0, 2, 0, 8, 0, 7, 0, 0, 0, 0, 0, 0, 0xff, 4, 0, 0, 0})
+	f.Add([]byte{0x05, 3, 9, 1, 4, 100, 0, 1, 2, 255, 200, 0, 1, 0, 240, 0, 4, 17, 0, 1})
+	// Inputs on which a screen that does not wrap around 0, and one
+	// backed off by only 15 bytes, miss a trap.
+	f.Add([]byte("7\x0470000000000000000\x00100\x00"))
+	f.Add([]byte("CC0000000000000\x0000 \x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		h := data[0]
+		cfg := pmu.Config{
+			Event:     [...]pmu.EventSelect{pmu.AllAccesses, pmu.LoadsOnly, pmu.StoresOnly, pmu.AllAccesses}[h&3],
+			Period:    uint64(data[1] % 64), // 0 is counting mode
+			Randomize: h&4 != 0,
+			Skid:      int(h >> 3 & 3),
+			Seed:      uint64(data[2]),
+		}
+		watch := debugreg.WatchReadWrite
+		if h&0x20 != 0 {
+			watch = debugreg.WatchWrite
+		}
+		slots := 1 + int(data[3]%9)
+		var accs []mem.Access
+		for rec := data[4:]; len(rec) >= 4; {
+			off := mem.Addr(binary.LittleEndian.Uint16(rec[2:]))
+			a := mem.Access{Size: rec[1], Kind: mem.Kind(rec[0] & 1)}
+			switch rec[0] >> 1 & 3 {
+			case 0:
+				a.Addr = off
+			case 1:
+				a.Addr = ^off
+			case 2:
+				a.Addr = 1<<40 + off
+			default:
+				if len(rec) < 12 {
+					rec = nil
+					continue
+				}
+				a.Addr = mem.Addr(binary.LittleEndian.Uint64(rec[4:]))
+				rec = rec[8:]
+			}
+			rec = rec[4:]
+			accs = append(accs, a)
+		}
+		differReference(t, cfg, slots, cpumodel.Default(), accs, watch)
+	})
 }
 
 // TestIncrementalExecuteMatchesRun drives the machine with Execute over
@@ -183,7 +288,9 @@ func head(ev []event) []event {
 }
 
 // TestBatchedEngineManySlots exercises the >64-slot fallback path of the
-// debug-register file under the batched engine.
+// debug-register file under the batched engine, over a dense region
+// (every access near some watchpoint) and a sparse one (the address
+// screens of slots past the first four decide the traps).
 func TestBatchedEngineManySlots(t *testing.T) {
 	cfg := pmu.Config{Event: pmu.AllAccesses, Period: 20, Randomize: true, Seed: 2}
 	accs := randomTrace(42, 20000, 64)
@@ -201,6 +308,7 @@ func TestBatchedEngineManySlots(t *testing.T) {
 	if !reflect.DeepEqual(fast.m.Account(), ref.m.Account()) {
 		t.Fatalf("accounts diverge with 70 slots")
 	}
+	differReference(t, cfg, 70, cpumodel.Default(), randomTrace(43, 20000, 1<<14), debugreg.WatchReadWrite)
 }
 
 // TestBatchedEngineBareMachine checks the event-free fast path: a

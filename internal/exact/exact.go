@@ -9,7 +9,7 @@
 package exact
 
 import (
-	"io"
+	"context"
 	"runtime"
 
 	"repro/internal/histogram"
@@ -191,25 +191,20 @@ func Measure(r trace.Reader, g mem.Granularity) (*Profiler, error) {
 // Observe calls it sees accesses ahead, and touches their table entries
 // prefetchDistance accesses early.
 func (p *Profiler) observeStream(r trace.Reader) error {
-	buf := trace.BatchBuf()
-	defer trace.ReleaseBatchBuf(buf)
 	var touched mem.Addr
-	for {
-		n, err := r.Read(buf)
+	err := trace.EachBatch(context.TODO(), r, func(batch []mem.Access) {
+		var t mem.Addr
+		n := len(batch)
 		for k := range n {
 			if ahead := k + prefetchDistance; ahead < n {
-				touched ^= p.last.touch(p.gran.Block(buf[ahead].Addr))
+				t ^= p.last.touch(p.gran.Block(batch[ahead].Addr))
 			}
-			p.Observe(buf[k])
+			p.Observe(batch[k])
 		}
-		if err == io.EOF {
-			runtime.KeepAlive(touched)
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
+		touched ^= t
+	})
+	runtime.KeepAlive(touched)
+	return err
 }
 
 // NaiveReuseDistances computes reuse distances with the O(N·M)

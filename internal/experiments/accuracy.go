@@ -94,7 +94,7 @@ func (o Options) RunT2() (*T2Result, error) {
 	if err := tb.WriteText(o.out()); err != nil {
 		return nil, err
 	}
-	if a := Accurate(); o.Accesses == a.Accesses && o.Period == a.Period && o.Seed == a.Seed {
+	if o.atCommittedPoint() {
 		for _, r := range res.Rows {
 			committed, ok := t2Committed[r.Workload]
 			if !ok {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/workloads"
 )
 
 // The experiment tests run at Quick() size and assert the paper's
@@ -291,5 +293,31 @@ func TestRunDispatch(t *testing.T) {
 	}
 	if len(IDs()) != 18 {
 		t.Errorf("registry has %d experiments, want 18", len(IDs()))
+	}
+}
+
+// TestOverheadCeilings: the F4/F5 gate passes a workload at or within
+// the margin above its committed value, and fails one above that or one
+// with no committed value.
+func TestOverheadCeilings(t *testing.T) {
+	c := f4Committed["mcf"]
+	for _, v := range []float64{0, c, c + f4CeilingMargin} {
+		if err := checkCeiling("F4", f4Committed, f4CeilingMargin, "mcf", v); err != nil {
+			t.Errorf("overhead %.4f failed: %v", v, err)
+		}
+	}
+	if err := checkCeiling("F4", f4Committed, f4CeilingMargin, "mcf", c+f4CeilingMargin+0.01); err == nil {
+		t.Error("overhead above the ceiling passed")
+	}
+	if err := checkCeiling("F5", f5Committed, f5CeilingMargin, "no-such-workload", 0); err == nil {
+		t.Error("workload with no committed value passed")
+	}
+	for _, w := range workloads.Suite() {
+		if _, ok := f4Committed[w.Name]; !ok {
+			t.Errorf("f4Committed has no value for %s", w.Name)
+		}
+		if _, ok := f5Committed[w.Name]; !ok {
+			t.Errorf("f5Committed has no value for %s", w.Name)
+		}
 	}
 }

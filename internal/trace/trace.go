@@ -9,6 +9,7 @@
 package trace
 
 import (
+	"context"
 	"errors"
 	"io"
 	"sync"
@@ -61,6 +62,57 @@ func ReleaseBatchBuf(buf []mem.Access) {
 	batchBufPool.Put((*[DefaultBatchSize]mem.Access)(buf[:DefaultBatchSize]))
 }
 
+// batchLender is a Reader that can lend its next batch as a view of
+// its own storage instead of copying it into a caller's buffer. lend
+// returns up to max accesses with Read's io.EOF semantics; the caller
+// must not modify the view.
+type batchLender interface {
+	lend(max int) ([]mem.Access, error)
+}
+
+// EachBatch drains r in order, handing each batch of at most
+// DefaultBatchSize accesses to fn, and returns nil at the end of the
+// stream. It checks ctx before every read and returns ctx.Err() once
+// ctx is done; a read error is returned after fn has seen the accesses
+// read alongside it. Batches fall at the same positions as reads into a
+// BatchBuf would. Readers that can lend their storage (FromSlice) hand
+// fn views of it, copying nothing; any other reader is read into a
+// pooled BatchBuf.
+//
+// fn borrows each batch only until it returns: it must neither modify
+// the batch nor keep it, or any sub-slice of it, after returning.
+func EachBatch(ctx context.Context, r Reader, fn func(batch []mem.Access)) error {
+	l, lends := r.(batchLender)
+	var buf []mem.Access
+	if !lends {
+		buf = BatchBuf()
+	}
+	defer ReleaseBatchBuf(buf)
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var batch []mem.Access
+		var err error
+		if lends {
+			batch, err = l.lend(DefaultBatchSize)
+		} else {
+			var n int
+			n, err = r.Read(buf)
+			batch = buf[:n]
+		}
+		if len(batch) > 0 {
+			fn(batch)
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
 // ForEach drains r, invoking fn for every access in order. It stops early
 // and returns nil if fn returns false, and propagates any non-EOF error.
 func ForEach(r Reader, fn func(mem.Access) bool) error {
@@ -96,7 +148,8 @@ func Collect(r Reader) ([]mem.Access, error) {
 	return out, err
 }
 
-// FromSlice returns a Reader over a fixed slice of accesses.
+// FromSlice returns a Reader over a fixed slice of accesses. EachBatch
+// reads it without copying: its batches are views of accs.
 func FromSlice(accs []mem.Access) Reader {
 	return &sliceReader{accs: accs}
 }
@@ -107,15 +160,24 @@ type sliceReader struct {
 }
 
 func (s *sliceReader) Read(dst []mem.Access) (int, error) {
+	v, err := s.lend(len(dst))
+	return copy(dst, v), err
+}
+
+// lend returns the next up to max accesses as a view of the slice,
+// capacity-clipped so appending to it cannot write into the accesses
+// after it.
+func (s *sliceReader) lend(max int) ([]mem.Access, error) {
 	if s.pos >= len(s.accs) {
-		return 0, io.EOF
+		return nil, io.EOF
 	}
-	n := copy(dst, s.accs[s.pos:])
-	s.pos += n
-	if s.pos >= len(s.accs) {
-		return n, io.EOF
+	end := min(s.pos+max, len(s.accs))
+	v := s.accs[s.pos:end:end]
+	s.pos = end
+	if end == len(s.accs) {
+		return v, io.EOF
 	}
-	return n, nil
+	return v, nil
 }
 
 // Concat returns a Reader that plays each input reader to exhaustion in

@@ -83,6 +83,15 @@ go test -run='^$' -fuzz='^FuzzEncodeColumns$' -fuzztime=10s ./internal/wire
 echo "==> fuzz smoke (exact oracle vs naive, 10s)"
 go test -run='^$' -fuzz='^FuzzExactMatchesNaive$' -fuzztime=10s -fuzzminimizetime=50x ./internal/exact
 
+# Short fuzz smoke on the row engine: arbitrary accesses (any address,
+# any size 0-255, either kind) under fuzzed PMU and watchpoint settings,
+# Run checked against the per-access RunReference loop — the address
+# pre-screen must pass every access Covers accepts, at both ends of the
+# address space. New inputs turn up often, and minimizing each for the
+# default 60s would stall the smoke, so minimizing is capped at 100 execs.
+echo "==> fuzz smoke (row engine vs reference, 10s)"
+go test -run='^$' -fuzz='^FuzzRunMatchesReference$' -fuzztime=10s -fuzzminimizetime=100x ./internal/cpu
+
 # Wire-compression regression gate: the strided workload's v3
 # compression ratio is re-measured and held against the baseline
 # committed in BENCH_server.json. The columnar encoding is
@@ -104,6 +113,14 @@ go run ./cmd/rdexper -n 524288 -period 1024 -exp MRC
 # committed margin below its committed accuracy (internal/experiments).
 echo "==> T2 accuracy gate (per-workload floors)"
 go run ./cmd/rdexper -exp T2
+
+# Overhead gates (the paper's featherlight time and memory claims): F4
+# and F5 profile the whole suite at the same default operating point,
+# where every modelled overhead repeats exactly per seed, and fail if any
+# workload rises more than the committed margin above its committed
+# value (internal/experiments).
+echo "==> F4/F5 overhead gates (per-workload ceilings)"
+go run ./cmd/rdexper -exp F4,F5
 
 # Drift-detection gate: the DRIFT experiment injects three locality
 # shifts into a four-phase workload and fails unless every boundary is
