@@ -14,6 +14,7 @@ package rdx
 // arbitrary scale.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -243,7 +244,7 @@ func BenchmarkMachineThroughput(b *testing.B) {
 	cfg.SamplePeriod = 64 << 10
 	b.ReportAllocs()
 	b.ResetTimer()
-	res, err := Profile(Cyclic(0, 1<<16, uint64(b.N)+1), cfg)
+	res, err := New(WithConfig(cfg)).Profile(context.Background(), Cyclic(0, 1<<16, uint64(b.N)+1))
 	if err != nil {
 		b.Fatal(err)
 	}

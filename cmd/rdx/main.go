@@ -5,7 +5,7 @@
 // Usage:
 //
 //	rdx -workload mcf -n 4194304 -period 8192 [-exact] [-granularity word]
-//	rdx -trace run.rdt -remote 127.0.0.1:9127 [-snapshot-every 50]
+//	rdx -trace run.rdt -remote 127.0.0.1:9127
 //	rdx -workload mcf -remote 127.0.0.1:9127 -retry 12 -dial-timeout 5s
 //	rdx -workload mcf -remote a:9127=a:9128,b:9127=b:9128
 //	rdx -workload mcf -json > profile.json
@@ -62,10 +62,8 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "emit the machine-readable result (histograms, counters, overheads, accuracy) to stdout instead of the report")
 		jsonFile    = flag.String("json-file", "", "additionally write the machine-readable result to this file")
 		remote      = flag.String("remote", "", "profile via rdxd instead of in-process: one daemon address, or a comma-separated pool (each \"addr\" or \"addr=adminaddr\")")
-		snapEvery   = flag.Int("snapshot-every", 0, "with -remote: print a live snapshot line every N batches (deprecated polling; the Session.Watch subscription delivers the same snapshots server-pushed)")
 		retry       = flag.Int("retry", 0, "with -remote: survive connection faults with up to N consecutive reconnect attempts (0 = no retry)")
 		dialTimeout = flag.Duration("dial-timeout", 10*time.Second, "with -remote: timeout for each connection attempt")
-		maxWire     = flag.Int("max-wire-version", 3, "with -remote: highest wire protocol version to offer (2 = uncompressed RDT3 batches, 3 = compressed columnar batches)")
 		mrcOut      = flag.Bool("mrc", false, "print the profile's predicted miss-ratio curve over cache size")
 		whatIf      = flag.String("whatif", "", "answer a cache what-if question (e.g. \"l2.size=2x\", \"l1.ways=4,llc.size=64MiB\") against the typical three-level hierarchy")
 		list        = flag.Bool("list", false, "list available workloads and exit")
@@ -137,14 +135,6 @@ func main() {
 	ctx := context.Background()
 	if *remote != "" {
 		sessOpts = append(sessOpts, rdx.WithRemote(*remote))
-		ropts := rdx.RemoteOptions{SnapshotEvery: *snapEvery, MaxWireVersion: *maxWire}
-		if *snapEvery > 0 && !*jsonOut {
-			ropts.OnSnapshot = func(s *rdx.RemoteResult) {
-				fmt.Printf("snapshot: %d accesses, %d samples, %d reuse pairs, overhead %.2f%%\n",
-					s.Accesses, s.Samples, s.ReusePairs, 100*s.TimeOverhead)
-			}
-		}
-		sessOpts = append(sessOpts, rdx.WithRemoteOptions(ropts))
 		if *retry > 0 {
 			sessOpts = append(sessOpts,
 				rdx.WithRetry(rdx.RetryPolicy{MaxAttempts: *retry, DialTimeout: *dialTimeout, Seed: *seed}))

@@ -52,7 +52,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "executor workers multiplexing all sessions (0 = GOMAXPROCS)")
 		queueDepth   = flag.Int("queue-depth", 8, "per-session bounded batch queue depth")
 		maxBatch     = flag.Int("max-batch", 1<<20, "largest accepted batch, in accesses")
-		maxWire      = flag.Int("max-wire-version", 3, "highest wire protocol version to negotiate (2 = uncompressed RDT3 batches, 3 = compressed columnar batches)")
 		maxSessions  = flag.Int("max-sessions", 64, "concurrent session limit")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long in-flight sessions get to finish on shutdown")
 		ckptDir      = flag.String("checkpoint-dir", "", "spill session checkpoints to this directory so sessions survive a restart; empty keeps them in memory only")
@@ -71,7 +70,6 @@ func main() {
 		Workers:              *workers,
 		QueueDepth:           *queueDepth,
 		MaxBatch:             *maxBatch,
-		MaxWireVersion:       *maxWire,
 		MaxSessions:          *maxSessions,
 		CheckpointDir:        *ckptDir,
 		CheckpointEvery:      *ckptEvery,

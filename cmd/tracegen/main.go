@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -117,7 +118,7 @@ func profile(args []string) {
 	}
 	cfg := rdx.DefaultConfig()
 	cfg.SamplePeriod = *period
-	res, err := rdx.Profile(openTrace(*in), cfg)
+	res, err := rdx.New(rdx.WithConfig(cfg)).Profile(context.Background(), openTrace(*in))
 	if err != nil {
 		fatal(err)
 	}

@@ -3,6 +3,7 @@ package rdx_test
 // Testable examples documenting the public API (go doc repro).
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -15,7 +16,7 @@ func Example_profile() {
 	cfg := rdx.DefaultConfig()
 	cfg.SamplePeriod = 500
 
-	res, err := rdx.Profile(rdx.Cyclic(0, 100, 500_000), cfg)
+	res, err := rdx.New(rdx.WithConfig(cfg)).Profile(context.Background(), rdx.Cyclic(0, 100, 500_000))
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -34,7 +35,7 @@ func Example_accuracy() {
 
 	cfg := rdx.DefaultConfig()
 	cfg.SamplePeriod = 400
-	res, err := rdx.Profile(mk(), cfg)
+	res, err := rdx.New(rdx.WithConfig(cfg)).Profile(context.Background(), mk())
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -54,13 +55,14 @@ func Example_accuracy() {
 func Example_missRatio() {
 	cfg := rdx.DefaultConfig()
 	cfg.SamplePeriod = 500
-	res, err := rdx.Profile(rdx.Cyclic(0, 700, 700_000), cfg)
+	res, err := rdx.New(rdx.WithConfig(cfg)).Profile(context.Background(), rdx.Cyclic(0, 700, 700_000))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("512-word cache thrashes: %v\n", rdx.PredictMissRatio(res.ReuseDistance, 512) > 0.9)
-	fmt.Printf("1024-word cache fits:    %v\n", rdx.PredictMissRatio(res.ReuseDistance, 1024) < 0.1)
+	curve := res.MissRatioCurve(rdx.SizeSweep{})
+	fmt.Printf("512-word cache thrashes: %v\n", curve.At(512) > 0.9)
+	fmt.Printf("1024-word cache fits:    %v\n", curve.At(1024) < 0.1)
 	// Output:
 	// 512-word cache thrashes: true
 	// 1024-word cache fits:    true
@@ -79,7 +81,7 @@ func Example_attribution() {
 
 	cfg := rdx.DefaultConfig()
 	cfg.SamplePeriod = 300
-	res, err := rdx.Profile(stream, cfg)
+	res, err := rdx.New(rdx.WithConfig(cfg)).Profile(context.Background(), stream)
 	if err != nil {
 		fmt.Println(err)
 		return

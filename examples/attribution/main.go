@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -32,7 +33,7 @@ func main() {
 
 	profile := func(label string, bs int) {
 		stream := rdx.Tag(kernelPC, rdx.MatMulBlocked(0, *matrixN, bs))
-		res, err := rdx.Profile(stream, cfg)
+		res, err := rdx.New(rdx.WithConfig(cfg)).Profile(context.Background(), stream)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -52,7 +53,7 @@ func main() {
 			continue
 		}
 		stream := trace.MatMulBlocked(0, *matrixN, bs)
-		res, err := rdx.Profile(stream, cfg)
+		res, err := rdx.New(rdx.WithConfig(cfg)).Profile(context.Background(), stream)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -38,7 +39,7 @@ func main() {
 	fmt.Println("per-phase profiles (segmented featherlight profiling):")
 	fmt.Printf("%-28s %-12s %-10s %-10s\n", "phase", "median RD", "cold%", "pairs")
 	for _, ph := range phases {
-		res, err := rdx.Profile(ph.mk(), cfg)
+		res, err := rdx.New(rdx.WithConfig(cfg)).Profile(context.Background(), ph.mk())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func main() {
 	for i, ph := range phases {
 		streams[i] = ph.mk()
 	}
-	multi, err := rdx.ProfileThreads(streams, cfg)
+	multi, err := rdx.New(rdx.WithConfig(cfg)).ProfileThreads(context.Background(), streams)
 	if err != nil {
 		log.Fatal(err)
 	}

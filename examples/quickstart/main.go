@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 	// instrumentation. The period is scaled to the short demo run.
 	cfg := rdx.DefaultConfig()
 	cfg.SamplePeriod = 2 << 10
-	res, err := rdx.Profile(program(), cfg)
+	res, err := rdx.New(rdx.WithConfig(cfg)).Profile(context.Background(), program())
 	if err != nil {
 		log.Fatal(err)
 	}

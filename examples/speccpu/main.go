@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -35,7 +36,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := rdx.Profile(stream, cfg)
+		res, err := rdx.New(rdx.WithConfig(cfg)).Profile(context.Background(), stream)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,9 +4,12 @@ package rdx
 // profile → analyze → compare pipeline a downstream user runs.
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
+
+	"repro/internal/cache"
 )
 
 func TestEndToEndWorkloadPipeline(t *testing.T) {
@@ -20,7 +23,7 @@ func TestEndToEndWorkloadPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Profile(stream, cfg)
+	res, err := New(WithConfig(cfg)).Profile(context.Background(), stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +51,8 @@ func TestEndToEndWorkloadPipeline(t *testing.T) {
 
 	// Miss-ratio predictions from both histograms agree.
 	for _, capWords := range []uint64{1 << 10, 1 << 16} {
-		a := PredictMissRatio(res.ReuseDistance, capWords)
-		b := PredictMissRatio(gt.ReuseDistance, capWords)
+		a := cache.PredictMissRatio(res.ReuseDistance, capWords)
+		b := cache.PredictMissRatio(gt.ReuseDistance, capWords)
 		if math.Abs(a-b) > 0.12 {
 			t.Errorf("miss prediction at %d words: RDX %v vs GT %v", capWords, a, b)
 		}
@@ -92,7 +95,7 @@ func TestEndToEndMultithreaded(t *testing.T) {
 		}
 		streams[i] = s
 	}
-	multi, err := ProfileThreads(streams, cfg)
+	multi, err := New(WithConfig(cfg)).ProfileThreads(context.Background(), streams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +126,7 @@ func TestEndToEndEveryWorkloadSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Profile(stream, cfg)
+		res, err := New(WithConfig(cfg)).Profile(context.Background(), stream)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -221,12 +221,3 @@ func PredictMissRatio(rd *histogram.Histogram, lines uint64) float64 {
 	}
 	return rd.FractionAbove(lines)
 }
-
-// MissRatioCurve evaluates PredictMissRatio at each capacity (in lines).
-func MissRatioCurve(rd *histogram.Histogram, lineCounts []uint64) []float64 {
-	out := make([]float64, len(lineCounts))
-	for i, n := range lineCounts {
-		out[i] = PredictMissRatio(rd, n)
-	}
-	return out
-}

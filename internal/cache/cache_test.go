@@ -194,7 +194,10 @@ func TestMissRatioCurveMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := []uint64{1, 4, 16, 64, 256, 1024, 4096}
-	curve := MissRatioCurve(gt.ReuseDistance(), sizes)
+	curve := make([]float64, len(sizes))
+	for i, n := range sizes {
+		curve[i] = PredictMissRatio(gt.ReuseDistance(), n)
+	}
 	for i := 1; i < len(curve); i++ {
 		if curve[i] > curve[i-1]+1e-9 {
 			t.Errorf("miss-ratio curve not monotone at %d: %v", i, curve)

@@ -66,34 +66,15 @@ func ThreadConfig(cfg Config, i int) Config {
 // program: every thread gets its own simulated core, PMU and debug
 // registers (per-thread contexts, as perf_event and ptrace provide), and
 // the per-thread histograms are merged into program-level results.
-// Threads run concurrently on a worker pool of runtime.GOMAXPROCS(0)
-// simulated cores; use ProfileThreadsPool to pick the pool size.
-func ProfileThreads(streams []trace.Reader, cfg Config, costs cpumodel.Costs) (*MultiResult, error) {
-	return ProfileThreadsPoolContext(context.Background(), streams, cfg, costs, 0)
-}
-
-// ProfileThreadsPool is ProfileThreads with an explicit worker-pool
-// size: at most `workers` streams are simulated concurrently, the rest
-// queue — more streams than cores multiplexes, exactly as an OS
-// schedules more threads than hardware contexts. workers <= 0 selects
-// runtime.GOMAXPROCS(0). Results are deterministic and independent of
-// the pool size: each thread's seed derives from its index alone.
-func ProfileThreadsPool(streams []trace.Reader, cfg Config, costs cpumodel.Costs, workers int) (*MultiResult, error) {
-	return ProfileThreadsPoolContext(context.Background(), streams, cfg, costs, workers)
-}
-
-// ProfileThreadsContext is ProfileThreads honoring ctx: cancellation is
-// observed by every worker at batch granularity, so even a profile of
-// unbounded streams returns promptly with ctx.Err().
-func ProfileThreadsContext(ctx context.Context, streams []trace.Reader, cfg Config, costs cpumodel.Costs) (*MultiResult, error) {
-	return ProfileThreadsPoolContext(ctx, streams, cfg, costs, 0)
-}
-
-// ProfileThreadsPoolContext is the full-control form every other
-// ProfileThreads variant delegates to: explicit context and worker-pool
-// size. Results are unaffected by either — cancellation only decides
-// whether a result is produced at all.
-func ProfileThreadsPoolContext(ctx context.Context, streams []trace.Reader, cfg Config, costs cpumodel.Costs, workers int) (*MultiResult, error) {
+// At most `workers` streams are simulated concurrently, the rest queue
+// — more streams than cores multiplexes, exactly as an OS schedules
+// more threads than hardware contexts; workers <= 0 selects
+// runtime.GOMAXPROCS(0). Cancellation of ctx is observed by every
+// worker at batch granularity, so even a profile of unbounded streams
+// returns promptly with ctx.Err(). Results are deterministic and
+// independent of the pool size: each thread's seed derives from its
+// index alone.
+func ProfileThreads(ctx context.Context, streams []trace.Reader, cfg Config, costs cpumodel.Costs, workers int) (*MultiResult, error) {
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("core: ProfileThreads with no streams")
 	}

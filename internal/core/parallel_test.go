@@ -24,7 +24,7 @@ func TestProfileThreadsMatchesSingleThread(t *testing.T) {
 		return trace.Cyclic(mem.Addr(i)<<40, 700, n)
 	}
 	cfg := testConfig(500)
-	multi, err := ProfileThreads([]trace.Reader{mkThread(0), mkThread(1), mkThread(2), mkThread(3)}, cfg, cpumodel.Default())
+	multi, err := ProfileThreads(context.Background(), []trace.Reader{mkThread(0), mkThread(1), mkThread(2), mkThread(3)}, cfg, cpumodel.Default(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestProfileThreadsAgainstExactPerThread(t *testing.T) {
 		return trace.ZipfAccess(uint64(i)+3, mem.Addr(i)<<40, 5000, 1.0, n)
 	}
 	cfg := testConfig(400)
-	multi, err := ProfileThreads([]trace.Reader{mk(0), mk(1)}, cfg, cpumodel.Default())
+	multi, err := ProfileThreads(context.Background(), []trace.Reader{mk(0), mk(1)}, cfg, cpumodel.Default(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,10 @@ func TestProfileThreadsHeterogeneous(t *testing.T) {
 	// histogram must contain both cold mass and short-distance mass.
 	const n = 200000
 	cfg := testConfig(500)
-	multi, err := ProfileThreads([]trace.Reader{
+	multi, err := ProfileThreads(context.Background(), []trace.Reader{
 		trace.Sequential(0, n, 8),   // all cold
 		trace.Cyclic(1<<40, 100, n), // all short reuses
-	}, cfg, cpumodel.Default())
+	}, cfg, cpumodel.Default(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +95,10 @@ func TestProfileThreadsHeterogeneous(t *testing.T) {
 func TestProfileThreadsMergedAttribution(t *testing.T) {
 	const n = 200000
 	cfg := testConfig(300)
-	multi, err := ProfileThreads([]trace.Reader{
+	multi, err := ProfileThreads(context.Background(), []trace.Reader{
 		trace.Tag(0x1000, trace.Cyclic(0, 64, n)),
 		trace.Tag(0x2000, trace.Cyclic(1<<40, 64, n)),
-	}, cfg, cpumodel.Default())
+	}, cfg, cpumodel.Default(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +112,10 @@ func TestProfileThreadsMergedAttribution(t *testing.T) {
 }
 
 func TestProfileThreadsErrors(t *testing.T) {
-	if _, err := ProfileThreads(nil, DefaultConfig(), cpumodel.Default()); err == nil {
+	if _, err := ProfileThreads(context.Background(), nil, DefaultConfig(), cpumodel.Default(), 0); err == nil {
 		t.Error("empty stream list accepted")
 	}
-	if _, err := ProfileThreads([]trace.Reader{trace.Cyclic(0, 8, 100)}, Config{}, cpumodel.Default()); err == nil {
+	if _, err := ProfileThreads(context.Background(), []trace.Reader{trace.Cyclic(0, 8, 100)}, Config{}, cpumodel.Default(), 0); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestCrossThreadReuseInvisible(t *testing.T) {
 	// afterwards. Within each thread no address repeats.
 	a := trace.Sequential(0, n, 8)
 	b := trace.Sequential(0, n, 8) // same addresses, different thread
-	multi, err := ProfileThreads([]trace.Reader{a, b}, testConfig(500), cpumodel.Default())
+	multi, err := ProfileThreads(context.Background(), []trace.Reader{a, b}, testConfig(500), cpumodel.Default(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +140,10 @@ func TestCrossThreadReuseInvisible(t *testing.T) {
 
 func TestMultiResultTimeOverheadIsWorstThread(t *testing.T) {
 	const n = 200000
-	multi, err := ProfileThreads([]trace.Reader{
+	multi, err := ProfileThreads(context.Background(), []trace.Reader{
 		trace.Cyclic(0, 64, n),
 		trace.Cyclic(1<<40, 64, n/10), // short thread
-	}, testConfig(500), cpumodel.Default())
+	}, testConfig(500), cpumodel.Default(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +171,11 @@ func TestProfileThreadsPoolBoundsWorkers(t *testing.T) {
 		return rs
 	}
 	cfg := testConfig(500)
-	narrow, err := ProfileThreadsPool(mk(), cfg, cpumodel.Default(), 2)
+	narrow, err := ProfileThreads(context.Background(), mk(), cfg, cpumodel.Default(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := ProfileThreadsPool(mk(), cfg, cpumodel.Default(), 16)
+	wide, err := ProfileThreads(context.Background(), mk(), cfg, cpumodel.Default(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +223,10 @@ func TestProfileThreadsPoolEdgeCases(t *testing.T) {
 	costs := cpumodel.Default()
 
 	t.Run("no streams", func(t *testing.T) {
-		if _, err := ProfileThreadsPool(nil, cfg, costs, 4); err == nil {
+		if _, err := ProfileThreads(context.Background(), nil, cfg, costs, 4); err == nil {
 			t.Error("empty stream slice accepted")
 		}
-		if _, err := ProfileThreadsPool([]trace.Reader{}, cfg, costs, 4); err == nil {
+		if _, err := ProfileThreads(context.Background(), []trace.Reader{}, cfg, costs, 4); err == nil {
 			t.Error("zero-length stream slice accepted")
 		}
 	})
@@ -239,11 +239,11 @@ func TestProfileThreadsPoolEdgeCases(t *testing.T) {
 			}
 		}
 		for _, w := range []int{0, -1, -100} {
-			got, err := ProfileThreadsPool(mk(), cfg, costs, w)
+			got, err := ProfileThreads(context.Background(), mk(), cfg, costs, w)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", w, err)
 			}
-			want, err := ProfileThreadsPool(mk(), cfg, costs, 2)
+			want, err := ProfileThreads(context.Background(), mk(), cfg, costs, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,12 +266,12 @@ func TestProfileThreadsPoolEdgeCases(t *testing.T) {
 		var err error
 		go func() {
 			defer close(done)
-			res, err = ProfileThreadsPool(streams, cfg, costs, 2)
+			res, err = ProfileThreads(context.Background(), streams, cfg, costs, 2)
 		}()
 		select {
 		case <-done:
 		case <-time.After(30 * time.Second):
-			t.Fatal("ProfileThreadsPool deadlocked on a failing stream")
+			t.Fatal("ProfileThreads deadlocked on a failing stream")
 		}
 		if err == nil {
 			t.Fatalf("failing stream produced no error (res=%v)", res)
@@ -301,7 +301,7 @@ func TestProfileThreadsContextCancelPrompt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := ProfileThreadsContext(ctx, []trace.Reader{&endless{}, &endless{}}, testConfig(500), cpumodel.Default())
+		_, err := ProfileThreads(ctx, []trace.Reader{&endless{}, &endless{}}, testConfig(500), cpumodel.Default(), 0)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the workers get deep into the endless streams
@@ -319,7 +319,7 @@ func TestProfileThreadsContextCancelPrompt(t *testing.T) {
 func TestProfileThreadsContextAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ProfileThreadsContext(ctx, []trace.Reader{&endless{}}, testConfig(500), cpumodel.Default()); !errors.Is(err, context.Canceled) {
+	if _, err := ProfileThreads(ctx, []trace.Reader{&endless{}}, testConfig(500), cpumodel.Default(), 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("got %v, want context.Canceled", err)
 	}
 }

@@ -202,7 +202,7 @@ func TestDrainEmptyBackendRetires(t *testing.T) {
 	}
 	streams, local := collectStreams(t, 4, 5000)
 	cfg := testConfig(256)
-	want, err := core.ProfileThreads(local, cfg, cpumodel.Default())
+	want, err := core.ProfileThreads(context.Background(), local, cfg, cpumodel.Default(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestControlPlaneE2EChaos(t *testing.T) {
 	cfg := testConfig(512)
 	const streams, perStream = 64, 24_000
 	remote, local := collectStreams(t, streams, perStream)
-	want, err := core.ProfileThreads(local, cfg, cpumodel.Default())
+	want, err := core.ProfileThreads(context.Background(), local, cfg, cpumodel.Default(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,10 +86,9 @@ type ServerBenchResult struct {
 	// backends.
 	Pool []PoolBenchRow `json:"pool,omitempty"`
 	// Wire is the wire-bandwidth record (RunWireBench): bytes per
-	// access and compression ratio for each workload shape under v2 row
-	// framing and v3 columnar framing. The strided v3 row's
-	// compression_ratio is the committed baseline scripts/check.sh
-	// gates against.
+	// access and compression ratio for each workload shape under v3
+	// columnar framing. The strided v3 row's compression_ratio is the
+	// committed baseline scripts/check.sh gates against.
 	Wire []WireBenchRow `json:"wire,omitempty"`
 }
 

@@ -10,10 +10,10 @@ import (
 	"repro/internal/wire"
 )
 
-// WireBenchRow is one measured (workload, wire version) cell of the
-// wire-bandwidth benchmark: the same access stream is profiled over
-// loopback under v2 row framing and v3 columnar framing, and the
-// server's batch-byte accounting gives the exact wire cost per access.
+// WireBenchRow is one measured workload cell of the wire-bandwidth
+// benchmark: the access stream is profiled over loopback in v3
+// columnar framing, and the server's batch-byte accounting gives the
+// exact wire cost per access.
 type WireBenchRow struct {
 	Workload    string  `json:"workload"`
 	WireVersion int     `json:"wire_version"`
@@ -24,10 +24,6 @@ type WireBenchRow struct {
 	// access record.
 	BytesPerAccess   float64 `json:"bytes_per_access"`
 	CompressionRatio float64 `json:"compression_ratio"`
-	// VsV2 is the bandwidth reduction against the v2 row of the same
-	// workload (v2 bytes/access over this row's bytes/access; only set
-	// on v3 rows).
-	VsV2 float64 `json:"vs_v2,omitempty"`
 }
 
 // wireBenchWorkloads are the access shapes the columnar encoding is
@@ -48,9 +44,9 @@ func wireBenchWorkloads(seed, n uint64) []struct {
 	}
 }
 
-// RunWireBench measures wire bytes per access for each workload under
-// both framings. Each cell gets a fresh single-purpose server so the
-// byte accounting in /metrics covers exactly one stream.
+// RunWireBench measures wire bytes per access for each workload. Each
+// cell gets a fresh single-purpose server so the byte accounting in
+// /metrics covers exactly one stream.
 func (o Options) RunWireBench() ([]WireBenchRow, error) {
 	cfg := core.DefaultConfig()
 	cfg.SamplePeriod = o.Period
@@ -62,54 +58,36 @@ func (o Options) RunWireBench() ([]WireBenchRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		var v2Bytes float64
-		for _, ver := range []int{wire.WireV2, wire.WireV3} {
-			s, err := server.New(server.Config{
-				MaxWireVersion: ver,
-				Logf:           func(string, ...any) {},
-			})
-			if err != nil {
-				return nil, err
-			}
-			s.Start()
-			start := time.Now()
-			if err := StreamSessions(s.Addr(), 1, accs, cfg); err != nil {
-				s.Close()
-				return nil, fmt.Errorf("wire bench (%s, v%d): %w", w.name, ver, err)
-			}
-			el := time.Since(start).Seconds()
-			m := s.MetricsSnapshot()
-			s.Close()
-
-			row := WireBenchRow{
-				Workload:         w.name,
-				WireVersion:      ver,
-				Accesses:         m.AccessesTotal,
-				BytesPerAccess:   m.BytesPerAccess,
-				CompressionRatio: m.CompressionRatio,
-			}
-			if el > 0 {
-				row.AccessesSec = float64(m.AccessesTotal) / el
-			}
-			switch ver {
-			case wire.WireV2:
-				v2Bytes = m.BytesPerAccess
-			case wire.WireV3:
-				if m.BytesPerAccess > 0 {
-					row.VsV2 = v2Bytes / m.BytesPerAccess
-				}
-			}
-			rows = append(rows, row)
+		s, err := server.New(server.Config{Logf: func(string, ...any) {}})
+		if err != nil {
+			return nil, err
 		}
+		s.Start()
+		start := time.Now()
+		if err := StreamSessions(s.Addr(), 1, accs, cfg); err != nil {
+			s.Close()
+			return nil, fmt.Errorf("wire bench (%s): %w", w.name, err)
+		}
+		el := time.Since(start).Seconds()
+		m := s.MetricsSnapshot()
+		s.Close()
+
+		row := WireBenchRow{
+			Workload:         w.name,
+			WireVersion:      wire.WireV3,
+			Accesses:         m.AccessesTotal,
+			BytesPerAccess:   m.BytesPerAccess,
+			CompressionRatio: m.CompressionRatio,
+		}
+		if el > 0 {
+			row.AccessesSec = float64(m.AccessesTotal) / el
+		}
+		rows = append(rows, row)
 	}
 
 	for _, r := range rows {
-		note := ""
-		if r.VsV2 != 0 {
-			note = fmt.Sprintf("(%.2fx less bandwidth than v2)", r.VsV2)
-		}
-		fmt.Fprintf(o.out(), "wire-v%d-%-12s  %12d accesses  %6.2f bytes/access  %6.2fx compression  %14.0f accesses/sec  %s\n",
-			r.WireVersion, r.Workload, r.Accesses, r.BytesPerAccess, r.CompressionRatio, r.AccessesSec, note)
+		fmt.Fprintf(o.out(), "wire-v%d-%-12s  %12d accesses  %6.2f bytes/access  %6.2fx compression  %14.0f accesses/sec\n",
+			r.WireVersion, r.Workload, r.Accesses, r.BytesPerAccess, r.CompressionRatio, r.AccessesSec)
 	}
 	return rows, nil
 }

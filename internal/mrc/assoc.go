@@ -38,7 +38,7 @@ func PredictCache(rd *histogram.Histogram, cfg cache.Config, blockBytes uint64) 
 		return 0, nil
 	}
 	if cfg.Ways == 0 {
-		return StackMissRatio(rd, faCapacityBlocks(cfg, blockBytes)), nil
+		return cache.PredictMissRatio(rd, faCapacityBlocks(cfg, blockBytes)), nil
 	}
 	missW := rd.Cold() // cold accesses miss every cache
 	eachBucket(rd, func(d uint64, w float64) {

@@ -41,6 +41,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/cache"
 	"repro/internal/footprint"
 	"repro/internal/histogram"
 )
@@ -153,26 +154,13 @@ func (s Sweep) sizes() []uint64 {
 	return out
 }
 
-// StackMissRatio is the stack-distance identity evaluated at one
-// capacity: the predicted miss ratio of a fully associative LRU cache of
-// `lines` measurement blocks is the fraction of accesses with reuse
-// distance >= lines (cold accesses always miss). It is the single-point
-// primitive every curve in this package is built from, and is
-// bit-identical to the legacy cache.PredictMissRatio.
-func StackMissRatio(rd *histogram.Histogram, lines uint64) float64 {
-	if lines == 0 {
-		return 1
-	}
-	return rd.FractionAbove(lines)
-}
-
 // FromHistogram builds the miss-ratio curve of a reuse-distance
 // histogram via the stack-distance identity, sampled over the sweep.
 func FromHistogram(rd *histogram.Histogram, blockBytes uint64, sweep Sweep) *Curve {
 	sweep = sweep.fill(rd.NumBuckets())
 	c := &Curve{BlockBytes: blockBytes}
 	for _, lines := range sweep.sizes() {
-		c.appendClamped(lines, StackMissRatio(rd, lines))
+		c.appendClamped(lines, cache.PredictMissRatio(rd, lines))
 	}
 	return c
 }

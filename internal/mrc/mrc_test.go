@@ -139,21 +139,6 @@ func TestCurvePropertiesAllPoliciesAndGenerators(t *testing.T) {
 	}
 }
 
-// TestStackMissRatioMatchesLegacy pins the bit-identity contract behind
-// the deprecated rdx.PredictMissRatio wrapper: StackMissRatio is the
-// same function as cache.PredictMissRatio at every capacity.
-func TestStackMissRatioMatchesLegacy(t *testing.T) {
-	rd := exactLineHistogram(t, func() trace.Reader {
-		return trace.ZipfAccess(9, 0, 1<<14, 0.8, 100_000)
-	})
-	caps := []uint64{0, 1, 2, 3, 7, 16, 100, 1024, 1 << 20, 1 << 40}
-	for _, c := range caps {
-		if got, want := StackMissRatio(rd, c), cache.PredictMissRatio(rd, c); got != want {
-			t.Errorf("capacity %d: StackMissRatio %v != cache.PredictMissRatio %v", c, got, want)
-		}
-	}
-}
-
 // TestCurveFullyAssocDifferential validates the fully associative curve
 // against the reference simulator at bucket-aligned capacities, within
 // the committed TolFullyAssoc, on every generator.

@@ -122,10 +122,6 @@ type Options struct {
 	// BatchSize is the accesses per wire frame (default
 	// trace.DefaultBatchSize).
 	BatchSize int
-	// MaxWireVersion caps the wire version offered to every backend
-	// (0 = latest). Set to wire.WireV2 when fronting pre-columnar
-	// daemons, though negotiation falls back per backend anyway.
-	MaxWireVersion int
 	// Retry is the per-session fault policy handed to
 	// wire.ReconnectingClient (zero value = wire defaults). It governs
 	// recovery *within* a backend; the pool governs failover *across*
@@ -557,8 +553,8 @@ func (p *Pool) ProfileThreads(ctx context.Context, streams []trace.Reader, cfg c
 }
 
 // Profile profiles a single stream through the pool (stream index 0, so
-// the config is used as-is) — rdx.Profile with pool placement and
-// failover.
+// the config is used as-is) — a local Session.Profile with pool
+// placement and failover.
 func (p *Pool) Profile(ctx context.Context, r trace.Reader, cfg core.Config) (*core.Result, error) {
 	m, err := p.ProfileThreads(ctx, []trace.Reader{r}, cfg)
 	if err != nil {
@@ -625,7 +621,6 @@ func (p *Pool) runOn(ctx context.Context, b *backendState, r trace.Reader, tcfg 
 		policy.Dial = p.opts.Dial
 	}
 	c := wire.NewReconnectingClient(b.Addr, tcfg, policy)
-	c.SetMaxWireVersion(p.opts.MaxWireVersion)
 	defer c.Close()
 
 	batch := p.opts.BatchSize

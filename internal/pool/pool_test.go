@@ -149,7 +149,7 @@ func TestParseBackends(t *testing.T) {
 func TestPoolMatchesLocalCleanRun(t *testing.T) {
 	cfg := testConfig(256)
 	remote, local := collectStreams(t, 8, 40_000)
-	want, err := core.ProfileThreads(local, cfg, cpumodel.Default())
+	want, err := core.ProfileThreads(context.Background(), local, cfg, cpumodel.Default(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestPoolE2EFaultsAndBackendDeath(t *testing.T) {
 	cfg := testConfig(512)
 	const streams, perStream = 64, 24_000
 	remote, local := collectStreams(t, streams, perStream)
-	want, err := core.ProfileThreads(local, cfg, cpumodel.Default())
+	want, err := core.ProfileThreads(context.Background(), local, cfg, cpumodel.Default(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestPoolE2EFaultsAndBackendDeath(t *testing.T) {
 func TestPoolFailoverFromDeadBackend(t *testing.T) {
 	cfg := testConfig(256)
 	remote, local := collectStreams(t, 6, 20_000)
-	want, err := core.ProfileThreads(local, cfg, cpumodel.Default())
+	want, err := core.ProfileThreads(context.Background(), local, cfg, cpumodel.Default(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

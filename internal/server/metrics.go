@@ -122,11 +122,11 @@ type Metrics struct {
 	DroppedBatches uint64  `json:"dropped_batches"`
 	SnapshotsTotal uint64  `json:"snapshots_total"`
 	BytesIn        uint64  `json:"bytes_in"`
-	// BatchBytes is the cumulative batch-frame payload bytes received
-	// (both wire framings); BytesPerAccess = BatchBytes/AccessesTotal is
-	// the measured wire cost of one access, and CompressionRatio relates
-	// it to the 18-byte in-memory access record — the bandwidth
-	// multiplier the columnar v3 encoding buys. Both are 0 until the
+	// BatchBytes is the cumulative batch-frame payload bytes received;
+	// BytesPerAccess = BatchBytes/AccessesTotal is the measured wire cost
+	// of one access, and CompressionRatio relates it to the 18-byte
+	// in-memory access record — the bandwidth multiplier the columnar v3
+	// encoding buys. Both are 0 until the
 	// first batch arrives.
 	BatchBytes       uint64  `json:"batch_bytes"`
 	BytesPerAccess   float64 `json:"bytes_per_access"`

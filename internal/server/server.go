@@ -64,7 +64,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpumodel"
-	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/window"
 	"repro/internal/wire"
@@ -89,11 +88,6 @@ type Config struct {
 	// MaxBatch is the largest accepted batch, in accesses (default
 	// 1<<20). Larger batches are a protocol error.
 	MaxBatch int
-	// MaxWireVersion caps the wire version negotiated with clients
-	// (default wire.WireV3, the latest). Set to wire.WireV2 to emulate a
-	// pre-columnar server: v3 clients transparently fall back to RDT3
-	// batch framing.
-	MaxWireVersion int
 	// MaxSessions bounds concurrent sessions (default 64); further
 	// opens are refused with a wire error.
 	MaxSessions int
@@ -173,9 +167,6 @@ func (c *Config) fill() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1 << 20
 	}
-	if c.MaxWireVersion < wire.WireV2 || c.MaxWireVersion > wire.WireV3 {
-		c.MaxWireVersion = wire.WireV3
-	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
 	}
@@ -241,8 +232,8 @@ type Server struct {
 	metrics  metrics
 	ckpts    *ckptStore
 	stopRate chan struct{}
-	// ringsPool recirculates session free-ring channel pairs (see
-	// handleConn); per-server because their capacity is QueueDepth+2.
+	// ringsPool recirculates session free-column rings (see handleConn);
+	// per-server because their capacity is QueueDepth+2.
 	ringsPool sync.Pool
 
 	// ckptq feeds the serial checkpoint writer goroutine: blob capture
@@ -520,13 +511,6 @@ func (s *Server) unregister(id uint64) {
 	}
 }
 
-// sessionRings is a recirculating free-ring channel pair, pooled across
-// one server's sessions (Server.ringsPool).
-type sessionRings struct {
-	bufs chan []mem.Access
-	cols chan *trace.Columns
-}
-
 // Connection-buffer pools: sessions come and go, but their bufio
 // buffers (256 KiB read + 64 KiB write) recirculate — without this,
 // every session costs two large allocations that show up as per-session
@@ -588,14 +572,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	// Negotiate the wire version: the minimum of what the client offered
-	// (absent field = the original v2) and what this server allows.
-	wireVer := req.Wire
-	if wireVer < wire.WireV2 {
-		wireVer = wire.WireV2
-	}
-	if wireVer > s.cfg.MaxWireVersion {
-		wireVer = s.cfg.MaxWireVersion
+	if req.Wire != wire.WireV3 {
+		reject(fmt.Errorf("unsupported wire version %d: this server speaks only version %d", req.Wire, wire.WireV3))
+		return
 	}
 
 	var sess *session
@@ -628,7 +607,6 @@ func (s *Server) handleConn(conn net.Conn) {
 			token:   newSessionToken(),
 		}
 	}
-	sess.wire = wireVer
 	sess.migrate = make(chan migrateOrder, 1)
 	id, retryable, err := s.register(sess)
 	if err != nil {
@@ -660,27 +638,26 @@ func (s *Server) handleConn(conn net.Conn) {
 		ResumeSeq:       sess.lastApplied,
 		Done:            sess.completed,
 		CheckpointEvery: s.cfg.CheckpointEvery,
-		Wire:            sess.wire,
+		Wire:            wire.WireV3,
 	}); err != nil {
 		return
 	}
 
 	sess.queue = make(chan item, s.cfg.QueueDepth)
-	// freeBufs recirculates decoded-batch buffers from the executor back
-	// to the reader: sized one past the queue so a buffer is always
+	// freeCols recirculates decoded-batch columns from the executor back
+	// to the reader: sized one past the queue so scratch is always
 	// returnable without blocking, and the session's steady state runs
-	// on a fixed set of buffers — zero allocations per batch. freeCols
-	// is its v3 analogue for columnar scratch. Both seed from (and drain
-	// back to) process-wide pools, so the buffers outlive the session
-	// and back-to-back sessions stop allocating them afresh. The channel
-	// pair recirculates across this server's sessions too — contents and
-	// all, since the rings are never closed and every buffer in them is
-	// re-sliced before use (ringsPool is per-server, so the capacities
-	// always match this server's queue depth).
-	if r, _ := s.ringsPool.Get().(*sessionRings); r != nil {
-		sess.freeBufs, sess.freeCols = r.bufs, r.cols
+	// on a fixed set of columns — zero allocations per batch. It seeds
+	// from (and drains back to) the wire package's column pool, so the
+	// scratch outlives the session and back-to-back sessions stop
+	// allocating it afresh. The channel recirculates across this
+	// server's sessions too — contents and all, since the ring is never
+	// closed and every Columns in it is Reset before use (ringsPool is
+	// per-server, so the capacity always matches this server's queue
+	// depth).
+	if r, _ := s.ringsPool.Get().(chan *trace.Columns); r != nil {
+		sess.freeCols = r
 	} else {
-		sess.freeBufs = make(chan []mem.Access, s.cfg.QueueDepth+2)
 		sess.freeCols = make(chan *trace.Columns, s.cfg.QueueDepth+2)
 	}
 	sess.bw = bw
@@ -700,16 +677,12 @@ func (s *Server) handleConn(conn net.Conn) {
 	for it := range sess.queue {
 		if it.kind == itemBatch {
 			s.metrics.pipelineDepth.Add(-1)
-			if it.cols != nil {
-				wire.PutColumns(it.cols)
-			} else {
-				putBatchBuf(it.batch)
-			}
+			wire.PutColumns(it.cols)
 		}
 	}
-	// Hand the session's recirculating scratch — the ring channels with
-	// whatever buffers they hold — to the next session on this server.
-	s.ringsPool.Put(&sessionRings{bufs: sess.freeBufs, cols: sess.freeCols})
+	// Hand the session's recirculating scratch — the ring with whatever
+	// columns it holds — to the next session on this server.
+	s.ringsPool.Put(sess.freeCols)
 	if sess.failed {
 		// The worker wrote the error frame, armed the linger deadline,
 		// and moved on; this connection goroutine absorbs the linger so
@@ -840,44 +813,13 @@ func (s *Server) armWrite(conn net.Conn) {
 }
 
 // item is one unit of session work, produced by the reader and
-// consumed by the runner. A batch carries either a row-wise slice (v2)
-// or columnar scratch (v3), never both.
+// consumed by the runner.
 type item struct {
 	kind  itemKind
-	batch []mem.Access   // itemBatch, v2 framing
-	cols  *trace.Columns // itemBatch, v3 framing
+	cols  *trace.Columns // itemBatch: the decoded batch
 	seq   uint64         // itemBatch: the batch's sequence number
 	every int            // itemWatch: the push cadence (0 cancels)
 	err   error          // itemFail: the protocol error to report
-}
-
-// batchBufPool recirculates decoded-batch buffers across sessions: a
-// session's freeBufs ring seeds from here and drains back at teardown,
-// so buffer capacity (grown to the stream's batch size) survives
-// session churn instead of being reallocated per session. Within a
-// session the buffers travel the freeBufs ring and never touch the
-// pool, so the header box allocated on put is a per-session cost, not a
-// per-batch one.
-var batchBufPool sync.Pool // stores *[]mem.Access
-
-// getBatchBuf returns an empty batch buffer with whatever capacity it
-// grew to in an earlier session, or nil when the pool is empty (the
-// decode below grows it).
-func getBatchBuf() []mem.Access {
-	if bp, _ := batchBufPool.Get().(*[]mem.Access); bp != nil {
-		return (*bp)[:0]
-	}
-	return nil
-}
-
-// putBatchBuf returns a batch buffer to the pool.
-func putBatchBuf(buf []mem.Access) {
-	if cap(buf) == 0 {
-		return
-	}
-	bp := new([]mem.Access)
-	*bp = buf[:0]
-	batchBufPool.Put(bp)
 }
 
 // readLoop decodes frames into the session queue. It is the only
@@ -891,10 +833,10 @@ func putBatchBuf(buf []mem.Access) {
 //
 // The loop is allocation-free at steady state: frame payloads come from
 // the wire package's pooled buffers and go back the moment decoding
-// ends, and decode targets are recirculated batch buffers the executor
-// returns through freeBufs after execution.
+// ends, and decode targets are recirculated columns the executor
+// returns through freeCols after execution.
 func (s *Server) readLoop(sess *session, br *bufio.Reader) {
-	queue, freeBufs, freeCols := sess.queue, sess.freeBufs, sess.freeCols
+	queue, freeCols := sess.queue, sess.freeCols
 	defer func() {
 		close(queue)
 		s.exec.notify(sess)
@@ -920,36 +862,7 @@ func (s *Server) readLoop(sess *session, br *bufio.Reader) {
 		}
 		s.metrics.bytesIn.Add(uint64(5 + len(payload)))
 		switch t {
-		case wire.FrameBatch:
-			var scratch []mem.Access
-			select {
-			case scratch = <-freeBufs:
-			default: // ring empty: seed from the cross-session pool
-				scratch = getBatchBuf()
-			}
-			s.metrics.batchBytes.Add(uint64(len(payload)))
-			batch, seq, err := wire.DecodeBatchInto(scratch[:0], payload)
-			wire.PutPayload(payload)
-			if err != nil {
-				enqueue(item{kind: itemFail, err: fmt.Errorf("corrupt batch: %w", err)})
-				return
-			}
-			if len(batch) > s.cfg.MaxBatch {
-				enqueue(item{kind: itemFail, err: fmt.Errorf("batch of %d accesses exceeds max %d", len(batch), s.cfg.MaxBatch)})
-				return
-			}
-			s.metrics.noteQueueDepth(len(queue) + 1)
-			s.metrics.pipelineDepth.Add(1)
-			if !enqueue(item{kind: itemBatch, batch: batch, seq: seq}) {
-				s.metrics.pipelineDepth.Add(-1)
-				return
-			}
 		case wire.FrameBatchV3:
-			if sess.wire < wire.WireV3 {
-				wire.PutPayload(payload)
-				enqueue(item{kind: itemFail, err: fmt.Errorf("batch-v3 frame on a wire v%d session", sess.wire)})
-				return
-			}
 			var cols *trace.Columns
 			select {
 			case cols = <-freeCols:
@@ -1088,23 +1001,15 @@ func (s *Server) processItem(sess *session, it item) (done bool) {
 		sess.conn.SetReadDeadline(time.Now().Add(errorLinger))
 		sess.failed = true
 	}
-	// recycle returns a consumed batch's scratch (row buffer or columns)
-	// to the reader's ring. The rings are sized so this never blocks; a
-	// buffer they can't take (the reader drew extras while a ring was
-	// empty) goes back to the cross-session pool.
+	// recycle returns a consumed batch's columns to the reader's ring.
+	// The ring is sized so this never blocks; columns it can't take (the
+	// reader drew extras while the ring was empty) go back to the
+	// cross-session pool.
 	recycle := func(it item) {
-		if it.cols != nil {
-			select {
-			case sess.freeCols <- it.cols:
-			default:
-				wire.PutColumns(it.cols)
-			}
-			return
-		}
 		select {
-		case sess.freeBufs <- it.batch:
+		case sess.freeCols <- it.cols:
 		default:
-			putBatchBuf(it.batch)
+			wire.PutColumns(it.cols)
 		}
 	}
 	if it.kind == itemBatch {
@@ -1134,14 +1039,8 @@ func (s *Server) processItem(sess *session, it item) (done bool) {
 			fail(fmt.Errorf("session already finished"))
 			return true
 		}
-		var n int
-		if it.cols != nil {
-			n = it.cols.Len()
-			sess.machine.ExecuteColumns(it.cols)
-		} else {
-			n = len(it.batch)
-			sess.machine.Execute(it.batch)
-		}
+		n := it.cols.Len()
+		sess.machine.ExecuteColumns(it.cols)
 		if s.cfg.StepDelay > 0 {
 			// The sleep deliberately holds the worker: StepDelay models a
 			// slow engine, and a slot-holding slow engine is what the

@@ -83,15 +83,43 @@ func sameWireProfile(t *testing.T, label string, got, want *wire.Result) {
 	}
 }
 
-// localProfile is the ground truth: the public rdx.Profile API run
+// localProfile is the ground truth: the public rdx Session API run
 // in-process on the same stream and config.
 func localProfile(t *testing.T, accs []mem.Access, cfg core.Config) *wire.Result {
 	t.Helper()
-	res, err := rdx.Profile(trace.FromSlice(accs), cfg)
+	res, err := rdx.New(rdx.WithConfig(cfg)).Profile(context.Background(), trace.FromSlice(accs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return wire.FromCore(res, true)
+}
+
+// pollProfile streams accs through a fresh session on c in batches of
+// batch accesses, polling Client.Snapshot after every every-th batch,
+// and returns the polled snapshots and the final result.
+func pollProfile(t *testing.T, c *wire.Client, accs []mem.Access, cfg core.Config, batch, every int) ([]*wire.Result, *wire.Result) {
+	t.Helper()
+	if _, err := c.Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var snaps []*wire.Result
+	for sent, off := 0, 0; off < len(accs); off += batch {
+		if err := c.SendBatch(accs[off:min(off+batch, len(accs))]); err != nil {
+			t.Fatal(err)
+		}
+		if sent++; sent%every == 0 {
+			snap, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps = append(snaps, snap)
+		}
+	}
+	fin, err := c.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snaps, fin
 }
 
 // TestE2ERecordedTraceBitIdentical is the headline acceptance test:
@@ -195,15 +223,7 @@ func TestLiveSnapshots(t *testing.T) {
 	want := localProfile(t, accs, cfg)
 
 	s := start(t, server.Config{})
-	var snaps []*wire.Result
-	got, err := dial(t, s).Profile(trace.FromSlice(accs), cfg, wire.ProfileOptions{
-		BatchSize:     2000,
-		SnapshotEvery: 30,
-		OnSnapshot:    func(r *wire.Result) { snaps = append(snaps, r) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	snaps, got := pollProfile(t, dial(t, s), accs, cfg, 2000, 30)
 	sameWireProfile(t, "snapshotted remote vs local", got, want)
 
 	if len(snaps) < 2 {

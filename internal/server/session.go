@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/window"
 )
@@ -25,15 +24,13 @@ type session struct {
 	conn    net.Conn
 	prof    *core.Profiler
 	machine *cpu.Machine
-	wire    int // negotiated wire version for this connection
 
 	// Executor plumbing, created by handleConn after the handshake.
-	// queue carries decoded work from the reader; freeBufs/freeCols
-	// recirculate batch scratch back to it; bw is the session's reply
+	// queue carries decoded work from the reader; freeCols recirculates
+	// batch scratch back to it; bw is the session's reply
 	// writer (single-writer: only the owning worker touches it after the
 	// open reply); done closes when the session's last step returns.
 	queue    chan item
-	freeBufs chan []mem.Access
 	freeCols chan *trace.Columns
 	bw       *bufio.Writer
 	done     chan struct{}

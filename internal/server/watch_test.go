@@ -1,12 +1,10 @@
 package server_test
 
 // Tests for the subscribe-to-snapshots watch surface: the pushed
-// snapshot stream must be byte-identical to what the deprecated poll
-// cadence (ProfileOptions.SnapshotEvery) observed at the same batch
-// boundaries, subscriptions must cancel cleanly, the continuous
-// profiler's drift and working-set alerts must surface on /metrics,
-// and the negotiated wire version must be readable concurrently with
-// (re)negotiation under -race.
+// snapshot stream must be byte-identical to what Client.Snapshot polls
+// observed at the same batch boundaries, subscriptions must cancel
+// cleanly, and the continuous profiler's drift and working-set alerts
+// must surface on /metrics.
 
 import (
 	"encoding/json"
@@ -21,10 +19,10 @@ import (
 )
 
 // TestWatchPushMatchesDeprecatedPoll drives the same stream twice: once
-// through the deprecated poll cadence, once under a watch subscription
-// paced on ReadPush at the same boundaries. Every pushed snapshot must
-// be byte-identical to the polled one — the compatibility contract that
-// lets -snapshot-every callers migrate to Watch without a result change.
+// polling Client.Snapshot every few batches, once under a watch
+// subscription paced on ReadPush at the same boundaries. Every pushed
+// snapshot must be byte-identical to the polled one: a push is exactly
+// the poll it replaces.
 func TestWatchPushMatchesDeprecatedPoll(t *testing.T) {
 	cfg := testConfig(400)
 	accs, err := trace.Collect(trace.ZipfAccess(41, 0, 4096, 1.0, 120000))
@@ -35,19 +33,13 @@ func TestWatchPushMatchesDeprecatedPoll(t *testing.T) {
 	s := start(t, server.Config{})
 
 	var polled []string
-	fin1, err := dial(t, s).Profile(trace.FromSlice(accs), cfg, wire.ProfileOptions{
-		BatchSize:     batch,
-		SnapshotEvery: every,
-		OnSnapshot: func(r *wire.Result) {
-			b, err := json.Marshal(r)
-			if err != nil {
-				t.Error(err)
-			}
-			polled = append(polled, string(b))
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	snaps, fin1 := pollProfile(t, dial(t, s), accs, cfg, batch, every)
+	for _, r := range snaps {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		polled = append(polled, string(b))
 	}
 
 	c := dial(t, s)
@@ -228,52 +220,4 @@ func TestWatchMetricsAndWorkingSetAlert(t *testing.T) {
 	if _, err := c.Finish(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestWireVersionConcurrentWithNegotiation reads Client.WireVersion from
-// another goroutine while Open negotiates the version — the torn-read
-// pair the client's internal lock exists for (a ReconnectingClient
-// renegotiates on every reconnect, and observers poll WireVersion
-// concurrently). Meaningful under -race.
-func TestWireVersionConcurrentWithNegotiation(t *testing.T) {
-	cfg := testConfig(400)
-	s := start(t, server.Config{})
-	for i := 0; i < 16; i++ {
-		c := dial(t, s)
-		if i%2 == 1 {
-			// Alternate the offered cap so the negotiated value actually
-			// changes between sessions, like a v3->v2 renegotiation would.
-			c.SetMaxWireVersion(wire.WireV2)
-		}
-		done := make(chan int)
-		go func() {
-			last := 0
-			for j := 0; j < 4096; j++ {
-				last = c.WireVersion()
-			}
-			done <- last
-		}()
-		if _, err := c.Open(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if v := <-done; v != 0 && v != wire.WireV2 && v != wire.WireV3 {
-			t.Fatalf("torn wire version read: %d", v)
-		}
-		if err := c.SendBatch(accsN(t, 4096, uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Finish(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// accsN collects n Zipf accesses for seed-varied quick sessions.
-func accsN(t *testing.T, n int, seed uint64) []mem.Access {
-	t.Helper()
-	accs, err := trace.Collect(trace.ZipfAccess(seed+1, 0, 1024, 1.0, uint64(n)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return accs
 }

@@ -119,7 +119,7 @@ func TestWhatIfEndpoint(t *testing.T) {
 	if !final.Final {
 		t.Error("finished session not answered as final")
 	}
-	res, err := rdx.Profile(trace.FromSlice(accs), cfg)
+	res, err := rdx.New(rdx.WithConfig(cfg)).Profile(context.Background(), trace.FromSlice(accs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,172 @@
+package server_test
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/faultnet"
+	"repro/internal/server"
+	"repro/internal/trace"
+	"repro/internal/wire"
+)
+
+// rawOpen dials s and sends a FrameOpen offering wire version ver,
+// returning the connection and the server's reply frame.
+func rawOpen(t *testing.T, s *server.Server, ver int) (net.Conn, wire.FrameType, []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	req, err := json.Marshal(wire.OpenRequest{Config: testConfig(300), Wire: ver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, wire.FrameOpen, req); err != nil {
+		t.Fatal(err)
+	}
+	ft, payload, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, ft, payload
+}
+
+// TestWireVersionMatrix opens sessions offering each wire version. The
+// server speaks only version 3: a v3 client profiles bit-identically to
+// the local run over compressed columnar batches, and an open offering
+// any other version is refused with an error naming both versions.
+func TestWireVersionMatrix(t *testing.T) {
+	cfg := testConfig(300)
+	accs, err := trace.Collect(trace.ZipfAccess(21, 0, 8192, 1.0, 150000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := localProfile(t, accs, cfg)
+
+	for _, ver := range []int{0, 2, 4} {
+		t.Run(fmt.Sprintf("v%d-client-to-v3-server", ver), func(t *testing.T) {
+			s := start(t, server.Config{})
+			_, ft, payload := rawOpen(t, s, ver)
+			if ft != wire.FrameError {
+				t.Fatalf("open offering wire %d answered with %s frame, want error", ver, ft)
+			}
+			msg := string(payload)
+			if !strings.Contains(msg, fmt.Sprintf("unsupported wire version %d", ver)) ||
+				!strings.Contains(msg, "only version 3") {
+				t.Errorf("rejection %q does not name both versions", msg)
+			}
+			if m := s.MetricsSnapshot(); m.SessionsTotal != 0 {
+				t.Errorf("rejected open registered %d sessions", m.SessionsTotal)
+			}
+		})
+	}
+	t.Run("v3-client-to-v3-server", func(t *testing.T) {
+		s := start(t, server.Config{})
+		got, err := dial(t, s).Profile(trace.FromSlice(accs), cfg, wire.ProfileOptions{BatchSize: 2048})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameWireProfile(t, "v3 remote vs local", got, want)
+		// The strided-and-clustered Zipf stream must actually compress.
+		m := s.MetricsSnapshot()
+		if m.BytesPerAccess <= 0 {
+			t.Errorf("bytes_per_access not accounted: %+v", m)
+		}
+		if m.CompressionRatio < 2 {
+			t.Errorf("v3 compression ratio %.2f, want >= 2", m.CompressionRatio)
+		}
+	})
+}
+
+// TestRetiredBatchFrameFailsSession: the retired RDT3 batch frame type
+// (0x02) sent mid-session is an unexpected frame, and the session fails
+// with an error frame instead of executing it.
+func TestRetiredBatchFrameFailsSession(t *testing.T) {
+	s := start(t, server.Config{})
+	conn, ft, payload := rawOpen(t, s, wire.WireV3)
+	if ft != wire.FrameOpenOK {
+		t.Fatalf("v3 open answered with %s frame: %s", ft, payload)
+	}
+	batch := append(make([]byte, 8), "RDT3"...)
+	if err := wire.WriteFrame(conn, wire.FrameType(0x02), batch); err != nil {
+		t.Fatal(err)
+	}
+	ft, payload, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ft != wire.FrameError || !strings.Contains(string(payload), "unexpected") {
+		t.Fatalf("0x02 frame answered with %s %q, want an unexpected-frame error", ft, payload)
+	}
+	if m := s.MetricsSnapshot(); m.BatchesTotal != 0 {
+		t.Errorf("server executed %d batches", m.BatchesTotal)
+	}
+}
+
+// TestReconnectAcrossDaemons is the cross-daemon chaos test: two
+// daemons share a checkpoint directory, and every connection goes
+// through a fault injector that drops and corrupts mid-stream. The dial
+// hook alternates between the daemons, so each reconnect resumes the
+// session on the other daemon from the shared checkpoints. The profile
+// must come out bit-identical to the local run regardless.
+func TestReconnectAcrossDaemons(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(400)
+	accs, err := trace.Collect(trace.ZipfAccess(17, 0, 8192, 1.0, 250000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := localProfile(t, accs, cfg)
+
+	mk := func() *server.Server {
+		return start(t, server.Config{
+			CheckpointDir:   dir,
+			CheckpointEvery: 4,
+			RetryAfterHint:  5 * time.Millisecond,
+		})
+	}
+	sA, sB := mk(), mk()
+	addrs := []string{sA.Addr(), sB.Addr()}
+
+	faults := faultnet.NewDialer(faultnet.Options{
+		Seed:          41,
+		DropAfterMin:  60_000,
+		DropAfterMax:  150_000,
+		CorruptProb:   0.01,
+		PartialWrites: true,
+	}, nil)
+	var conns atomic.Int64
+	policy := testPolicy(9)
+	policy.Dial = func(ctx context.Context, _ string) (net.Conn, error) {
+		n := conns.Add(1)
+		return faults.DialContext(ctx, addrs[int(n)%len(addrs)])
+	}
+
+	rc := wire.NewReconnectingClient(sA.Addr(), cfg, policy)
+	defer rc.Close()
+	got, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 2048})
+	if err != nil {
+		t.Fatalf("cross-daemon profile failed: %v (stats %+v)", err, rc.Stats())
+	}
+	sameWireProfile(t, "cross-daemon remote vs local", got, want)
+
+	if st := rc.Stats(); st.Reconnects == 0 {
+		t.Errorf("no reconnects despite injected drops (dialer made %d connections)", faults.Conns())
+	}
+	// Both daemons must have carried part of the stream: the session
+	// really did resume across daemons mid-run.
+	mA, mB := sA.MetricsSnapshot(), sB.MetricsSnapshot()
+	if mA.BatchesTotal == 0 || mB.BatchesTotal == 0 {
+		t.Errorf("stream did not cross daemons: first saw %d batches, second saw %d",
+			mA.BatchesTotal, mB.BatchesTotal)
+	}
+}

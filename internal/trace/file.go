@@ -40,10 +40,7 @@ const endSentinel = 0xFF
 var ErrTruncated = fmt.Errorf("trace: truncated stream")
 
 // Writer encodes accesses to an underlying io.Writer. Call Close (or
-// Flush, for a partial stream) before closing the destination. A Writer
-// is reusable: Reset rebinds it to a new destination and starts a fresh
-// stream without allocating, which is what keeps a per-batch encode
-// path (one RDT3 stream per wire frame) allocation-free.
+// Flush, for a partial stream) before closing the destination.
 type Writer struct {
 	w      *bufio.Writer
 	prev   mem.Addr
@@ -60,28 +57,11 @@ type Writer struct {
 
 // NewWriter writes the file header and returns a trace Writer.
 func NewWriter(w io.Writer) (*Writer, error) {
-	tw := new(Writer)
-	if err := tw.Reset(w); err != nil {
-		return nil, err
+	tw := &Writer{w: bufio.NewWriter(w)}
+	if _, err := tw.w.Write(fileMagic[:]); err != nil {
+		return nil, fmt.Errorf("trace: writing header: %w", err)
 	}
 	return tw, nil
-}
-
-// Reset rebinds the Writer to dst and starts a new stream: the file
-// header is written immediately and the delta/count state cleared. The
-// zero Writer may be Reset directly. The buffered writer is reused, so
-// steady-state re-encoding allocates nothing.
-func (w *Writer) Reset(dst io.Writer) error {
-	if w.w == nil {
-		w.w = bufio.NewWriter(dst)
-	} else {
-		w.w.Reset(dst)
-	}
-	w.prev, w.prevPC, w.n, w.closed = 0, 0, 0, false
-	if _, err := w.w.Write(fileMagic[:]); err != nil {
-		return fmt.Errorf("trace: writing header: %w", err)
-	}
-	return nil
 }
 
 // Write appends one access to the trace.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/testutil"
 )
 
 // recordedBytes returns a small recorded trace exercising multi-byte
@@ -192,5 +193,34 @@ func TestFileLargeCountTrailer(t *testing.T) {
 	}
 	if cnt, err := Count(r); err != nil || cnt != n {
 		t.Fatalf("replay: %d accesses, err=%v", cnt, err)
+	}
+}
+
+// TestWriterEncodeAllocFree: writing accesses to a Writer performs zero
+// heap allocations per access (the varint scratch must not escape).
+func TestWriterEncodeAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	accs := []mem.Access{
+		{Addr: 0x1000, PC: 0x400000, Size: 8, Kind: mem.Load},
+		{Addr: 1 << 44, PC: 0x400010, Size: 4, Kind: mem.Store},
+	}
+	w, err := NewWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func() {
+		for i := 0; i < 256; i++ {
+			for _, a := range accs {
+				if err := w.Write(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	encode() // warm up
+	if allocs := testing.AllocsPerRun(100, encode); allocs > 0 {
+		t.Errorf("Writer encode allocates %.2f times per 512 accesses, want 0", allocs)
 	}
 }

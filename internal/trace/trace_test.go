@@ -381,3 +381,17 @@ func TestMatMulSitePCs(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchBufRoundTrip: the pool hands out full-capacity buffers and
+// ignores foreign slices on release.
+func TestBatchBufRoundTrip(t *testing.T) {
+	buf := BatchBuf()
+	if len(buf) != DefaultBatchSize || cap(buf) != DefaultBatchSize {
+		t.Fatalf("BatchBuf: len=%d cap=%d, want %d", len(buf), cap(buf), DefaultBatchSize)
+	}
+	ReleaseBatchBuf(buf)
+	ReleaseBatchBuf(nil)                        // no-op
+	ReleaseBatchBuf(make([]mem.Access, 7))      // foreign capacity: ignored
+	ReleaseBatchBuf(buf[:100])                  // short view of a pooled buffer still returns it
+	ReleaseBatchBuf(make([]mem.Access, 0, 100)) // foreign capacity: ignored
+}

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"io"
-	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -29,15 +28,23 @@ func benchAccesses(n int) []mem.Access {
 
 func encodedBatchFrame(t testing.TB, seq uint64, accs []mem.Access) []byte {
 	t.Helper()
-	var payload bytes.Buffer
-	if err := EncodeBatch(&payload, seq, accs); err != nil {
-		t.Fatal(err)
-	}
 	var frame bytes.Buffer
-	if err := WriteFrame(&frame, FrameBatch, payload.Bytes()); err != nil {
+	if err := WriteFrame(&frame, FrameBatchV3, encodedColumns(t, seq, accs)); err != nil {
 		t.Fatal(err)
 	}
 	return frame.Bytes()
+}
+
+// encodedColumns returns the v3 batch payload of accs.
+func encodedColumns(t testing.TB, seq uint64, accs []mem.Access) []byte {
+	t.Helper()
+	var cols trace.Columns
+	cols.AppendBatch(accs)
+	payload, err := EncodeColumns(nil, seq, &cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
 }
 
 // TestPooledFrameMatchesPlain: both frame-read paths must hand back the
@@ -80,31 +87,6 @@ func TestPayloadPoolClasses(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchIntoReusesScratch: decoding into a warm scratch buffer
-// returns the same backing array and identical accesses to DecodeBatch.
-func TestDecodeBatchIntoReusesScratch(t *testing.T) {
-	accs := benchAccesses(500)
-	var payload bytes.Buffer
-	if err := EncodeBatch(&payload, 3, accs); err != nil {
-		t.Fatal(err)
-	}
-	want, seq, err := DecodeBatch(nil, payload.Bytes())
-	if err != nil || seq != 3 {
-		t.Fatalf("DecodeBatch: seq=%d err=%v", seq, err)
-	}
-	scratch := make([]mem.Access, 0, len(accs)+10)
-	got, seq, err := DecodeBatchInto(scratch, payload.Bytes())
-	if err != nil || seq != 3 {
-		t.Fatalf("DecodeBatchInto: seq=%d err=%v", seq, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("DecodeBatchInto result differs from DecodeBatch")
-	}
-	if &got[0] != &scratch[:1][0] {
-		t.Error("DecodeBatchInto abandoned a large-enough scratch buffer")
-	}
-}
-
 // TestReadFramePooledAllocFree: the steady-state frame read — pooled
 // payload, single ReadFull — performs zero heap allocations.
 func TestReadFramePooledAllocFree(t *testing.T) {
@@ -127,50 +109,52 @@ func TestReadFramePooledAllocFree(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchIntoAllocFree: decoding a full batch into a warm
-// scratch buffer performs zero heap allocations.
-func TestDecodeBatchIntoAllocFree(t *testing.T) {
+// TestDecodeColumnsIntoAllocFree: decoding a full batch into warm
+// columns performs zero heap allocations.
+func TestDecodeColumnsIntoAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	accs := benchAccesses(trace.DefaultBatchSize)
-	var payload bytes.Buffer
-	if err := EncodeBatch(&payload, 1, accs); err != nil {
-		t.Fatal(err)
-	}
-	scratch := make([]mem.Access, 0, trace.DefaultBatchSize)
+	payload := encodedColumns(t, 1, accs)
+	var cols trace.Columns
 	decode := func() {
-		out, _, err := DecodeBatchInto(scratch[:0], payload.Bytes())
-		if err != nil {
+		cols.Reset()
+		if _, err := DecodeColumnsInto(&cols, payload); err != nil {
 			t.Fatal(err)
 		}
-		if len(out) != len(accs) {
-			t.Fatalf("decoded %d accesses, want %d", len(out), len(accs))
+		if cols.Len() != len(accs) {
+			t.Fatalf("decoded %d accesses, want %d", cols.Len(), len(accs))
 		}
 	}
 	decode()
 	if allocs := testing.AllocsPerRun(200, decode); allocs > 0 {
-		t.Errorf("DecodeBatchInto allocates %.2f times per batch, want 0", allocs)
+		t.Errorf("DecodeColumnsInto allocates %.2f times per batch, want 0", allocs)
 	}
 }
 
-// TestClientEncodeBatchAllocFree: the client's batch encode path — the
-// reusable sliceWriter plus Reset-reused trace.Writer — performs zero
-// steady-state heap allocations.
-func TestClientEncodeBatchAllocFree(t *testing.T) {
+// TestClientEncodeColumnsAllocFree: the client's batch encode path — the
+// reused column scratch and payload buffer — performs zero steady-state
+// heap allocations.
+func TestClientEncodeColumnsAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	accs := benchAccesses(trace.DefaultBatchSize)
 	c := &Client{}
+	defer func() {
+		if c.cols != nil {
+			PutColumns(c.cols)
+		}
+	}()
 	encode := func() {
-		if _, err := c.encodeBatch(42, accs); err != nil {
+		if _, err := c.encodeColumns(42, accs); err != nil {
 			t.Fatal(err)
 		}
 	}
-	encode() // warm: grows the scratch buffer once
+	encode() // warm: grows the scratch buffers once
 	if allocs := testing.AllocsPerRun(200, encode); allocs > 0 {
-		t.Errorf("encodeBatch allocates %.2f times per batch, want 0", allocs)
+		t.Errorf("encodeColumns allocates %.2f times per batch, want 0", allocs)
 	}
 }
 
@@ -184,7 +168,7 @@ func TestReadFrameDirectReadNoChunkCopies(t *testing.T) {
 			payload[i] = byte(i * 31)
 		}
 		var frame bytes.Buffer
-		if err := WriteFrame(&frame, FrameBatch, payload); err != nil {
+		if err := WriteFrame(&frame, FrameBatchV3, payload); err != nil {
 			t.Fatal(err)
 		}
 		_, got, err := ReadFrame(iotest(frame.Bytes()))

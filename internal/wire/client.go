@@ -32,25 +32,13 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-	// sw accumulates the encoded batch payload and enc is the reusable
-	// RDT3 encoder writing into it; together they make a steady-state
-	// SendBatch allocation-free (the payload buffer and the encoder's
-	// internals are reused across batches).
-	sw  sliceWriter
-	enc trace.Writer
-	// cols is the columnar scratch for v3 batch encoding, reused across
-	// batches (drawn from the column pool on first use, returned at
-	// Close).
+	// payload accumulates the encoded batch and cols is the columnar
+	// scratch it is encoded from (drawn from the column pool on first
+	// use, returned at Close); reusing both makes a steady-state
+	// SendBatch allocation-free.
+	payload []byte
 	cols    *trace.Columns
-	maxWire int // highest wire version to offer (0 = latest)
-	// mu guards wire. The negotiated version is written by open — which
-	// a ReconnectingClient re-runs during reconnect renegotiation (a v3
-	// session can come back v2 when policy caps differ) — and read on
-	// the replay re-encode path and by WireVersion; without the lock a
-	// Snapshot observer racing a renegotiation could see a torn read.
-	mu     sync.Mutex
-	wire   int // negotiated wire version (valid once opened)
-	opened bool
+	opened  bool
 	// onPush receives subscribed snapshot pushes that arrive interleaved
 	// ahead of a pending reply (see expect); set via OnPush.
 	onPush  func(*Push)
@@ -97,7 +85,7 @@ func NewClient(conn net.Conn) *Client {
 	bw.Reset(conn)
 	c := &Client{conn: conn, br: br, bw: bw}
 	if bp, _ := clientScratchPool.Get().(*[]byte); bp != nil {
-		c.sw.buf = (*bp)[:0]
+		c.payload = (*bp)[:0]
 	}
 	return c
 }
@@ -117,35 +105,11 @@ func (c *Client) Resume(cfg core.Config, token string, lastAcked uint64) (OpenRe
 	return c.open(OpenRequest{Config: cfg, ResumeToken: token, LastAcked: lastAcked})
 }
 
-// SetMaxWireVersion caps the wire version the client offers at open
-// (default: the latest, WireV3). Must be called before Open/Resume.
-// Values outside [WireV2, WireV3] reset to the default.
-func (c *Client) SetMaxWireVersion(v int) {
-	if v < WireV2 || v > WireV3 {
-		v = 0
-	}
-	c.maxWire = v
-}
-
-// WireVersion reports the wire version negotiated at open (0 before).
-func (c *Client) WireVersion() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wire
-}
-
-func (c *Client) offerWire() int {
-	if c.maxWire == 0 {
-		return WireV3
-	}
-	return c.maxWire
-}
-
 func (c *Client) open(req OpenRequest) (OpenReply, error) {
 	if c.opened {
 		return OpenReply{}, fmt.Errorf("wire: session already open")
 	}
-	req.Wire = c.offerWire()
+	req.Wire = WireV3
 	if err := c.send(FrameOpen, marshalJSON(req)); err != nil {
 		return OpenReply{}, err
 	}
@@ -158,16 +122,9 @@ func (c *Client) open(req OpenRequest) (OpenReply, error) {
 	if err != nil {
 		return OpenReply{}, fmt.Errorf("wire: decoding open reply: %w", err)
 	}
-	wire := c.reply.Wire
-	if wire == 0 {
-		wire = WireV2 // pre-negotiation server: original framing
+	if c.reply.Wire != WireV3 {
+		return OpenReply{}, fmt.Errorf("wire: server answered with wire version %d: this client speaks only version %d", c.reply.Wire, WireV3)
 	}
-	if wire < WireV2 || wire > c.offerWire() {
-		return OpenReply{}, fmt.Errorf("wire: server chose version %d, client offered up to %d", c.reply.Wire, c.offerWire())
-	}
-	c.mu.Lock()
-	c.wire = wire
-	c.mu.Unlock()
 	c.opened = true
 	c.nextSeq = c.reply.ResumeSeq + 1
 	return c.reply, nil
@@ -191,19 +148,11 @@ func (c *Client) SendBatch(accs []mem.Access) error {
 	if len(accs) == 0 {
 		return nil
 	}
-	ft := FrameBatch
-	var payload []byte
-	var err error
-	if c.WireVersion() >= WireV3 {
-		ft = FrameBatchV3
-		payload, err = c.encodeColumns(c.nextSeq, accs)
-	} else {
-		payload, err = c.encodeBatch(c.nextSeq, accs)
-	}
+	payload, err := c.encodeColumns(c.nextSeq, accs)
 	if err != nil {
 		return err
 	}
-	if err := c.send(ft, payload); err != nil {
+	if err := c.send(FrameBatchV3, payload); err != nil {
 		return err
 	}
 	c.nextSeq++
@@ -273,11 +222,11 @@ func (c *Client) Close() error {
 	c.bw.Reset(nil)
 	clientWriterPool.Put(c.bw)
 	c.bw = nil
-	if cap(c.sw.buf) > 0 {
+	if cap(c.payload) > 0 {
 		bp := new([]byte)
-		*bp = c.sw.buf[:0]
+		*bp = c.payload[:0]
 		clientScratchPool.Put(bp)
-		c.sw.buf = nil
+		c.payload = nil
 	}
 	if c.cols != nil {
 		PutColumns(c.cols)
@@ -291,32 +240,15 @@ type ProfileOptions struct {
 	// BatchSize is the number of accesses per frame (default
 	// trace.DefaultBatchSize).
 	BatchSize int
-	// SnapshotEvery requests a live snapshot every that many batches
-	// (0 = never) and passes it to OnSnapshot.
-	//
-	// Deprecated: this is the poll-style observation surface. New code
-	// subscribes with Watch/ReadPush (or rdx.Session.Watch), which
-	// streams the same snapshots server-initiated. The polling path is
-	// kept bit-identical: a poll after batch N and a push covering
-	// batch N return the same result, which the differential tests
-	// hold.
-	SnapshotEvery int
-	OnSnapshot    func(*Result)
-	// MaxWireVersion caps the wire version offered at open (0 = latest).
-	// Set to WireV2 to force the uncompressed RDT3 batch framing.
-	MaxWireVersion int
 }
 
 // Profile streams r through a fresh session end to end: Open, batched
-// SendBatch to exhaustion, Finish. It is the remote analogue of
-// rdx.Profile and returns the bit-identical result.
+// SendBatch to exhaustion, Finish. It is the remote analogue of a local
+// Session.Profile and returns the bit-identical result.
 func (c *Client) Profile(r trace.Reader, cfg core.Config, opts ProfileOptions) (*Result, error) {
 	batch := opts.BatchSize
 	if batch <= 0 {
 		batch = trace.DefaultBatchSize
-	}
-	if opts.MaxWireVersion != 0 {
-		c.SetMaxWireVersion(opts.MaxWireVersion)
 	}
 	if _, err := c.Open(cfg); err != nil {
 		return nil, err
@@ -328,22 +260,11 @@ func (c *Client) Profile(r trace.Reader, cfg core.Config, opts ProfileOptions) (
 	} else {
 		buf = make([]mem.Access, batch)
 	}
-	sent := 0
 	for {
 		n, rerr := r.Read(buf)
 		if n > 0 {
 			if err := c.SendBatch(buf[:n]); err != nil {
 				return nil, err
-			}
-			sent++
-			if opts.SnapshotEvery > 0 && sent%opts.SnapshotEvery == 0 {
-				snap, err := c.Snapshot()
-				if err != nil {
-					return nil, err
-				}
-				if opts.OnSnapshot != nil {
-					opts.OnSnapshot(snap)
-				}
 			}
 		}
 		if rerr == io.EOF {
@@ -366,28 +287,6 @@ func (c *Client) ensureStreaming() error {
 	return nil
 }
 
-// encodeBatch encodes the batch payload (sequence number + RDT3) into
-// the client's reusable scratch buffer. The returned slice is valid
-// until the next encodeBatch call.
-func (c *Client) encodeBatch(seq uint64, accs []mem.Access) ([]byte, error) {
-	c.sw.buf = c.sw.buf[:0]
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], seq)
-	c.sw.Write(hdr[:])
-	if err := c.enc.Reset(&c.sw); err != nil {
-		return nil, err
-	}
-	for _, a := range accs {
-		if err := c.enc.Write(a); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.enc.Close(); err != nil {
-		return nil, err
-	}
-	return c.sw.buf, nil
-}
-
 // encodeColumns encodes the v3 columnar batch payload into the client's
 // reusable scratch. The returned slice is valid until the next encode.
 func (c *Client) encodeColumns(seq uint64, accs []mem.Access) ([]byte, error) {
@@ -397,8 +296,8 @@ func (c *Client) encodeColumns(seq uint64, accs []mem.Access) ([]byte, error) {
 	c.cols.Reset()
 	c.cols.AppendBatch(accs)
 	var err error
-	c.sw.buf, err = EncodeColumns(c.sw.buf, seq, c.cols)
-	return c.sw.buf, err
+	c.payload, err = EncodeColumns(c.payload, seq, c.cols)
+	return c.payload, err
 }
 
 // send writes one frame and flushes, so server-side backpressure
@@ -492,14 +391,4 @@ func (c *Client) readResult(want FrameType) (*Result, error) {
 		return nil, fmt.Errorf("wire: decoding result: %w", err)
 	}
 	return &res, nil
-}
-
-// sliceWriter is an io.Writer appending to a reusable byte slice
-// (bytes.Buffer without the read-side state, so the slice can be handed
-// to WriteFrame directly).
-type sliceWriter struct{ buf []byte }
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	s.buf = append(s.buf, p...)
-	return len(p), nil
 }

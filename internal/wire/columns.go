@@ -10,17 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Wire protocol versions negotiated at FrameOpen. A client advertises
-// the highest version it speaks in OpenRequest.Wire; the server answers
-// with the version the session will use in OpenReply.Wire (the minimum
-// of the two sides' maxima). Version 2 is the original RDT3 batch
-// framing (FrameBatch); version 3 adds compressed columnar batches
-// (FrameBatchV3). Absent fields decode as 0 and mean version 2, so the
-// negotiation is transparently backward compatible.
-const (
-	WireV2 = 2
-	WireV3 = 3
-)
+// WireV3 is the one wire protocol version: columnar batches
+// (FrameBatchV3). A client sends it in OpenRequest.Wire and the server
+// echoes it in OpenReply.Wire; either side rejects any other version.
+const WireV3 = 3
 
 // Column encoding tags carried in a v3 column section header. Address
 // and PC columns use delta or delta-of-delta; the meta column uses raw
@@ -38,15 +31,17 @@ const (
 // tag + data).
 const colSectionHdr = 9
 
+// batchSeqBytes is the sequence-number prefix of a batch payload.
+const batchSeqBytes = 8
+
 // columnsHdrBytes is the v3 payload's fixed prefix: 8-byte sequence
 // number + 4-byte access count, both big-endian.
 const columnsHdrBytes = batchSeqBytes + 4
 
 // MaxColumnBatch bounds the access count a v3 payload may declare. The
-// zero-run encodings let a few bytes describe millions of values, so —
-// unlike v2, where every access costs stream bytes — the count must be
-// bounded independently of the payload size to stop a corrupt or
-// hostile header from ballooning column scratch.
+// zero-run encodings let a few bytes describe millions of values, so
+// the count must be bounded independently of the payload size to stop
+// a corrupt or hostile header from ballooning column scratch.
 const MaxColumnBatch = 1 << 22
 
 // colCRC is the checksum carried in a column section header: IEEE crc32

@@ -37,8 +37,7 @@ func wireTestAccesses(seed uint64, n int) []mem.Access {
 }
 
 // TestEncodeColumnsRoundTrip: encode → decode must reproduce the batch
-// and sequence number bit-exactly, for many batch shapes, and decoding
-// must be byte-identical to the v2 RDT3 decode of the same accesses.
+// and sequence number bit-exactly, for many batch shapes.
 func TestEncodeColumnsRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 100, 4096, 10000} {
 		accs := wireTestAccesses(uint64(n)+3, n)
@@ -67,23 +66,6 @@ func TestEncodeColumnsRoundTrip(t *testing.T) {
 			}
 		}
 
-		// Cross-check against the v2 framing: same accesses, same result.
-		var v2 bytes.Buffer
-		if err := EncodeBatch(&v2, 1, accs); err != nil {
-			t.Fatal(err)
-		}
-		v2accs, _, err := DecodeBatch(nil, v2.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(v2accs) != len(got) {
-			t.Fatalf("n=%d: v2 decoded %d, v3 decoded %d", n, len(v2accs), len(got))
-		}
-		for i := range got {
-			if got[i] != v2accs[i] {
-				t.Fatalf("n=%d: framings disagree at access %d", n, i)
-			}
-		}
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"io"
 	"testing"
-
-	"repro/internal/mem"
 )
 
 // FuzzReadFrame throws arbitrary bytes at the frame decoder: whatever
@@ -38,43 +36,6 @@ func FuzzReadFrame(f *testing.F) {
 		ft2, payload2, rerr := ReadFrame(&buf)
 		if rerr != nil || ft2 != ft || !bytes.Equal(payload2, payload) {
 			t.Fatalf("frame does not round-trip: %v", rerr)
-		}
-	})
-}
-
-// FuzzDecodeBatch throws arbitrary bytes at the batch payload decoder:
-// malformed sequence prefixes, corrupt RDT3 records, truncated streams
-// and bogus trailers must all return errors, never panic or loop.
-func FuzzDecodeBatch(f *testing.F) {
-	var buf bytes.Buffer
-	EncodeBatch(&buf, 1, []mem.Access{
-		{Addr: 0x1000, PC: 0x400000, Size: 8, Kind: mem.Load},
-		{Addr: 0x1040, PC: 0x400010, Size: 4, Kind: mem.Store},
-	})
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:12])
-	f.Add([]byte("RDT3"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		t.Helper()
-		accs, seq, err := DecodeBatch(nil, data)
-		if err != nil {
-			return
-		}
-		// A payload that decodes must round-trip bit-exactly.
-		var re bytes.Buffer
-		if eerr := EncodeBatch(&re, seq, accs); eerr != nil {
-			t.Fatalf("decoded batch fails to re-encode: %v", eerr)
-		}
-		back, seq2, derr := DecodeBatch(nil, re.Bytes())
-		if derr != nil || seq2 != seq || len(back) != len(accs) {
-			t.Fatalf("batch does not round-trip: %v", derr)
-		}
-		for i := range back {
-			if back[i] != accs[i] {
-				t.Fatalf("access %d changed across round-trip", i)
-			}
 		}
 	})
 }

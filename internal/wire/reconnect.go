@@ -106,7 +106,6 @@ type ReconnectingClient struct {
 	conn  net.Conn
 	reply OpenReply
 
-	maxWire   int // highest wire version to offer on each connection
 	token     string
 	lastAcked uint64
 	nextSeq   uint64 // session-level sequence of the next new batch
@@ -145,22 +144,6 @@ func NewReconnectingClient(addr string, cfg core.Config, policy RetryPolicy) *Re
 
 // Stats returns the fault-tolerance counters accumulated so far.
 func (r *ReconnectingClient) Stats() ReconnectStats { return r.stats }
-
-// SetMaxWireVersion caps the wire version offered on every connection
-// this session establishes (default: the latest, WireV3). Negotiation
-// is per connection: a session that reconnects to a different server
-// may continue at a different version — replayed batches are re-encoded
-// at send time, so the replay buffer is version-agnostic.
-func (r *ReconnectingClient) SetMaxWireVersion(v int) { r.maxWire = v }
-
-// WireVersion reports the wire version negotiated on the most recent
-// connection (0 before the first).
-func (r *ReconnectingClient) WireVersion() int {
-	if r.c != nil {
-		return r.c.WireVersion()
-	}
-	return r.reply.Wire
-}
 
 // Open establishes the session eagerly and returns the server's reply.
 // It is optional: every operation connects on demand.
@@ -237,20 +220,6 @@ func (r *ReconnectingClient) Sync(ctx context.Context) (uint64, error) {
 	return acked, nil
 }
 
-// Snapshot requests a live intermediate result.
-func (r *ReconnectingClient) Snapshot(ctx context.Context) (*Result, error) {
-	var res *Result
-	err := r.withRetry(ctx, func(c *Client) error {
-		s, err := c.Snapshot()
-		if err != nil {
-			return err
-		}
-		res = s
-		return nil
-	})
-	return res, err
-}
-
 // Finish ends the stream and returns the final result. If the final
 // result frame is lost in flight, the retry resumes the session — the
 // server retains a finished session's result for exactly this replay —
@@ -287,9 +256,6 @@ func (r *ReconnectingClient) Profile(ctx context.Context, tr trace.Reader, opts 
 	if batch <= 0 {
 		batch = trace.DefaultBatchSize
 	}
-	if opts.MaxWireVersion != 0 {
-		r.SetMaxWireVersion(opts.MaxWireVersion)
-	}
 	var buf []mem.Access
 	if batch <= trace.DefaultBatchSize {
 		buf = trace.BatchBuf()[:batch]
@@ -297,22 +263,11 @@ func (r *ReconnectingClient) Profile(ctx context.Context, tr trace.Reader, opts 
 	} else {
 		buf = make([]mem.Access, batch)
 	}
-	sent := 0
 	for {
 		n, rerr := tr.Read(buf)
 		if n > 0 {
 			if err := r.SendBatch(ctx, buf[:n]); err != nil {
 				return nil, err
-			}
-			sent++
-			if opts.SnapshotEvery > 0 && sent%opts.SnapshotEvery == 0 {
-				snap, err := r.Snapshot(ctx)
-				if err != nil {
-					return nil, err
-				}
-				if opts.OnSnapshot != nil {
-					opts.OnSnapshot(snap)
-				}
 			}
 		}
 		if rerr == io.EOF {
@@ -521,7 +476,6 @@ func (r *ReconnectingClient) ensure(ctx context.Context) (*Client, error) {
 		return nil, fmt.Errorf("wire: dialing %s: %w", r.addr, err)
 	}
 	c := NewClient(conn)
-	c.SetMaxWireVersion(r.maxWire)
 	r.c, r.conn = c, conn
 	r.armDeadline(ctx)
 	defer r.disarmDeadline()

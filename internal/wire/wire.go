@@ -1,8 +1,7 @@
 // Package wire defines the streaming protocol between rdx clients and
 // the rdxd profiling daemon: a length-prefixed frame layer, the JSON
-// control/result messages carried in frames, and the access-batch
-// payload encoding (which reuses the internal/trace binary record
-// format, so a recorded trace streams to the daemon byte-compatibly).
+// control/result messages carried in frames, and the compressed
+// columnar access-batch payload (see EncodeColumns).
 //
 // # Framing
 //
@@ -38,20 +37,19 @@
 //
 // # Batch payloads
 //
-// A FrameBatch payload is an 8-byte big-endian sequence number followed
-// by a complete RDT3 stream (magic, delta-encoded records,
-// end-of-stream trailer — see internal/trace). Sequence numbers start
-// at 1 and increase by 1 per batch within a session; a resumed session
-// replays its unacknowledged tail and the server discards batches whose
+// A FrameBatchV3 payload is an 8-byte big-endian sequence number, a
+// 4-byte big-endian access count, then the address, PC and meta
+// columns, each in its own section with an encoding tag, a length and
+// a crc32 (see EncodeColumns). Sequence numbers start at 1 and
+// increase by 1 per batch within a session; a resumed session replays
+// its unacknowledged tail and the server discards batches whose
 // sequence number it has already executed, making replay idempotent.
 // Delta state resets at each frame boundary, so frames are
-// independently decodable and a frame cut off by a dying connection is
-// detected by the trace layer's truncation check, not executed
-// half-way.
+// independently decodable, and a frame cut off by a dying connection
+// fails the frame layer's checks instead of executing half-way.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -64,8 +62,6 @@ import (
 	"repro/internal/cpumodel"
 	"repro/internal/footprint"
 	"repro/internal/histogram"
-	"repro/internal/mem"
-	"repro/internal/trace"
 )
 
 // FrameType identifies a frame's meaning and payload encoding.
@@ -74,8 +70,6 @@ type FrameType uint8
 const (
 	// FrameOpen (client→server) opens a session; payload OpenRequest.
 	FrameOpen FrameType = 0x01
-	// FrameBatch (client→server) carries one access batch; payload RDT3.
-	FrameBatch FrameType = 0x02
 	// FrameSnapshot (client→server) requests a live intermediate result;
 	// empty payload.
 	FrameSnapshot FrameType = 0x03
@@ -87,8 +81,8 @@ const (
 	// number; empty payload. The reply is FrameAck.
 	FrameSync FrameType = 0x05
 	// FrameBatchV3 (client→server) carries one access batch in the v3
-	// columnar encoding (see EncodeColumns); only valid on sessions that
-	// negotiated wire version 3 at open.
+	// columnar encoding (see EncodeColumns). Type 0x02 is unassigned: a
+	// session that receives it fails.
 	FrameBatchV3 FrameType = 0x06
 	// FrameHandoff (backend→backend) transfers one retained session
 	// state — a live checkpoint or a finished session's final result —
@@ -149,8 +143,6 @@ func (t FrameType) String() string {
 	switch t {
 	case FrameOpen:
 		return "open"
-	case FrameBatch:
-		return "batch"
 	case FrameSnapshot:
 		return "snapshot"
 	case FrameFinish:
@@ -352,9 +344,8 @@ type OpenRequest struct {
 	Config      core.Config `json:"config"`
 	ResumeToken string      `json:"resume_token,omitempty"`
 	LastAcked   uint64      `json:"last_acked,omitempty"`
-	// Wire is the highest wire version the client speaks (0 means the
-	// original version 2). The server answers with the version the
-	// session will use in OpenReply.Wire.
+	// Wire is the wire version the client speaks. The server rejects an
+	// open whose version is not WireV3.
 	Wire int `json:"wire,omitempty"`
 }
 
@@ -380,10 +371,8 @@ type OpenReply struct {
 	// CheckpointEvery is the server's periodic checkpoint interval in
 	// batches (0 = only on disconnect), a hint for client sync cadence.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// Wire is the wire version this session will use: the minimum of the
-	// client's and server's maxima (0 means the original version 2).
-	// Negotiation is per connection, so a session resumed against a
-	// different server may continue at a different version.
+	// Wire is the wire version the session uses, always WireV3; a client
+	// rejects any other.
 	Wire int `json:"wire,omitempty"`
 }
 
@@ -491,90 +480,6 @@ func ToCore(res *Result) *core.Result {
 		r.Footprint = footprint.NewEstimatorFromHistogram(res.ReuseTime, res.Accesses)
 	}
 	return r
-}
-
-// batchSeqBytes is the sequence-number prefix of a FrameBatch payload.
-const batchSeqBytes = 8
-
-// EncodeBatch resets buf and writes a batch payload into it: the 8-byte
-// big-endian sequence number followed by the RDT3 encoding of accs.
-func EncodeBatch(buf *bytes.Buffer, seq uint64, accs []mem.Access) error {
-	buf.Reset()
-	var hdr [batchSeqBytes]byte
-	binary.BigEndian.PutUint64(hdr[:], seq)
-	buf.Write(hdr[:])
-	w, err := trace.NewWriter(buf)
-	if err != nil {
-		return err
-	}
-	for _, a := range accs {
-		if err := w.Write(a); err != nil {
-			return err
-		}
-	}
-	return w.Close()
-}
-
-// DecodeBatch decodes a batch payload, appending the accesses into dst
-// (which may be nil) and returning the extended slice plus the batch's
-// sequence number. Truncated or corrupt payloads fail with descriptive
-// errors. It is DecodeBatchInto without a reuse contract; callers that
-// decode batch after batch should hold one scratch slice and pass it
-// back in each time.
-func DecodeBatch(dst []mem.Access, payload []byte) ([]mem.Access, uint64, error) {
-	return DecodeBatchInto(dst, payload)
-}
-
-// DecodeBatchInto decodes a batch payload, appending the accesses to
-// dst and returning the extended slice plus the batch's sequence
-// number. Decoding works directly over the payload bytes into dst's
-// spare capacity: once dst has grown to the session's steady batch
-// size (pass the returned slice re-sliced to [:0] for the next batch),
-// a decode performs zero allocations.
-func DecodeBatchInto(dst []mem.Access, payload []byte) ([]mem.Access, uint64, error) {
-	if len(payload) < batchSeqBytes {
-		return dst, 0, fmt.Errorf("wire: batch payload of %d bytes lacks its sequence number", len(payload))
-	}
-	seq := binary.BigEndian.Uint64(payload)
-	var br trace.BytesReader
-	if err := br.Reset(payload[batchSeqBytes:]); err != nil {
-		return dst, seq, err
-	}
-	for {
-		if len(dst) == cap(dst) {
-			// Full. Decode one record into a stack slot first: a stream
-			// that is in fact finished must not trigger a growth — the
-			// exact-fit case is the steady state of a reused scratch.
-			var one [1]mem.Access
-			n, err := br.Read(one[:])
-			if n == 0 {
-				if err == io.EOF {
-					return dst, seq, nil
-				}
-				if err != nil {
-					return dst, seq, err
-				}
-			}
-			grown := make([]mem.Access, len(dst), max(2*cap(dst), len(dst)+trace.DefaultBatchSize))
-			copy(grown, dst)
-			dst = append(grown, one[:n]...)
-			if err == io.EOF {
-				return dst, seq, nil
-			}
-			if err != nil {
-				return dst, seq, err
-			}
-			continue
-		}
-		n, err := br.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, seq, nil
-		}
-		if err != nil {
-			return dst, seq, err
-		}
-	}
 }
 
 // marshalJSON marshals v, panicking on programmer error (all wire

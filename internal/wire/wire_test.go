@@ -3,8 +3,10 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,7 +25,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		payload []byte
 	}{
 		{FrameOpen, []byte(`{"config":{}}`)},
-		{FrameBatch, bytes.Repeat([]byte{0xAB}, 100000)},
+		{FrameBatchV3, bytes.Repeat([]byte{0xAB}, 100000)},
 		{FrameSnapshot, nil},
 		{FrameFinish, []byte{}},
 		{FrameError, []byte("session limit reached")},
@@ -52,7 +54,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameBatch, []byte("0123456789")); err != nil {
+	if err := WriteFrame(&buf, FrameBatchV3, []byte("0123456789")); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -70,7 +72,7 @@ func TestFrameTruncation(t *testing.T) {
 func TestFrameDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("reuse-distance payload 0123456789")
-	if err := WriteFrame(&buf, FrameBatch, payload); err != nil {
+	if err := WriteFrame(&buf, FrameBatchV3, payload); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -82,7 +84,7 @@ func TestFrameDetectsCorruption(t *testing.T) {
 			if err != nil {
 				continue // detected: good
 			}
-			if ft == FrameBatch && bytes.Equal(got, payload) {
+			if ft == FrameBatchV3 && bytes.Equal(got, payload) {
 				t.Fatalf("byte %d flipped by %#x decoded unchanged", i, flip)
 			}
 			t.Fatalf("byte %d flipped by %#x decoded without error as %s frame", i, flip, ft)
@@ -91,7 +93,7 @@ func TestFrameDetectsCorruption(t *testing.T) {
 }
 
 func TestFrameRejectsOversizedAndZero(t *testing.T) {
-	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, byte(FrameBatch)}
+	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, byte(FrameBatchV3)}
 	if _, _, err := ReadFrame(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("oversized frame: %v", err)
 	}
@@ -99,58 +101,8 @@ func TestFrameRejectsOversizedAndZero(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader(zero)); err == nil {
 		t.Error("zero-length frame accepted")
 	}
-	if err := WriteFrame(io.Discard, FrameBatch, make([]byte, MaxFramePayload+1)); err == nil {
+	if err := WriteFrame(io.Discard, FrameBatchV3, make([]byte, MaxFramePayload+1)); err == nil {
 		t.Error("oversized write accepted")
-	}
-}
-
-func TestBatchRoundTrip(t *testing.T) {
-	accs := []mem.Access{
-		{Addr: 0, PC: 0x400000, Size: 8, Kind: mem.Load},
-		{Addr: 1 << 44, PC: 0x400010, Size: 4, Kind: mem.Store},
-		{Addr: 64, PC: 0x400020, Size: 1, Kind: mem.Load},
-	}
-	var buf bytes.Buffer
-	if err := EncodeBatch(&buf, 42, accs); err != nil {
-		t.Fatal(err)
-	}
-	out, seq, err := DecodeBatch(nil, buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 42 {
-		t.Fatalf("sequence number round-tripped to %d, want 42", seq)
-	}
-	if !reflect.DeepEqual(out, accs) {
-		t.Fatalf("batch roundtrip mismatch:\n got %v\nwant %v", out, accs)
-	}
-
-	// A cut-off payload must be rejected, not half-executed.
-	for cut := 0; cut < buf.Len(); cut++ {
-		if _, _, err := DecodeBatch(nil, buf.Bytes()[:cut]); err == nil {
-			t.Errorf("cut=%d: truncated batch decoded without error", cut)
-		}
-	}
-}
-
-// TestBatchDeltaStateResetsPerFrame: two frames encoded independently
-// decode independently — frame 2 does not need frame 1's delta state.
-func TestBatchDeltaStateResetsPerFrame(t *testing.T) {
-	a := []mem.Access{{Addr: 1 << 40, PC: 0x400000, Size: 8}}
-	b := []mem.Access{{Addr: 8, PC: 0x400004, Size: 8}}
-	var f1, f2 bytes.Buffer
-	if err := EncodeBatch(&f1, 1, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeBatch(&f2, 2, b); err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := DecodeBatch(nil, f2.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != b[0] {
-		t.Fatalf("frame 2 decoded to %v, want %v", out[0], b[0])
 	}
 }
 
@@ -309,5 +261,37 @@ func TestToCoreMergesLikeLocal(t *testing.T) {
 	}
 	if got.Accesses != want.Accesses || got.Samples != want.Samples || got.ReusePairs != want.ReusePairs {
 		t.Error("merged counters differ after wire round-trip")
+	}
+}
+
+// TestClientRejectsOtherWireVersions: the client offers WireV3 at open
+// and refuses a reply naming any other version, so a session can never
+// stream batches in a framing the server did not agree to.
+func TestClientRejectsOtherWireVersions(t *testing.T) {
+	for _, ver := range []int{0, 2, 4} {
+		cconn, sconn := net.Pipe()
+		offered := make(chan int, 1)
+		go func() {
+			defer sconn.Close()
+			_, payload, err := ReadFrame(sconn)
+			if err != nil {
+				offered <- -1
+				return
+			}
+			var req OpenRequest
+			json.Unmarshal(payload, &req)
+			offered <- req.Wire
+			WriteFrame(sconn, FrameOpenOK, marshalJSON(OpenReply{SessionID: 1, Wire: ver}))
+		}()
+		c := NewClient(cconn)
+		_, err := c.Open(core.DefaultConfig())
+		c.Close()
+		if got := <-offered; got != WireV3 {
+			t.Errorf("client offered wire version %d, want %d", got, WireV3)
+		}
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("wire version %d", ver)) ||
+			!strings.Contains(err.Error(), "only version 3") {
+			t.Errorf("reply with wire %d: err = %v, want a rejection naming both versions", ver, err)
+		}
 	}
 }

@@ -8,28 +8,6 @@ import (
 	"repro/internal/cache"
 )
 
-// TestPredictMissRatioDeprecatedBitIdentical is the deprecation
-// contract: the PredictMissRatio wrapper must return values
-// bit-identical to the pre-curve implementation (cache.PredictMissRatio)
-// on profiles from every replacement policy, at every capacity.
-func TestPredictMissRatioDeprecatedBitIdentical(t *testing.T) {
-	ctx := context.Background()
-	for _, pol := range allPolicies {
-		cfg := policyConfig(pol)
-		res, err := New(WithConfig(cfg)).Profile(ctx, ZipfAccess(11, 0, 4096, 1.0, 120000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, blocks := range []uint64{0, 1, 3, 16, 100, 1024, 1 << 16, 1 << 40} {
-			got := PredictMissRatio(res.ReuseDistance, blocks)
-			want := cache.PredictMissRatio(res.ReuseDistance, blocks)
-			if got != want {
-				t.Errorf("%v @%d blocks: wrapper %v != legacy %v", pol, blocks, got, want)
-			}
-		}
-	}
-}
-
 func TestSessionMissRatio(t *testing.T) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
@@ -50,14 +28,14 @@ func TestSessionMissRatio(t *testing.T) {
 			t.Fatalf("curve not monotone at %d", i)
 		}
 	}
-	// The curve samples the same identity the deprecated single-point
-	// API evaluates; an equal-seed profile must agree point for point.
+	// The curve samples the stack-distance identity; an equal-seed
+	// profile must agree with it point for point.
 	res, err := s.Profile(ctx, ZipfAccess(3, 0, 1<<14, 1.0, 150000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range curve.Points {
-		if want := PredictMissRatio(res.ReuseDistance, p.Lines); math.Abs(p.MissRatio-want) > 1e-12 {
+		if want := cache.PredictMissRatio(res.ReuseDistance, p.Lines); math.Abs(p.MissRatio-want) > 1e-12 {
 			t.Errorf("curve @%d = %v, single-point = %v", p.Lines, p.MissRatio, want)
 		}
 	}

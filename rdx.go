@@ -27,14 +27,9 @@
 // the streams shard across the backends with health-checked failover.
 // Exact measures a stream exhaustively (Olken's algorithm) for ground
 // truth; Accuracy compares the two histograms the way the paper does.
-//
-// The package-level Profile* functions are the deprecated pre-Session
-// forms; they delegate to the options API and return bit-identical
-// results.
 package rdx
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -42,7 +37,6 @@ import (
 	"repro/internal/exact"
 	"repro/internal/histogram"
 	"repro/internal/mem"
-	"repro/internal/mrc"
 	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/internal/workloads"
@@ -117,102 +111,25 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // overhead accounting.
 func DefaultCosts() Costs { return cpumodel.Default() }
 
-// Profile measures the reuse-distance histogram of an access stream with
-// RDX: PMU sampling plus debug-register watchpoints on a simulated core,
-// with zero instrumentation of the stream itself.
-//
-// Deprecated: use New(WithConfig(cfg)).Profile(ctx, r). This wrapper
-// delegates there and returns a bit-identical result.
-func Profile(r Reader, cfg Config) (*Result, error) {
-	return New(WithConfig(cfg)).Profile(context.Background(), r)
-}
-
-// ProfileWithCosts is Profile with a caller-supplied cycle-cost table
-// (for overhead studies).
-//
-// Deprecated: use New(WithConfig(cfg), WithCosts(costs)).Profile(ctx, r).
-func ProfileWithCosts(r Reader, cfg Config, costs Costs) (*Result, error) {
-	return New(WithConfig(cfg), WithCosts(costs)).Profile(context.Background(), r)
-}
-
-// Remote profiling against an rdxd daemon (cmd/rdxd). A remote session
-// streams the access batches over the wire protocol and returns a
-// result bit-identical to Profile on the same stream and config.
+// Remote profiling against an rdxd daemon (cmd/rdxd), selected with
+// WithRemote. A remote session streams the access batches over the wire
+// protocol and returns a result bit-identical to a local Session.Profile
+// on the same stream and config.
 type (
 	// RemoteResult is the serializable profile an rdxd daemon returns:
 	// the same histograms, counters and attribution as Result, in
 	// wire/JSON form.
 	RemoteResult = wire.Result
-	// RemoteOptions tunes a remote session (batch size, live-snapshot
-	// cadence).
+	// RemoteOptions tunes a remote session (batch size).
 	RemoteOptions = wire.ProfileOptions
-	// RetryPolicy tunes ProfileRemoteResilient's fault handling:
-	// attempts, backoff, per-RPC timeouts, sync cadence.
+	// RetryPolicy tunes WithRetry's fault handling: attempts, backoff,
+	// per-RPC timeouts, sync cadence.
 	RetryPolicy = wire.RetryPolicy
 )
-
-// ProfileRemote profiles an access stream on an rdxd daemon at addr
-// instead of in-process. The daemon runs the identical engine, so the
-// returned profile is bit-identical to Profile(r, cfg) locally; use it
-// to move profiling load off the measuring host or to watch live
-// snapshots of a long run (RemoteOptions.OnSnapshot). The ctx bounds
-// connection establishment; for cancellation and timeouts covering the
-// whole session, use ProfileRemoteResilient.
-//
-// Deprecated: use
-// New(WithConfig(cfg), WithRemote(addr), WithRemoteOptions(opts)).Profile(ctx, r),
-// which returns the in-memory Result form directly (convert with
-// ResultToRemote if the wire form is needed).
-func ProfileRemote(ctx context.Context, addr string, r Reader, cfg Config, opts RemoteOptions) (*RemoteResult, error) {
-	res, err := New(WithConfig(cfg), WithRemote(addr), WithRemoteOptions(opts)).Profile(ctx, r)
-	if err != nil {
-		return nil, err
-	}
-	return ResultToRemote(res), nil
-}
-
-// ProfileRemoteResilient is ProfileRemote with fault tolerance: the
-// session transparently reconnects with exponential backoff, resumes
-// from the daemon's checkpoint, and replays unacknowledged batches —
-// surviving connection drops, corrupted frames, and even a daemon
-// restart (when rdxd runs with -checkpoint-dir). The result is still
-// bit-identical to the local Profile.
-//
-// Deprecated: use
-// New(WithConfig(cfg), WithRemote(addr), WithRemoteOptions(opts), WithRetry(policy)).Profile(ctx, r).
-func ProfileRemoteResilient(ctx context.Context, addr string, r Reader, cfg Config, opts RemoteOptions, policy RetryPolicy) (*RemoteResult, error) {
-	res, err := New(WithConfig(cfg), WithRemote(addr), WithRemoteOptions(opts), WithRetry(policy)).Profile(ctx, r)
-	if err != nil {
-		return nil, err
-	}
-	return ResultToRemote(res), nil
-}
 
 // ResultToRemote converts a locally produced Result into the wire form,
 // so local and remote profiles can share reporting code.
 func ResultToRemote(res *Result) *RemoteResult { return wire.FromCore(res, true) }
-
-// ProfileThreads profiles each stream as one thread of a multithreaded
-// program — per-thread PMU and debug-register contexts, merged
-// program-level histograms and attribution. Reuses crossing threads are
-// not observed (per-thread hardware contexts), matching the real tool's
-// behaviour.
-//
-// Deprecated: use New(WithConfig(cfg)).ProfileThreads(ctx, streams).
-func ProfileThreads(streams []Reader, cfg Config) (*MultiResult, error) {
-	return New(WithConfig(cfg)).ProfileThreads(context.Background(), streams)
-}
-
-// ProfileThreadsPool is ProfileThreads with an explicit worker-pool
-// size: at most `workers` streams simulate concurrently (workers <= 0
-// selects GOMAXPROCS), so thousands of streams can be profiled without
-// a goroutine per stream. Results are independent of the pool size.
-//
-// Deprecated: use
-// New(WithConfig(cfg), WithWorkers(workers)).ProfileThreads(ctx, streams).
-func ProfileThreadsPool(streams []Reader, cfg Config, workers int) (*MultiResult, error) {
-	return New(WithConfig(cfg), WithWorkers(workers)).ProfileThreads(context.Background(), streams)
-}
 
 // ExactResult is the ground-truth measurement of a stream.
 type ExactResult struct {
@@ -276,19 +193,6 @@ func Workload(name string, seed, n uint64) (Reader, error) {
 
 // WorkloadNames lists the benchmark suite.
 func WorkloadNames() []string { return workloads.Names() }
-
-// PredictMissRatio predicts the miss ratio of a fully associative LRU
-// cache of capacity `blocks` (in measurement-granularity blocks) from a
-// reuse-distance histogram.
-//
-// Deprecated: this is the single point a MissRatioCurve samples; use
-// Result.MissRatioCurve / Session.MissRatio for the whole curve, or
-// Result.PredictCache for set-associative and multi-level predictions.
-// This wrapper delegates to the curve primitive and returns bit-identical
-// values.
-func PredictMissRatio(rd *Histogram, blocks uint64) float64 {
-	return mrc.StackMissRatio(rd, blocks)
-}
 
 // Stream generator re-exports: build custom profiled programs without
 // touching internal packages.

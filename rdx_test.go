@@ -1,6 +1,7 @@
 package rdx
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -9,7 +10,7 @@ func TestProfileAgainstExact(t *testing.T) {
 	mk := func() Reader { return Cyclic(0, 256, 300000) }
 	cfg := DefaultConfig()
 	cfg.SamplePeriod = 1000
-	res, err := Profile(mk(), cfg)
+	res, err := New(WithConfig(cfg)).Profile(context.Background(), mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestProfileAgainstExact(t *testing.T) {
 }
 
 func TestProfileRejectsBadConfig(t *testing.T) {
-	if _, err := Profile(Cyclic(0, 8, 100), Config{}); err == nil {
+	if _, err := New(WithConfig(Config{})).Profile(context.Background(), Cyclic(0, 8, 100)); err == nil {
 		t.Error("zero config accepted")
 	}
 }
@@ -45,7 +46,7 @@ func TestWorkloadAPI(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.SamplePeriod = 100
-	if _, err := Profile(r, cfg); err != nil {
+	if _, err := New(WithConfig(cfg)).Profile(context.Background(), r); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Workload("bogus", 1, 10); err == nil {
@@ -54,14 +55,17 @@ func TestWorkloadAPI(t *testing.T) {
 }
 
 func TestPredictMissRatioAPI(t *testing.T) {
-	gt, err := Exact(Cyclic(0, 64, 64000), WordGranularity)
+	cfg := DefaultConfig()
+	cfg.SamplePeriod = 500
+	res, err := New(WithConfig(cfg)).Profile(context.Background(), Cyclic(0, 64, 64000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Working set of 64 words: a 128-word cache captures all reuse
 	// (cold-only misses), a 32-word cache captures none.
-	small := PredictMissRatio(gt.ReuseDistance, 32)
-	big := PredictMissRatio(gt.ReuseDistance, 128)
+	curve := res.MissRatioCurve(SizeSweep{})
+	small := curve.At(32)
+	big := curve.At(128)
 	if small < 0.99 {
 		t.Errorf("under-capacity miss ratio = %v, want ~1", small)
 	}
@@ -75,11 +79,11 @@ func TestProfileWithCosts(t *testing.T) {
 	costs.SampleCycles *= 10
 	cfg := DefaultConfig()
 	cfg.SamplePeriod = 1000
-	cheap, err := Profile(Cyclic(0, 64, 200000), cfg)
+	cheap, err := New(WithConfig(cfg)).Profile(context.Background(), Cyclic(0, 64, 200000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dear, err := ProfileWithCosts(Cyclic(0, 64, 200000), cfg, costs)
+	dear, err := New(WithConfig(cfg), WithCosts(costs)).Profile(context.Background(), Cyclic(0, 64, 200000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,14 +65,17 @@ go test -run='^TestPoolE2EFaultsAndBackendDeath$' -count=1 ./internal/pool
 echo "==> migration chaos smoke (-race)"
 go test -race -run='^TestControlPlaneE2EChaos$' -count=1 ./internal/ctrl
 
-# Short fuzz smoke on the wire-protocol decoders and the v3 column
-# encoder (byte-identical to its reference encoder): enough to catch a
-# regression in the corpus or an obvious panic, cheap enough for CI.
-echo "==> fuzz smoke (wire codecs, 10s each)"
+# Short fuzz smoke on the wire-protocol decoders, the v3 column encoder
+# (byte-identical to its reference encoder) and the RDT3 trace-file
+# reader: enough to catch a regression in the corpus or an obvious
+# panic, cheap enough for CI. The trace reader's target counts
+# allocations on every exec, so minimizing a new input is capped at 100
+# execs instead of the default 60s, which would take the whole smoke.
+echo "==> fuzz smoke (wire codecs and trace reader, 10s each)"
 go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime=10s ./internal/wire
-go test -run='^$' -fuzz='^FuzzDecodeBatch$' -fuzztime=10s ./internal/wire
 go test -run='^$' -fuzz='^FuzzDecodeColumns$' -fuzztime=10s ./internal/wire
 go test -run='^$' -fuzz='^FuzzEncodeColumns$' -fuzztime=10s ./internal/wire
+go test -run='^$' -fuzz='^FuzzTraceReader$' -fuzztime=10s -fuzzminimizetime=100x ./internal/trace
 
 # Short fuzz smoke on the exact oracle: arbitrary short traces at byte,
 # word and line granularity, every access's distance checked against

@@ -103,8 +103,7 @@ func WithRetry(policy RetryPolicy) Option {
 	return func(s *Session) { s.retry = &policy }
 }
 
-// WithRemoteOptions tunes remote streaming (batch size, live-snapshot
-// cadence and callback).
+// WithRemoteOptions tunes remote streaming (batch size).
 func WithRemoteOptions(opts RemoteOptions) Option {
 	return func(s *Session) { s.remoteOpts = opts }
 }
@@ -196,7 +195,7 @@ func (s *Session) ProfileThreads(ctx context.Context, streams []Reader) (*MultiR
 		return nil, s.err
 	}
 	if len(s.remotes) == 0 {
-		return core.ProfileThreadsPoolContext(ctx, streams, s.cfg, s.costs, s.workers)
+		return core.ProfileThreads(ctx, streams, s.cfg, s.costs, s.workers)
 	}
 	p, err := s.newPool()
 	if err != nil {
@@ -205,15 +204,3 @@ func (s *Session) ProfileThreads(ctx context.Context, streams []Reader) (*MultiR
 	defer p.Close()
 	return p.ProfileThreads(ctx, streams, s.cfg)
 }
-
-// RemoteToResult converts a wire-form profile back to the in-memory
-// Result — the inverse of ResultToRemote, so remotely produced profiles
-// are fully interchangeable with local ones (Footprint is rebuilt at
-// histogram resolution; everything else round-trips bit-identically).
-//
-// Deprecated: the Session API returns in-memory Results directly, and
-// serialized reports now travel in the versioned report.Schema envelope
-// (see `rdx -json` and `rdx diff`), so callers rarely hold a bare
-// RemoteResult anymore. The wrapper is kept bit-identical for the ones
-// that do.
-func RemoteToResult(res *RemoteResult) *Result { return wire.ToCore(res) }

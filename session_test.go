@@ -1,10 +1,9 @@
 package rdx
 
 // Differential tests for the options-based Session API: every
-// deprecated package-level entry point must produce results
-// bit-identical to the equivalent New(...) call, across all watchpoint
-// replacement policies — the compatibility contract the deprecation
-// rests on.
+// execution strategy a Session selects — the core profiler it wraps,
+// any worker count, plain and resilient remote daemons — must produce
+// bit-identical results across all watchpoint replacement policies.
 
 import (
 	"context"
@@ -12,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/trace"
 )
@@ -47,30 +47,22 @@ func TestSessionDifferentialLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		oldRes, err := Profile(FromSlice(accs), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		newRes, err := New(WithConfig(cfg)).Profile(ctx, FromSlice(accs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fingerprint(t, oldRes) != fingerprint(t, newRes) {
-			t.Errorf("%v: Profile wrapper diverges from Session", pol)
-		}
-
 		costs := DefaultCosts()
 		costs.TrapCycles *= 2
-		oldRes, err = ProfileWithCosts(FromSlice(accs), cfg, costs)
+		p, err := core.NewProfiler(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		newRes, err = New(WithConfig(cfg), WithCosts(costs)).Profile(ctx, FromSlice(accs))
+		coreRes, err := p.RunContext(ctx, FromSlice(accs), costs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fingerprint(t, oldRes) != fingerprint(t, newRes) {
-			t.Errorf("%v: ProfileWithCosts wrapper diverges from Session", pol)
+		newRes, err := New(WithConfig(cfg), WithCosts(costs)).Profile(ctx, FromSlice(accs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fingerprint(t, coreRes) != fingerprint(t, newRes) {
+			t.Errorf("%v: Session diverges from the core profiler", pol)
 		}
 	}
 }
@@ -100,28 +92,18 @@ func TestSessionDifferentialThreads(t *testing.T) {
 	}
 	for _, pol := range allPolicies {
 		cfg := policyConfig(pol)
-		oldM, err := ProfileThreads(mkStreams(), cfg)
+		defM, err := New(WithConfig(cfg)).ProfileThreads(ctx, mkStreams())
 		if err != nil {
 			t.Fatal(err)
 		}
-		newM, err := New(WithConfig(cfg)).ProfileThreads(ctx, mkStreams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if multiFP(oldM) != multiFP(newM) {
-			t.Errorf("%v: ProfileThreads wrapper diverges from Session", pol)
-		}
-
-		oldM, err = ProfileThreadsPool(mkStreams(), cfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		newM, err = New(WithConfig(cfg), WithWorkers(2)).ProfileThreads(ctx, mkStreams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if multiFP(oldM) != multiFP(newM) {
-			t.Errorf("%v: ProfileThreadsPool wrapper diverges from Session", pol)
+		for _, w := range []int{1, 2} {
+			m, err := New(WithConfig(cfg), WithWorkers(w)).ProfileThreads(ctx, mkStreams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if multiFP(m) != multiFP(defM) {
+				t.Errorf("%v: ProfileThreads with %d workers diverges from the default", pol, w)
+			}
 		}
 	}
 }
@@ -145,18 +127,10 @@ func TestSessionDifferentialRemote(t *testing.T) {
 	}
 	localFP := fingerprint(t, local)
 
-	// Plain remote: deprecated wrapper vs Session, vs local.
-	oldW, err := ProfileRemote(ctx, srv.Addr(), FromSlice(accs), cfg, RemoteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Plain remote vs local.
 	newRes, err := New(WithConfig(cfg), WithRemote(srv.Addr())).Profile(ctx, FromSlice(accs))
 	if err != nil {
 		t.Fatal(err)
-	}
-	oldJ, _ := json.Marshal(oldW)
-	if string(oldJ) != fingerprint(t, newRes) {
-		t.Error("ProfileRemote wrapper diverges from Session")
 	}
 	// StateBytes reports capacity growth, which legitimately differs
 	// between the server's batch sizes and the local profiler's; zero it
@@ -174,34 +148,15 @@ func TestSessionDifferentialRemote(t *testing.T) {
 		t.Error("remote Session result diverges from local")
 	}
 
-	// Resilient remote: deprecated wrapper vs Session.
+	// Resilient remote vs plain remote, byte for byte.
+	plainFP := fingerprint(t, newRes)
 	policy := RetryPolicy{MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, OpTimeout: 10 * time.Second}
-	oldW, err = ProfileRemoteResilient(ctx, srv.Addr(), FromSlice(accs), cfg, RemoteOptions{}, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
 	newRes, err = New(WithConfig(cfg), WithRemote(srv.Addr()), WithRetry(policy)).Profile(ctx, FromSlice(accs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldJ, _ = json.Marshal(oldW)
-	if string(oldJ) != fingerprint(t, newRes) {
-		t.Error("ProfileRemoteResilient wrapper diverges from Session")
-	}
-}
-
-func TestSessionRemoteToResultInverse(t *testing.T) {
-	cfg := policyConfig(ReplaceHybrid)
-	res, err := New(WithConfig(cfg)).Profile(context.Background(), ZipfAccess(3, 0, 2048, 1.0, 80000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := RemoteToResult(ResultToRemote(res))
-	if fingerprint(t, back) != fingerprint(t, res) {
-		t.Error("RemoteToResult is not the inverse of ResultToRemote")
-	}
-	if back.Footprint == nil {
-		t.Error("footprint not rebuilt on conversion")
+	if fingerprint(t, newRes) != plainFP {
+		t.Error("resilient remote Session diverges from plain remote")
 	}
 }
 

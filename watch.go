@@ -102,11 +102,9 @@ type WatchOptions struct {
 // Watch profiles the streams like ProfileThreads while streaming
 // window snapshots to the returned channel: one WindowSnapshot per
 // window boundary, in order, then a Final snapshot carrying the
-// lifetime result, then close. This is the subscribe-style observation
-// surface replacing poll-style snapshots (RemoteOptions.SnapshotEvery)
-// — same engine, same windows the deprecated path would have polled,
-// delivered server-initiated on remote sessions via the wire watch
-// subscription, which survives reconnects without losing or
+// lifetime result, then close. This is the one way to observe a run:
+// remote sessions deliver the windows server-initiated via the wire
+// watch subscription, which survives reconnects without losing or
 // reordering a single boundary.
 //
 // The lifetime aggregate never flows through the windowing code — it
@@ -309,9 +307,6 @@ func (s *Session) watchThreadRemote(ctx context.Context, r Reader, tcfg core.Con
 	if s.retry != nil {
 		rc := wire.NewReconnectingClient(addr, tcfg, *s.retry)
 		defer rc.Close()
-		if s.remoteOpts.MaxWireVersion != 0 {
-			rc.SetMaxWireVersion(s.remoteOpts.MaxWireVersion)
-		}
 		if err := rc.Watch(ctx, everyBatches, nil); err != nil {
 			return nil, err
 		}
@@ -352,9 +347,6 @@ func (s *Session) watchThreadRemote(ctx context.Context, r Reader, tcfg core.Con
 		return nil, err
 	}
 	defer c.Close()
-	if s.remoteOpts.MaxWireVersion != 0 {
-		c.SetMaxWireVersion(s.remoteOpts.MaxWireVersion)
-	}
 	if _, err := c.Open(tcfg); err != nil {
 		return nil, err
 	}

@@ -4,7 +4,8 @@ package rdx
 // Session.Watch must deliver every window boundary in order and leave
 // the lifetime result bit-identical to ProfileThreads — locally,
 // remotely, and across injected connection faults — and the window
-// stream must match what the deprecated poll cadence observed.
+// stream must match what Client.Snapshot polls observe at the same
+// boundaries.
 
 import (
 	"context"
@@ -231,11 +232,47 @@ func TestWatchRemoteDifferential(t *testing.T) {
 	}
 }
 
-// TestWatchMatchesDeprecatedSnapshotPolling pins the migration contract
-// for -snapshot-every users: a Watch subscription at the equivalent
-// cadence delivers cumulative snapshots byte-identical (StateBytes
-// included — same daemon, same batches) to what the deprecated
-// RemoteOptions.SnapshotEvery polling observed.
+// pollSnapshots profiles accs on the daemon at addr in frames of batch
+// accesses, polling Client.Snapshot after every every-th batch, and
+// returns the polled snapshots as JSON.
+func pollSnapshots(t *testing.T, addr string, accs []Access, cfg Config, batch, every int) []string {
+	t.Helper()
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var polled []string
+	for sent, off := 0, 0; off < len(accs); off += batch {
+		if err := c.SendBatch(accs[off:min(off+batch, len(accs))]); err != nil {
+			t.Fatal(err)
+		}
+		if sent++; sent%every == 0 {
+			snap, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			polled = append(polled, string(b))
+		}
+	}
+	if _, err := c.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return polled
+}
+
+// TestWatchMatchesDeprecatedSnapshotPolling pins the contract that a
+// Watch subscription is the poll it replaces: at the equivalent cadence
+// it delivers cumulative snapshots byte-identical (StateBytes included
+// — same daemon, same batches) to what polling Client.Snapshot
+// observed.
 func TestWatchMatchesDeprecatedSnapshotPolling(t *testing.T) {
 	srv, err := server.New(server.Config{Logf: func(string, ...any) {}})
 	if err != nil {
@@ -250,21 +287,7 @@ func TestWatchMatchesDeprecatedSnapshotPolling(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var polled []string
-	_, err = ProfileRemote(ctx, srv.Addr(), FromSlice(accs), cfg, RemoteOptions{
-		BatchSize:     2048,
-		SnapshotEvery: 8,
-		OnSnapshot: func(r *RemoteResult) {
-			b, err := json.Marshal(r)
-			if err != nil {
-				t.Error(err)
-			}
-			polled = append(polled, string(b))
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	polled := pollSnapshots(t, srv.Addr(), accs, cfg, 2048, 8)
 
 	// EveryAccesses 16384 at BatchSize 2048 is every 8 batches — the
 	// same boundaries the poll hit.
@@ -282,7 +305,7 @@ func TestWatchMatchesDeprecatedSnapshotPolling(t *testing.T) {
 		t.Fatal(final.Err)
 	}
 	if len(wins) == 0 || len(wins) != len(polled) {
-		t.Fatalf("watch delivered %d windows, deprecated polling %d snapshots", len(wins), len(polled))
+		t.Fatalf("watch delivered %d windows, polling %d snapshots", len(wins), len(polled))
 	}
 	for i := range wins {
 		b, err := json.Marshal(wire.FromCore(wins[i].Cumulative.Threads[0], false))
@@ -290,7 +313,7 @@ func TestWatchMatchesDeprecatedSnapshotPolling(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(b) != polled[i] {
-			t.Errorf("boundary %d: watched snapshot differs from deprecated polled snapshot", i+1)
+			t.Errorf("boundary %d: watched snapshot differs from polled snapshot", i+1)
 		}
 	}
 }
