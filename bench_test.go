@@ -11,20 +11,16 @@ package rdx
 // regenerates the full evaluation alongside Go-level throughput numbers.
 // Sizes use a reduced operating point (see internal/experiments) so the
 // whole suite completes in minutes; cmd/rdexper runs the same code at
-// arbitrary scale.
+// arbitrary scale. Engine, oracle, codec and server throughput are
+// measured by the per-package benchmarks and the perfbench module.
 
 import (
-	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/cpumodel"
-	"repro/internal/exact"
 	"repro/internal/experiments"
-	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -237,31 +233,6 @@ func BenchmarkA5_CensoredRedistribution(b *testing.B) {
 
 // --- Substrate micro benchmarks ---
 
-// BenchmarkMachineThroughput measures the simulated core's raw
-// access-execution rate with RDX attached (accesses/op == 1).
-func BenchmarkMachineThroughput(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.SamplePeriod = 64 << 10
-	b.ReportAllocs()
-	b.ResetTimer()
-	res, err := New(WithConfig(cfg)).Profile(context.Background(), Cyclic(0, 1<<16, uint64(b.N)+1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = res
-}
-
-// BenchmarkExactOlkenThroughput measures the ground-truth profiler's
-// per-access cost (block table + live-slot order statistics).
-func BenchmarkExactOlkenThroughput(b *testing.B) {
-	r := trace.ZipfAccess(1, 0, 1<<20, 1.0, uint64(b.N)+1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, err := exact.Measure(r, WordGranularity); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkCacheSimThroughput measures the O(1) LRU simulator.
 func BenchmarkCacheSimThroughput(b *testing.B) {
 	r := trace.ZipfAccess(1, 0, 1<<22, 1.0, uint64(b.N)+1)
@@ -296,137 +267,5 @@ func BenchmarkUninstrumentedBaseline(b *testing.B) {
 	b.ResetTimer()
 	if err := m.Run(r); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// --- Batched-engine benchmarks ---
-
-// engineWorkload is the default synthetic workload for the engine
-// benchmarks (the same stream rdexper -bench-out times): a cyclic
-// sweep over a small working set, where watchpoints resolve quickly
-// and throughput is dominated by the event-free stretches the batched
-// engine skips over.
-func engineWorkload(n uint64) trace.Reader { return trace.Cyclic(0, 1<<10, n) }
-
-func benchEngine(b *testing.B, reference bool) {
-	p, err := core.NewProfiler(core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := uint64(b.N) + 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	if reference {
-		_, err = p.RunReference(engineWorkload(n), cpumodel.Default())
-	} else {
-		_, err = p.Run(engineWorkload(n), cpumodel.Default())
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "accesses/sec")
-}
-
-// BenchmarkMachineRun measures the batched execution engine — the
-// skip-ahead PMU sampling and O(armed) watchpoint hot path — under a
-// default-config RDX profiler.
-func BenchmarkMachineRun(b *testing.B) { benchEngine(b, false) }
-
-// BenchmarkMachineRunReference measures the retained per-access
-// reference loop on the same workload: the pre-change engine
-// BenchmarkMachineRun's speedup is judged against.
-func BenchmarkMachineRunReference(b *testing.B) { benchEngine(b, true) }
-
-// BenchmarkExactOracle measures the exhaustive oracle sequentially and
-// sharded across a worker pool, in accesses/sec.
-func BenchmarkExactOracle(b *testing.B) {
-	mk := func(n uint64) trace.Reader { return trace.ZipfAccess(1, 0, 1<<16, 1.0, n) }
-	b.Run("sequential", func(b *testing.B) {
-		n := uint64(b.N) + 1
-		b.ResetTimer()
-		if _, err := exact.Measure(mk(n), WordGranularity); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "accesses/sec")
-	})
-	b.Run("parallel", func(b *testing.B) {
-		n := uint64(b.N) + 1
-		b.ResetTimer()
-		if _, err := exact.MeasureParallel(mk(n), WordGranularity, exact.ParallelOptions{}); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "accesses/sec")
-	})
-}
-
-// BenchmarkServerThroughput measures end-to-end rdxd streaming over
-// loopback TCP — encode, framing, decode and engine execution — at 1,
-// 4, 16 and 64 concurrent sessions (64 is the daemon's MaxSessions
-// default, so this is the saturation point), in aggregate accesses/sec.
-func BenchmarkServerThroughput(b *testing.B) {
-	srv, err := server.New(server.Config{Logf: func(string, ...any) {}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv.Start()
-	defer srv.Close()
-
-	cfg := core.DefaultConfig()
-	cfg.SamplePeriod = 8 << 10
-	for _, sessions := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
-			perSession := (uint64(b.N) + uint64(sessions)) / uint64(sessions)
-			accs, err := trace.Collect(trace.ZipfAccess(1, 0, 1<<14, 1.0, perSession))
-			if err != nil {
-				b.Fatal(err)
-			}
-			total := perSession * uint64(sessions)
-			b.ReportAllocs()
-			b.ResetTimer()
-			if err := experiments.StreamSessions(srv.Addr(), sessions, accs, cfg); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "accesses/sec")
-		})
-	}
-}
-
-// BenchmarkPoolThroughput measures the sharded multi-backend dispatcher
-// aggregating fleets of 1, 2 and 4 fixed-capacity backends (one worker
-// + per-batch service delay each — on a single benchmark host, scaling
-// must come from the dispatcher aggregating backend capacity, not from
-// host CPUs; see experiments.StartThrottledBackends). Aggregate
-// accesses/sec should approach linear in the fleet size.
-func BenchmarkPoolThroughput(b *testing.B) {
-	cfg := core.DefaultConfig()
-	cfg.SamplePeriod = 8 << 10
-	const streams = 32
-	for _, backends := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("backends=%d", backends), func(b *testing.B) {
-			srvs, bks, err := experiments.StartThrottledBackends(backends)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				for _, s := range srvs {
-					s.Close()
-				}
-			}()
-			perStream := (uint64(b.N) + streams) / streams
-			accs, err := trace.Collect(trace.ZipfAccess(1, 0, 1<<14, 1.0, perStream))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rs := make([]trace.Reader, streams)
-			for i := range rs {
-				rs[i] = trace.FromSlice(accs)
-			}
-			b.ResetTimer()
-			m, err := experiments.PoolStreamOnce(bks, rs, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(m.Accesses)/b.Elapsed().Seconds(), "accesses/sec")
-		})
 	}
 }

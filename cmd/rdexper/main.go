@@ -7,18 +7,15 @@
 //	rdexper -exp all                 # the full evaluation
 //	rdexper -exp T2,F4,F5            # selected experiments
 //	rdexper -n 16777216 -period 32768 -exp T2
-//	rdexper -bench-out BENCH_engine.json   # engine + server throughput records
-//	                                       # (BENCH_server.json lands alongside)
-//	rdexper -exp MULTICORE                 # GOMAXPROCS sweep merged into BENCH_*.json
-//	rdexper -bench-gate BENCH_engine.json  # throughput regression gate (noise-aware)
 //	rdexper -list
+//
+// Throughput is measured by the perfbench module, not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -27,16 +24,11 @@ import (
 
 func main() {
 	var (
-		exp           = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
-		n             = flag.Uint64("n", 4<<20, "accesses per workload run")
-		period        = flag.Uint64("period", 8<<10, "default RDX sampling period")
-		seed          = flag.Uint64("seed", 1, "random seed")
-		reps          = flag.Int("reps", 3, "repetitions per benchmark row; rows record the median with a min/max noise band")
-		list          = flag.Bool("list", false, "list experiment IDs and exit")
-		benchOut      = flag.String("bench-out", "", "run the engine and server throughput benchmarks and write their JSON records to this path (e.g. BENCH_engine.json; BENCH_server.json is written alongside), then exit")
-		benchBaseline = flag.String("bench-baseline", "", "directory holding a prior BENCH_engine.json/BENCH_server.json pair to embed as the baseline rows of the new records")
-		compressCheck = flag.String("compress-check", "", "measure the strided-workload wire compression ratio and fail if it drops below the baseline committed in this BENCH_server.json, then exit")
-		benchGate     = flag.String("bench-gate", "", "re-measure the engine gate rows at the operating point committed in this BENCH_engine.json and fail only below its recorded noise threshold, then exit")
+		exp    = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
+		n      = flag.Uint64("n", 4<<20, "accesses per workload run")
+		period = flag.Uint64("period", 8<<10, "default RDX sampling period")
+		seed   = flag.Uint64("seed", 1, "random seed")
+		list   = flag.Bool("list", false, "list experiment IDs and exit")
 	)
 	flag.Parse()
 
@@ -52,67 +44,7 @@ func main() {
 		Accesses: *n,
 		Period:   *period,
 		Seed:     *seed,
-		Reps:     *reps,
 		Out:      os.Stdout,
-	}
-
-	if *compressCheck != "" {
-		if err := runCompressCheck(opts, *compressCheck); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *benchGate != "" {
-		if err := opts.RunBenchGate(*benchGate); err != nil {
-			fatal(err)
-		}
-		fmt.Println("bench gate: OK")
-		return
-	}
-
-	if *benchOut != "" {
-		res, err := opts.RunEngineBench()
-		if err != nil {
-			fatal(err)
-		}
-		if *benchBaseline != "" {
-			base, err := experiments.ReadEngineBench(filepath.Join(*benchBaseline, "BENCH_engine.json"))
-			if err != nil {
-				fatal(err)
-			}
-			res.AttachBaseline(base)
-		}
-		if err := res.WriteJSON(*benchOut); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
-
-		srv, err := opts.RunServerBench()
-		if err != nil {
-			fatal(err)
-		}
-		srv.Pool, err = opts.RunPoolBench()
-		if err != nil {
-			fatal(err)
-		}
-		srv.Wire, err = opts.RunWireBench()
-		if err != nil {
-			fatal(err)
-		}
-		if *benchBaseline != "" {
-			base, err := experiments.ReadServerBench(filepath.Join(*benchBaseline, "BENCH_server.json"))
-			if err != nil {
-				fatal(err)
-			}
-			srv.AttachBaseline(base)
-		}
-		srvOut := filepath.Join(filepath.Dir(*benchOut), "BENCH_server.json")
-		if err := srv.WriteJSON(srvOut); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", srvOut)
-		return
 	}
 
 	start := time.Now()
@@ -132,38 +64,6 @@ func main() {
 		}
 	}
 	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// runCompressCheck is the scripts/check.sh regression gate: re-measure
-// the strided workload's v3 wire compression and compare it with the
-// ratio committed in BENCH_server.json. The encoding is deterministic,
-// so a real regression shows up as a large drop; the 5% tolerance only
-// absorbs batch-boundary differences when -n differs from the
-// committed run.
-func runCompressCheck(opts experiments.Options, path string) error {
-	base, err := experiments.ReadServerBench(path)
-	if err != nil {
-		return err
-	}
-	var committed float64
-	for _, r := range base.Wire {
-		if r.Workload == "strided" && r.WireVersion == 3 {
-			committed = r.CompressionRatio
-		}
-	}
-	if committed <= 0 {
-		return fmt.Errorf("%s holds no strided v3 wire row to gate against", path)
-	}
-	got, err := opts.StridedCompressionRatio()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("strided v3 compression: %.2fx measured, %.2fx committed\n", got, committed)
-	if got < committed*0.95 {
-		return fmt.Errorf("strided compression ratio regressed: %.2fx measured < %.2fx committed in %s",
-			got, committed, path)
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -15,10 +15,6 @@ type AutoOptions struct {
 	// stream shorter than two shards cannot overlap meaningfully, so the
 	// sequential oracle is chosen regardless of core count.
 	SizeHint uint64
-	// IOBound marks the reader as acquisition-bound (its Read blocks on
-	// I/O, a socket, or pacing): the sharded pipeline then overlaps
-	// acquisition with measurement, which pays even on a single core.
-	IOBound bool
 	// Cores overrides the detected effective core count (tests and
 	// experiments; <= 0 detects).
 	Cores int
@@ -48,7 +44,7 @@ func MeasureAuto(r trace.Reader, g mem.Granularity, opt AutoOptions) (*ParallelR
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
 	}
-	if !pickParallel(cores, opt.SizeHint, shardSize, opt.IOBound) {
+	if !pickParallel(cores, opt.SizeHint, shardSize) {
 		return measureSequentialResult(r, g, opt.Attribution)
 	}
 	return MeasureParallel(r, g, opt.ParallelOptions)
@@ -56,13 +52,12 @@ func MeasureAuto(r trace.Reader, g mem.Granularity, opt AutoOptions) (*ParallelR
 
 // pickParallel is MeasureAuto's decision, factored out so the policy is
 // testable: shard only when the stream spans at least two shards, and
-// only when more than one effective core can run them — unless
-// acquisition is I/O-bound, where pipeline overlap pays regardless.
-func pickParallel(cores int, sizeHint uint64, shardSize int, ioBound bool) bool {
+// only when more than one effective core can run them.
+func pickParallel(cores int, sizeHint uint64, shardSize int) bool {
 	if sizeHint > 0 && sizeHint < 2*uint64(shardSize) {
 		return false
 	}
-	return cores > 1 || ioBound
+	return cores > 1
 }
 
 // measureSequentialResult runs the plain sequential oracle and presents

@@ -44,30 +44,26 @@ func TestMeasureAutoBitIdenticalEitherPath(t *testing.T) {
 }
 
 // TestPickParallelPolicy pins the decision table: one effective core
-// never shards CPU-bound work (the 1-core parallel regression is gone
-// by construction), I/O-bound acquisition shards even on one core, and
-// streams shorter than two shards never shard.
+// never shards (the 1-core parallel regression is gone by construction),
+// and streams shorter than two shards never shard.
 func TestPickParallelPolicy(t *testing.T) {
 	const shard = 1 << 20
 	cases := []struct {
 		cores    int
 		sizeHint uint64
-		ioBound  bool
 		want     bool
 	}{
-		{cores: 1, sizeHint: 0, ioBound: false, want: false},
-		{cores: 1, sizeHint: 100 * shard, ioBound: false, want: false},
-		{cores: 1, sizeHint: 100 * shard, ioBound: true, want: true},
-		{cores: 4, sizeHint: 0, ioBound: false, want: true},
-		{cores: 4, sizeHint: 100 * shard, ioBound: false, want: true},
-		{cores: 4, sizeHint: shard, ioBound: false, want: false},
-		{cores: 4, sizeHint: shard, ioBound: true, want: false},
-		{cores: 4, sizeHint: 2 * shard, ioBound: false, want: true},
+		{cores: 1, sizeHint: 0, want: false},
+		{cores: 1, sizeHint: 100 * shard, want: false},
+		{cores: 4, sizeHint: 0, want: true},
+		{cores: 4, sizeHint: 100 * shard, want: true},
+		{cores: 4, sizeHint: shard, want: false},
+		{cores: 4, sizeHint: 2 * shard, want: true},
 	}
 	for _, c := range cases {
-		if got := pickParallel(c.cores, c.sizeHint, shard, c.ioBound); got != c.want {
-			t.Errorf("pickParallel(cores=%d, hint=%d, io=%v) = %v, want %v",
-				c.cores, c.sizeHint, c.ioBound, got, c.want)
+		if got := pickParallel(c.cores, c.sizeHint, shard); got != c.want {
+			t.Errorf("pickParallel(cores=%d, hint=%d) = %v, want %v",
+				c.cores, c.sizeHint, got, c.want)
 		}
 	}
 	if EffectiveCores() < 1 {

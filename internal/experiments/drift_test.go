@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestDriftGates: the DRIFT experiment is self-gating (it returns an
 // error when a boundary is missed, a stationary window is flagged, or
@@ -26,69 +22,5 @@ func TestDriftGates(t *testing.T) {
 	// boundaries.
 	if len(res.Flagged) < len(res.Boundaries) {
 		t.Errorf("flagged %v, want at least one per boundary %v", res.Flagged, res.Boundaries)
-	}
-}
-
-// TestBenchGateSeedsBaseline: a missing, empty or row-less trajectory
-// file is a first run — the gate must measure and commit a baseline
-// instead of erroring, and the gate must then pass against what it just
-// committed.
-func TestBenchGateSeedsBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measures real throughput")
-	}
-	o := Quick()
-	o.Out = nil
-	// Quick-size reps finish in ~5ms each; medians of several keep the
-	// seed-then-gate comparison inside the gate's 25% noise floor on a
-	// shared CI box.
-	o.Reps = 5
-
-	for name, prep := range map[string]func(path string){
-		"missing": func(string) {},
-		"empty": func(path string) {
-			if err := os.WriteFile(path, []byte("\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"zero-rows": func(path string) {
-			r := &EngineBenchResult{Accesses: 1 << 18, Period: 1 << 10}
-			if err := r.WriteJSON(path); err != nil {
-				t.Fatal(err)
-			}
-		},
-	} {
-		path := filepath.Join(t.TempDir(), "gate.json")
-		prep(path)
-		if err := o.RunBenchGate(path); err != nil {
-			t.Fatalf("%s file: first gate run should seed, got %v", name, err)
-		}
-		base, err := ReadEngineBench(path)
-		if err != nil {
-			t.Fatalf("%s file: reading seeded record: %v", name, err)
-		}
-		if len(base.Rows) != len(benchGateRows) {
-			t.Fatalf("%s file: seeded %d rows, want %d", name, len(base.Rows), len(benchGateRows))
-		}
-		for _, row := range base.Rows {
-			if row.AccessesSec <= 0 {
-				t.Errorf("%s file: seeded row %q has no throughput", name, row.Name)
-			}
-		}
-		// The second run gates against the fresh seed and must pass: the
-		// same machine does not regress against itself beyond the noise
-		// floor.
-		if err := o.RunBenchGate(path); err != nil {
-			t.Errorf("%s file: gate against own seed failed: %v", name, err)
-		}
-	}
-
-	// Garbage that is neither empty nor a record stays an error.
-	path := filepath.Join(t.TempDir(), "gate.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.RunBenchGate(path); err == nil {
-		t.Error("gate seeded over an unparseable record instead of erroring")
 	}
 }

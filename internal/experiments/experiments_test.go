@@ -291,8 +291,8 @@ func TestRunDispatch(t *testing.T) {
 	if _, err := Run("nope", Quick()); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if len(IDs()) != 18 {
-		t.Errorf("registry has %d experiments, want 18", len(IDs()))
+	if len(IDs()) != 17 {
+		t.Errorf("registry has %d experiments, want 17", len(IDs()))
 	}
 }
 

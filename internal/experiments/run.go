@@ -31,7 +31,6 @@ var registry = []Experiment{
 	{"A5", "ablation: censored-observation redistribution", func(o Options) (any, error) { return o.RunA5() }},
 	{"C1", "case study: use→reuse attribution of a matmul tiling fix", func(o Options) (any, error) { return o.RunC1() }},
 	{"MRC", "miss-ratio curves and what-if models vs cache simulation", func(o Options) (any, error) { return o.RunMRC() }},
-	{"MULTICORE", "GOMAXPROCS trajectory: auto-picked oracle and server executor", func(o Options) (any, error) { return o.RunMulticore() }},
 	{"DRIFT", "phase-change detection on injected locality shifts", func(o Options) (any, error) { return o.RunDrift() }},
 }
 

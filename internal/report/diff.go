@@ -24,13 +24,12 @@ import (
 //     both directions, or the histogram shape / working set moved
 //     while the cache-facing metrics held.
 //
-// Significance follows the bench-gate noise-band rule from the
-// throughput trajectory (BENCH_engine.json): a delta is judged against
+// Significance follows a noise-band rule: a delta is judged against
 // three times the measurement's own spread, floored per metric. Here
 // the spread is the sampling error scale 1/√samples — the profile is
 // a sampled estimate, and two runs of the same workload differ by
-// about that much for free — and the floors keep the gate quiet on
-// shared boxes exactly as benchGateFloorTolerance does.
+// about that much for free — and the floors keep small deltas from
+// being called significant.
 
 // Diff classes.
 const (

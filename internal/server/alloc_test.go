@@ -50,11 +50,11 @@ func TestE2EQueueDepthOneBitIdentical(t *testing.T) {
 	sameWireProfile(t, "queue-depth-1 remote vs local", got, want)
 }
 
-// TestSteadyStateAllocs16Sessions pins the per-session allocation creep
-// fixed in this change: BENCH_server.json showed allocs/batch growing
-// 1.8 → 3.0 → 10.3 at 1/4/16 sessions because per-connection state
-// (bufio readers and writers, decode scratch, column scratch) was
-// allocated fresh per session and amortized over fewer batches. With
+// TestSteadyStateAllocs16Sessions pins the fix for per-session
+// allocation creep: allocs/batch once grew 1.8 → 3.0 → 10.3 at 1/4/16
+// sessions because per-connection state (bufio readers and writers,
+// decode scratch, column scratch) was allocated fresh per session and
+// amortized over fewer batches. With
 // those on cross-session pools, the steady state — sessions open, pools
 // warm, batches streaming — must stay allocation-free no matter how
 // many sessions share the server. The budget is 0.5 allocs/batch
@@ -165,10 +165,9 @@ func TestSteadyStateAllocs16Sessions(t *testing.T) {
 	}
 }
 
-// TestAllocCreepRatio16v1 gates the BENCH_server.json allocation-creep
-// ratio: allocs/batch at 16 sessions divided by allocs/batch at 1
-// session, with total work held constant (the bench's shape). The
-// per-batch cost decomposes as
+// TestAllocCreepRatio16v1 gates the allocation-creep ratio: allocs/batch
+// at 16 sessions divided by allocs/batch at 1 session, with total work
+// held constant. The per-batch cost decomposes as
 //
 //	allocs/batch = steady + fixed*sessions/totalBatches
 //

@@ -10,8 +10,8 @@ import (
 
 // BenchmarkSessionChurn measures the per-session fixed cost — dial,
 // JSON handshake, stream one short trace, result decode, teardown —
-// that drives the allocs/batch creep in BENCH_server.json when total
-// work is split across more sessions. Run with -benchmem; the allocs/op
+// that drives allocs/batch up when a fixed amount of work is split
+// across more sessions. Run with -benchmem; the allocs/op
 // figure here is the `fixed` term in the decomposition documented on
 // TestAllocCreepRatio16v1.
 func BenchmarkSessionChurn(b *testing.B) {

@@ -87,6 +87,45 @@ func TestWireVersionMatrix(t *testing.T) {
 	})
 }
 
+// TestWireCompressionRatio streams each v3 workload shape through one
+// session and holds the server's measured compression ratio (the
+// 18-byte raw access record over batch bytes per access) to the value
+// the v3 column codec was committed with. The encoding is deterministic,
+// so the 5% tolerance only absorbs batch-boundary differences from the
+// 4M-access streams the committed ratios were recorded on.
+func TestWireCompressionRatio(t *testing.T) {
+	const n = 1 << 20
+	for _, c := range []struct {
+		name      string
+		r         trace.Reader
+		committed float64
+	}{
+		// Lane-interleaved scans: the delta-of-delta best case short of
+		// a pure scan.
+		{"strided", trace.Strided(0, 8, 1<<10, 64, n), 17.91},
+		// Zipf reuse, the paper's skewed-locality shape.
+		{"clustered", trace.ZipfAccess(1, 0, 1<<14, 1.0, n), 6.31},
+		// A unit-stride scan, which the zero-run mode collapses.
+		{"sequential", trace.Sequential(0, n, 64), 2587.9},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			accs, err := trace.Collect(c.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := start(t, server.Config{})
+			if _, err := dial(t, s).Profile(trace.FromSlice(accs), testConfig(8192), wire.ProfileOptions{BatchSize: 8192}); err != nil {
+				t.Fatal(err)
+			}
+			got := s.MetricsSnapshot().CompressionRatio
+			t.Logf("%s v3 compression: %.2fx measured, %.2fx committed", c.name, got, c.committed)
+			if got < 0.95*c.committed {
+				t.Errorf("%s v3 compression ratio %.2fx < 95%% of committed %.2fx", c.name, got, c.committed)
+			}
+		})
+	}
+}
+
 // TestRetiredBatchFrameFailsSession: the retired RDT3 batch frame type
 // (0x02) sent mid-session is an unexpected frame, and the session fails
 // with an error frame instead of executing it.

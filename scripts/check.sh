@@ -95,13 +95,20 @@ go test -run='^$' -fuzz='^FuzzExactMatchesNaive$' -fuzztime=10s -fuzzminimizetim
 echo "==> fuzz smoke (row engine vs reference, 10s)"
 go test -run='^$' -fuzz='^FuzzRunMatchesReference$' -fuzztime=10s -fuzzminimizetime=100x ./internal/cpu
 
-# Wire-compression regression gate: the strided workload's v3
-# compression ratio is re-measured and held against the baseline
-# committed in BENCH_server.json. The columnar encoding is
-# deterministic, so any drop beyond the 5% batch-boundary tolerance is
-# a real encoder regression.
-echo "==> wire compression gate (strided v3 vs BENCH_server.json)"
-go run ./cmd/rdexper -n 1048576 -compress-check BENCH_server.json
+# Short fuzz smoke on `rdx diff`'s input: arbitrary bytes as a report
+# file must never panic Decode or DiffReports (against itself and
+# against a real profile), and any report Decode accepts must survive a
+# marshal round trip unchanged.
+echo "==> fuzz smoke (report decode and diff, 10s)"
+go test -run='^$' -fuzz='^FuzzReportDiff$' -fuzztime=10s ./internal/report
+
+# Wire-compression regression gate: each v3 workload shape (strided,
+# clustered, sequential) is streamed through one session and the
+# server's compression ratio is held against the value committed in the
+# test. The columnar encoding is deterministic, so any drop beyond the
+# 5% batch-boundary tolerance is a real encoder regression.
+echo "==> wire compression gate (v3 shapes vs committed ratios)"
+go test -count=1 -run='^TestWireCompressionRatio$' ./internal/server
 
 # MRC differential gate: the analytical miss-ratio curve and hierarchy
 # models are re-validated against real cache simulation on the two
@@ -151,19 +158,22 @@ case "$diff_out" in
     ;;
 esac
 
-# Engine throughput gate: the two headline rows (batched engine,
-# sequential oracle) are re-measured at the operating point committed
-# in BENCH_engine.json and held against its recorded noise threshold
-# (3x the row's rep spread, floored at 25% for shared-CPU boxes). A
-# fresh median below that floor is a real regression, not noise.
-echo "==> engine throughput gate (vs BENCH_engine.json)"
-go run ./cmd/rdexper -bench-gate BENCH_engine.json
+# Throughput gate: Machine.Run and the exact oracle are timed against
+# the per-access reference loop on the local-suite kernels, interleaved,
+# and each ratio is held to 75% of its committed value. A ratio cancels
+# most of a shared host's load, where an absolute floor does not;
+# perfbench's accesses_per_s and setup_s stay the absolute measure.
+echo "==> throughput gate (Run and oracle vs reference loop)"
+go test -count=1 -run='^TestThroughputGate$' ./internal/core
 
-# Bench smoke: one iteration of the committed benchmark set, without
+# Bench smoke: one iteration of the per-package benchmarks, without
 # -race (allocation counts and throughput are meaningless under it).
 # Catches a benchmark that no longer compiles or crashes outright; the
-# numbers themselves are tracked by BENCH_*.json via rdexper -bench-out.
+# numbers themselves are perfbench's to track.
 echo "==> bench smoke (1 iteration)"
-go test -run='^$' -bench='^(BenchmarkMachineRun|BenchmarkServerThroughput)$' -benchtime=1x .
+go test -run='^$' -bench='^(BenchmarkRun|BenchmarkExecuteColumns)$' -benchtime=1x ./internal/cpu
+go test -run='^$' -bench='^BenchmarkMeasure$' -benchtime=1x ./internal/exact
+go test -run='^$' -bench='^(BenchmarkEncodeColumns|BenchmarkDecodeColumns)$' -benchtime=1x ./internal/wire
+go test -run='^$' -bench='^BenchmarkSessionChurn$' -benchtime=1x ./internal/server
 
 echo "check: OK"
