@@ -8,7 +8,7 @@ import (
 
 // ExecuteColumns runs one batch held in columnar form through the
 // batched engine — the vectorized form of Execute for streams that
-// arrive as wire v3 column frames. Results are bit-identical to
+// arrive as wire v4 column frames. Results are bit-identical to
 // Execute over the materialized accesses (the differential tests pin
 // this): the engine walks the same segmented dispatch, but event-free
 // stretches never materialize a mem.Access at all — a free run is a

@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"os"
@@ -78,6 +80,76 @@ func TestResilientProfileUnderFaults(t *testing.T) {
 	}
 	if m.CheckpointsTotal == 0 || m.CheckpointBytes == 0 {
 		t.Errorf("no checkpoints recorded: total=%d bytes=%d", m.CheckpointsTotal, m.CheckpointBytes)
+	}
+}
+
+// recordConn records every byte the client writes through it, before
+// the fault injector beneath it tears or drops the connection.
+type recordConn struct {
+	net.Conn
+	buf *bytes.Buffer
+}
+
+func (c recordConn) Write(p []byte) (int, error) {
+	c.buf.Write(p)
+	return c.Conn.Write(p)
+}
+
+// TestReplayResendsEncodedBytes: a resilient session replays a batch by
+// resending the bytes it first sent, not by encoding the batch again.
+// Every connection's client-side byte stream is recorded and split into
+// frames; each batch sequence number sent on more than one connection
+// must carry a byte-identical payload every time (the replay buffer
+// holds the encoded payload), at least one batch must be replayed, and
+// the profile must still match the local run.
+func TestReplayResendsEncodedBytes(t *testing.T) {
+	cfg := testConfig(400)
+	accs, err := trace.Collect(trace.ZipfAccess(23, 0, 8192, 1.0, 200000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := localProfile(t, accs, cfg)
+	s := start(t, server.Config{CheckpointEvery: 4, RetryAfterHint: 5 * time.Millisecond})
+	faults := faultnet.NewDialer(faultnet.Options{Seed: 5, DropAfterMin: 30_000, DropAfterMax: 90_000}, nil)
+	var streams []*bytes.Buffer
+	policy := testPolicy(11)
+	policy.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		conn, err := faults.DialContext(ctx, addr)
+		if err != nil {
+			return nil, err
+		}
+		streams = append(streams, new(bytes.Buffer))
+		return recordConn{Conn: conn, buf: streams[len(streams)-1]}, nil
+	}
+	rc := wire.NewReconnectingClient(s.Addr(), cfg, policy)
+	defer rc.Close()
+	got, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 2048})
+	if err != nil {
+		t.Fatalf("resilient profile failed: %v (stats %+v)", err, rc.Stats())
+	}
+	sameWireProfile(t, "replayed remote vs local", got, want)
+
+	sent := make(map[uint64][]byte)
+	resent := 0
+	for _, stream := range streams {
+		for {
+			ft, payload, err := wire.ReadFrame(stream)
+			if err != nil {
+				break // end of stream, or a frame torn by the drop
+			}
+			if ft != wire.FrameBatchV3 {
+				continue
+			}
+			seq := binary.BigEndian.Uint64(payload)
+			if first, ok := sent[seq]; !ok {
+				sent[seq] = payload
+			} else if resent++; !bytes.Equal(first, payload) {
+				t.Fatalf("batch %d resent with different bytes (%d vs %d)", seq, len(payload), len(first))
+			}
+		}
+	}
+	if st := rc.Stats(); st.ReplayedBatches == 0 || resent == 0 {
+		t.Errorf("no batch was replayed (stats %+v, %d connections, %d resent frames)", st, len(streams), resent)
 	}
 }
 

@@ -125,7 +125,7 @@ type Metrics struct {
 	// BatchBytes is the cumulative batch-frame payload bytes received;
 	// BytesPerAccess = BatchBytes/AccessesTotal is the measured wire cost
 	// of one access, and CompressionRatio relates it to the 18-byte
-	// in-memory access record — the bandwidth multiplier the columnar v3
+	// in-memory access record — the bandwidth multiplier the columnar
 	// encoding buys. Both are 0 until the
 	// first batch arrives.
 	BatchBytes       uint64  `json:"batch_bytes"`

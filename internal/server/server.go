@@ -572,8 +572,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	if req.Wire != wire.WireV3 {
-		reject(fmt.Errorf("unsupported wire version %d: this server speaks only version %d", req.Wire, wire.WireV3))
+	if req.Wire != wire.WireV4 {
+		reject(fmt.Errorf("unsupported wire version %d: this server speaks only version %d", req.Wire, wire.WireV4))
 		return
 	}
 
@@ -638,7 +638,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		ResumeSeq:       sess.lastApplied,
 		Done:            sess.completed,
 		CheckpointEvery: s.cfg.CheckpointEvery,
-		Wire:            wire.WireV3,
+		Wire:            wire.WireV4,
 	}); err != nil {
 		return
 	}

@@ -12,7 +12,7 @@ import (
 // Columnar access batches.
 //
 // A Columns value holds one batch of accesses split by field — the
-// layout behind the wire protocol's v3 compressed batch frames and the
+// layout behind the wire protocol's v4 columnar batch frames and the
 // engine's vectorized execute path. Splitting the stream into vectors
 // exposes the structure delta encoding exploits: address streams are
 // strided or clustered, PC streams cycle through a handful of code
@@ -20,13 +20,21 @@ import (
 // compresses far better than the row-wise RDT3 record stream where the
 // three interleave.
 //
-// Column encodings (the wire protocol's v3 batch sections):
+// Column encodings (the wire protocol's v4 batch sections):
 //
-//   - Addrs and PCs: either per-value delta against the previous value
-//     (starting from 0), zig-zag mapped and varint encoded — the same
-//     delta discipline as RDT3 — or zero-run delta-of-delta, where a
-//     constant stride makes every second-order delta zero and a whole
-//     run of accesses collapses to one run-length integer. The encoder
+//   - Addrs and PCs: either frame-of-reference bit-packed deltas or
+//     zero-run delta-of-delta. Packed columns are blocks of up to
+//     PackBlock values: each value's delta against the previous one
+//     (the first against 0) is zig-zag mapped, and the block stores one
+//     width byte — the bit length of the OR of its mapped deltas, 0-64 —
+//     then every delta in exactly that many bits, LSB-first, in
+//     ceil(n*width/8) bytes (Lemire & Boytsov, "Decoding billions of
+//     integers per second through vectorization", SPE 2015). Every
+//     value's bit offset is known before it is read, so decoding
+//     carries no dependency but the prefix sum. In zero-run
+//     delta-of-delta, a constant stride makes every second-order delta
+//     zero and a whole run of accesses collapses to one run-length
+//     uvarint — how a scan costs a few bytes per batch. The encoder
 //     sizes both in one pass and writes only the smaller, so irregular
 //     streams never pay for the second-order model;
 //   - Meta: one byte per access packing kind and size exactly like an
@@ -127,8 +135,8 @@ func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // ColumnSlack is the spare room a Put*Column encoder needs past the end
-// of the column it writes: every varint is stored as one 8-byte word, so
-// the last one may overhang the column by up to 7 bytes.
+// of the column it writes: varints and packed bits are stored as 8-byte
+// words, so the last one may overhang the column by up to 7 bytes.
 const ColumnSlack = 8
 
 // uvarintLen is the encoded length of u as a uvarint: ceil(bits/7),
@@ -171,41 +179,92 @@ func uvarint(data []byte, pos int) (uint64, int) {
 	return binary.Uvarint(data[pos:])
 }
 
-// AddrColumnLens returns the exact encoded lengths of vals as a delta
-// column (PutDeltaColumn) and as a zero-run delta-of-delta column
+// PackBlock is the number of values in each frame-of-reference block of
+// a packed column; only a column's last block may hold fewer.
+const PackBlock = 128
+
+// AddrColumnLens returns the exact encoded lengths of vals as a packed
+// column (PutPackedColumn) and as a zero-run delta-of-delta column
 // (PutDoDColumn), from one pass over the values.
-func AddrColumnLens(vals []mem.Addr) (delta, dod int) {
+func AddrColumnLens(vals []mem.Addr) (packed, dod int) {
 	var prev, prevDelta mem.Addr
 	var zeros uint64
-	for _, v := range vals {
-		d := v - prev
-		prev = v
-		delta += uvarintLen(zigzag(int64(d)))
-		if d == prevDelta {
-			zeros++
-			continue
+	for start := 0; start < len(vals); start += PackBlock {
+		blk := vals[start:min(start+PackBlock, len(vals))]
+		var or uint64
+		for _, v := range blk {
+			d := v - prev
+			prev = v
+			or |= zigzag(int64(d))
+			if d == prevDelta {
+				zeros++
+				continue
+			}
+			dod += uvarintLen(zeros) + uvarintLen(zigzag(int64(d-prevDelta)))
+			zeros = 0
+			prevDelta = d
 		}
-		dod += uvarintLen(zeros) + uvarintLen(zigzag(int64(d-prevDelta)))
-		zeros = 0
-		prevDelta = d
+		packed += 1 + packedLen(len(blk), uint(bits.Len64(or)))
 	}
 	if zeros > 0 {
 		dod += uvarintLen(zeros)
 	}
-	return delta, dod
+	return packed, dod
 }
 
-// PutDeltaColumn writes the delta + zig-zag varint encoding of vals to
-// the front of dst and returns its length. The first value is encoded as
-// a delta against 0. dst must hold the column's length plus ColumnSlack.
-func PutDeltaColumn(dst []byte, vals []mem.Addr) int {
+// packedLen is the byte length of n values packed w bits each.
+func packedLen(n int, w uint) int { return (n*int(w) + 7) >> 3 }
+
+// PutPackedColumn writes the frame-of-reference bit-packed encoding of
+// vals to the front of dst and returns its length: per block of up to
+// PackBlock values, a width byte and the zig-zag deltas packed that many
+// bits each, LSB-first. The first value is a delta against 0. dst must
+// hold the column's length plus ColumnSlack.
+func PutPackedColumn(dst []byte, vals []mem.Addr) int {
 	pos := 0
 	var prev mem.Addr
-	for _, v := range vals {
-		pos = putUvarint(dst, pos, zigzag(int64(v-prev)))
-		prev = v
+	var zz [PackBlock]uint64
+	for start := 0; start < len(vals); start += PackBlock {
+		blk := vals[start:min(start+PackBlock, len(vals))]
+		var or uint64
+		for i, v := range blk {
+			z := zigzag(int64(v - prev))
+			prev = v
+			zz[i] = z
+			or |= z
+		}
+		w := uint(bits.Len64(or))
+		dst[pos] = byte(w)
+		pos = packBlock(dst, pos+1, zz[:len(blk)], w)
 	}
 	return pos
+}
+
+// packBlock writes vals, each below 1<<w, w bits apiece LSB-first at
+// dst[pos:] and returns the position after their packedLen bytes. Full
+// words are stored as they fill; the last partial word may overhang the
+// block by up to 7 bytes.
+func packBlock(dst []byte, pos int, vals []uint64, w uint) int {
+	end := pos + packedLen(len(vals), w)
+	if w == 0 {
+		return end
+	}
+	var acc uint64
+	var n uint // bits held in acc
+	for _, v := range vals {
+		acc |= v << n
+		n += w
+		if n >= 64 {
+			binary.LittleEndian.PutUint64(dst[pos:], acc)
+			pos += 8
+			n -= 64
+			acc = v >> (w - n) // v's bits the word had no room for (none when w - n is 64)
+		}
+	}
+	if n > 0 {
+		binary.LittleEndian.PutUint64(dst[pos:], acc)
+	}
+	return end
 }
 
 // PutDoDColumn writes the zero-run delta-of-delta encoding of vals to
@@ -236,35 +295,78 @@ func PutDoDColumn(dst []byte, vals []mem.Addr) int {
 	return pos
 }
 
-// DecodeDeltaColumn decodes exactly count delta + zig-zag varint values
-// from data, appending them to dst. Every byte of data must be
-// consumed; short or over-long columns are corruption.
-func DecodeDeltaColumn(dst []mem.Addr, data []byte, count int) ([]mem.Addr, error) {
+// DecodePackedColumn decodes exactly count values of a packed column
+// from data, appending them to dst. Widths above 64, blocks that overrun
+// the column, and trailing bytes are corruption.
+func DecodePackedColumn(dst []mem.Addr, data []byte, count int) ([]mem.Addr, error) {
 	base := len(dst)
 	dst = slices.Grow(dst, count)[:base+count]
 	out := dst[base:]
+	// unpackBlock reads whole words, up to 9 bytes past a value's first
+	// byte; blocks that close to the column's end unpack from a copy.
+	var tail [PackBlock*8 + 9]byte
 	pos := 0
 	var prev mem.Addr
-	for i := range out {
-		u, n := uvarint(data, pos)
-		if n <= 0 {
-			return dst[:base+i], deltaVarintErr(n, i)
+	for start := 0; start < count; start += PackBlock {
+		blk := out[start:min(start+PackBlock, count)]
+		if pos >= len(data) {
+			return dst[:base+start], fmt.Errorf("trace: packed column cut off at value %d: %w", start, ErrTruncated)
 		}
+		w := uint(data[pos])
+		pos++
+		if w > 64 {
+			return dst[:base+start], fmt.Errorf("trace: packed column block at value %d has width %d, over 64", start, w)
+		}
+		n := packedLen(len(blk), w)
+		if n > len(data)-pos {
+			return dst[:base+start], fmt.Errorf("trace: packed column block at value %d needs %d bytes, %d left: %w", start, n, len(data)-pos, ErrTruncated)
+		}
+		src := data[pos:]
+		if len(src) < n+9 {
+			src = tail[:copy(tail[:], src[:n])+9]
+		}
+		prev = unpackBlock(blk, src, w, prev)
 		pos += n
-		prev += mem.Addr(unzigzag(u))
-		out[i] = prev
 	}
 	if pos != len(data) {
-		return dst, fmt.Errorf("trace: delta column has %d trailing bytes after %d values", len(data)-pos, count)
+		return dst, fmt.Errorf("trace: packed column has %d trailing bytes after %d values", len(data)-pos, count)
 	}
 	return dst, nil
 }
 
-func deltaVarintErr(n, i int) error {
-	if n == 0 {
-		return fmt.Errorf("trace: delta column cut off at value %d: %w", i, ErrTruncated)
+// unpackBlock decodes len(out) w-bit zig-zag deltas from src, which
+// holds their packed bytes plus at least 9 more, prefix-summing them
+// from prev; it returns the last value. Each value is one unaligned
+// word load at a bit offset known up front (a second byte load when
+// w > 56 lets a value straddle 9 bytes), so the prefix sum is the only
+// dependency between values.
+func unpackBlock(out []mem.Addr, src []byte, w uint, prev mem.Addr) mem.Addr {
+	switch {
+	case w == 0:
+		for i := range out {
+			out[i] = prev
+		}
+	case w <= 56:
+		mask := uint64(1)<<w - 1
+		bit := uint(0)
+		for i := range out {
+			v := binary.LittleEndian.Uint64(src[bit>>3:]) >> (bit & 7) & mask
+			prev += mem.Addr(unzigzag(v))
+			out[i] = prev
+			bit += w
+		}
+	default:
+		mask := ^uint64(0) >> (64 - w)
+		bit := uint(0)
+		for i := range out {
+			p, s := bit>>3, bit&7
+			v := (binary.LittleEndian.Uint64(src[p:])>>s | uint64(src[p+8])<<(64-s)) & mask
+			prev += mem.Addr(unzigzag(v))
+			out[i] = prev
+			bit += w
+		}
 	}
-	return fmt.Errorf("trace: delta column value %d: varint overflows 64 bits", i)
+	return prev
 }
 
 // DecodeDoDColumn decodes exactly count values of a zero-run
@@ -285,10 +387,13 @@ func DecodeDoDColumn(dst []mem.Addr, data []byte, count int) ([]mem.Addr, error)
 		if zeros > uint64(count-i) {
 			return dst[:base+i], fmt.Errorf("trace: delta-of-delta column runs past %d values", count)
 		}
-		for k := range out[i : i+int(zeros)] {
-			prev += prevDelta
-			out[i+k] = prev
+		// Each value of the run is prev + k*stride: independent
+		// multiplies rather than a chain of dependent adds.
+		run := out[i : i+int(zeros)]
+		for k := range run {
+			run[k] = prev + mem.Addr(k+1)*prevDelta
 		}
+		prev += mem.Addr(len(run)) * prevDelta
 		i += int(zeros)
 		if i == count {
 			break

@@ -57,9 +57,9 @@ func putColumn(t testing.TB, n int, put func([]byte) int) []byte {
 	return buf[:n]
 }
 
-func deltaColumn(t testing.TB, vals []mem.Addr) []byte {
+func packedColumn(t testing.TB, vals []mem.Addr) []byte {
 	n, _ := AddrColumnLens(vals)
-	return putColumn(t, n, func(b []byte) int { return PutDeltaColumn(b, vals) })
+	return putColumn(t, n, func(b []byte) int { return PutPackedColumn(b, vals) })
 }
 
 func dodColumn(t testing.TB, vals []mem.Addr) []byte {
@@ -82,11 +82,11 @@ func TestColumnsRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: Len=%d", n, c.Len())
 		}
 
-		for _, enc := range []string{"delta", "dod"} {
+		for _, enc := range []string{"packed", "dod"} {
 			var addrCol, pcCol []byte
-			if enc == "delta" {
-				addrCol = deltaColumn(t, c.Addrs)
-				pcCol = deltaColumn(t, c.PCs)
+			if enc == "packed" {
+				addrCol = packedColumn(t, c.Addrs)
+				pcCol = packedColumn(t, c.PCs)
 			} else {
 				addrCol = dodColumn(t, c.Addrs)
 				pcCol = dodColumn(t, c.PCs)
@@ -94,8 +94,8 @@ func TestColumnsRoundTrip(t *testing.T) {
 			metaCol := rleColumn(t, c.Meta)
 
 			decode := func(col []byte) ([]mem.Addr, error) {
-				if enc == "delta" {
-					return DecodeDeltaColumn(nil, col, n)
+				if enc == "packed" {
+					return DecodePackedColumn(nil, col, n)
 				}
 				return DecodeDoDColumn(nil, col, n)
 			}
@@ -126,17 +126,20 @@ func TestColumnsRoundTrip(t *testing.T) {
 }
 
 // TestColumnsZigzagExtremes: deltas at the int64 boundaries must
-// survive the zig-zag mapping.
+// survive the zig-zag mapping, and pack at the full 64-bit width.
 func TestColumnsZigzagExtremes(t *testing.T) {
 	vals := []mem.Addr{0, math.MaxUint64, 0, 1 << 63, 42, math.MaxInt64, 0}
-	col := deltaColumn(t, vals)
-	got, err := DecodeDeltaColumn(nil, col, len(vals))
+	col := packedColumn(t, vals)
+	if col[0] != 64 {
+		t.Fatalf("packed width %d, want 64", col[0])
+	}
+	got, err := DecodePackedColumn(nil, col, len(vals))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range vals {
 		if got[i] != vals[i] {
-			t.Fatalf("delta value %d: %#x -> %#x", i, uint64(vals[i]), uint64(got[i]))
+			t.Fatalf("packed value %d: %#x -> %#x", i, uint64(vals[i]), uint64(got[i]))
 		}
 	}
 	dod := dodColumn(t, vals)
@@ -154,14 +157,23 @@ func TestColumnsZigzagExtremes(t *testing.T) {
 // TestDecodeColumnCorruption: malformed columns fail descriptively.
 func TestDecodeColumnCorruption(t *testing.T) {
 	vals := []mem.Addr{1, 2, 3}
-	col := deltaColumn(t, vals)
-	if _, err := DecodeDeltaColumn(nil, col[:len(col)-1], len(vals)); err == nil {
-		t.Error("truncated delta column accepted")
+	col := packedColumn(t, vals)
+	if _, err := DecodePackedColumn(nil, col[:len(col)-1], len(vals)); err == nil {
+		t.Error("truncated packed column accepted")
 	}
-	if _, err := DecodeDeltaColumn(nil, append(append([]byte(nil), col...), 0), len(vals)); err == nil {
-		t.Error("delta column with trailing byte accepted")
+	if _, err := DecodePackedColumn(nil, append(append([]byte(nil), col...), 0), len(vals)); err == nil {
+		t.Error("packed column with trailing byte accepted")
 	}
-	if _, err := DecodeDeltaColumn(nil, bytes.Repeat([]byte{0x80}, 11), 1); err == nil {
+	if _, err := DecodePackedColumn(nil, []byte{65, 0, 0, 0, 0, 0, 0, 0, 0}, 1); err == nil {
+		t.Error("packed block of width 65 accepted")
+	}
+	if _, err := DecodePackedColumn(nil, []byte{8, 1, 2}, 3); err == nil {
+		t.Error("packed block overrunning its column accepted")
+	}
+	if _, err := DecodePackedColumn(nil, append(bytes.Repeat([]byte{0}, PackBlock), 0), PackBlock+1); err == nil {
+		t.Error("packed column missing its second block accepted")
+	}
+	if _, err := DecodeDoDColumn(nil, bytes.Repeat([]byte{0x80}, 11), 1); err == nil {
 		t.Error("overlong varint accepted")
 	}
 
@@ -207,9 +219,7 @@ func TestColumnCompression(t *testing.T) {
 		var c Columns
 		c.AppendBatch(accs)
 		pick := func(vals []mem.Addr) int {
-			d := len(deltaColumn(t, vals))
-			dd := len(dodColumn(t, vals))
-			return min(d, dd)
+			return min(len(packedColumn(t, vals)), len(dodColumn(t, vals)))
 		}
 		total := pick(c.Addrs) + pick(c.PCs) + len(rleColumn(t, c.Meta))
 		perAccess := float64(total) / float64(len(accs))
@@ -251,10 +261,11 @@ func TestUvarintMatchesBinary(t *testing.T) {
 }
 
 // TestDecodeColumnVarintBoundaries: address columns whose last value is
-// a long varint — 8, 9 and 10 bytes, bit 63 set — placed at every
-// alignment against the column end must round-trip under both
-// encodings, every truncation of a delta column must wrap ErrTruncated,
-// and an 11-byte overlong varint must be refused as an overflow.
+// a long delta — 8, 9 and 10 varint bytes, 56-64 packed bits, bit 63
+// set — placed at every alignment against the column end must
+// round-trip under both encodings, every truncation of a packed column
+// must wrap ErrTruncated, and an 11-byte overlong varint must be refused
+// as an overflow.
 func TestDecodeColumnVarintBoundaries(t *testing.T) {
 	for _, tail := range []mem.Addr{1 << 55, 1 << 56, 1 << 62, 1 << 63, math.MaxUint64} {
 		for lead := 0; lead < 10; lead++ {
@@ -268,7 +279,7 @@ func TestDecodeColumnVarintBoundaries(t *testing.T) {
 				col    []byte
 				decode func([]mem.Addr, []byte, int) ([]mem.Addr, error)
 			}{
-				{"delta", deltaColumn(t, vals), DecodeDeltaColumn},
+				{"packed", packedColumn(t, vals), DecodePackedColumn},
 				{"dod", dodColumn(t, vals), DecodeDoDColumn},
 			} {
 				got, err := enc.decode(nil, enc.col, len(vals))
@@ -278,12 +289,12 @@ func TestDecodeColumnVarintBoundaries(t *testing.T) {
 				if !slices.Equal(got, vals) {
 					t.Fatalf("%s tail %#x lead %d: decoded %#x, want %#x", enc.name, uint64(tail), lead, got, vals)
 				}
-				if enc.name != "delta" {
+				if enc.name != "packed" {
 					continue
 				}
 				for cut := range len(enc.col) {
 					if _, err := enc.decode(nil, enc.col[:cut], len(vals)); !errors.Is(err, ErrTruncated) {
-						t.Fatalf("delta tail %#x lead %d cut %d: err %v, want ErrTruncated", uint64(tail), lead, cut, err)
+						t.Fatalf("packed tail %#x lead %d cut %d: err %v, want ErrTruncated", uint64(tail), lead, cut, err)
 					}
 				}
 			}
@@ -292,8 +303,42 @@ func TestDecodeColumnVarintBoundaries(t *testing.T) {
 	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0x01)
 	for _, pad := range []int{0, 8} {
 		col := append(overlong, bytes.Repeat([]byte{0}, pad)...)
-		if _, err := DecodeDeltaColumn(nil, col, 1+pad); err == nil || errors.Is(err, ErrTruncated) {
+		if _, err := DecodeDoDColumn(nil, col, 1+pad); err == nil || errors.Is(err, ErrTruncated) {
 			t.Errorf("11-byte overlong varint (pad %d): err %v, want an overflow error", pad, err)
+		}
+	}
+}
+
+// TestPackedColumnWidths: every block width 0-64, in blocks that end a
+// column at each length around PackBlock, must round-trip and be sized
+// exactly; the packed bytes of each block must sit exactly where the
+// width byte says. Values are built from their zig-zag deltas, so each
+// block's width is the one asked for.
+func TestPackedColumnWidths(t *testing.T) {
+	rng := stats.NewRNG(9)
+	for w := uint(0); w <= 64; w++ {
+		for _, n := range []int{1, 7, 8, PackBlock - 1, PackBlock, PackBlock + 1, 3*PackBlock + 2} {
+			vals := make([]mem.Addr, n)
+			var prev mem.Addr
+			for i := range vals {
+				var z uint64
+				if w > 0 {
+					z = rng.Uint64()>>(64-w) | 1<<(w-1)
+				}
+				prev += mem.Addr(unzigzag(z))
+				vals[i] = prev
+			}
+			col := packedColumn(t, vals)
+			if want := n/PackBlock*(1+packedLen(PackBlock, w)) + min(n%PackBlock, 1)*(1+packedLen(n%PackBlock, w)); len(col) != want {
+				t.Fatalf("w=%d n=%d: %d bytes, want %d", w, n, len(col), want)
+			}
+			if uint(col[0]) != w {
+				t.Fatalf("w=%d n=%d: first block width %d", w, n, col[0])
+			}
+			got, err := DecodePackedColumn([]mem.Addr{7}, col, n)
+			if err != nil || !slices.Equal(got[1:], vals) || got[0] != 7 {
+				t.Fatalf("w=%d n=%d: round trip onto a non-empty dst: %v", w, n, err)
+			}
 		}
 	}
 }

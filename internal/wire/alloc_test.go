@@ -35,7 +35,7 @@ func encodedBatchFrame(t testing.TB, seq uint64, accs []mem.Access) []byte {
 	return frame.Bytes()
 }
 
-// encodedColumns returns the v3 batch payload of accs.
+// encodedColumns returns the columnar batch payload of accs.
 func encodedColumns(t testing.TB, seq uint64, accs []mem.Access) []byte {
 	t.Helper()
 	var cols trace.Columns
@@ -142,19 +142,15 @@ func TestClientEncodeColumnsAllocFree(t *testing.T) {
 	}
 	accs := benchAccesses(trace.DefaultBatchSize)
 	c := &Client{}
-	defer func() {
-		if c.cols != nil {
-			PutColumns(c.cols)
-		}
-	}()
+	defer c.enc.release()
 	encode := func() {
-		if _, err := c.encodeColumns(42, accs); err != nil {
+		if _, err := c.enc.encode(42, accs); err != nil {
 			t.Fatal(err)
 		}
 	}
 	encode() // warm: grows the scratch buffers once
 	if allocs := testing.AllocsPerRun(200, encode); allocs > 0 {
-		t.Errorf("encodeColumns allocates %.2f times per batch, want 0", allocs)
+		t.Errorf("batch encode allocates %.2f times per batch, want 0", allocs)
 	}
 }
 

@@ -29,16 +29,11 @@ const DefaultDialTimeout = 10 * time.Second
 // for concurrent use; a caller wanting parallel sessions opens one
 // Client per session (the daemon multiplexes).
 type Client struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	// payload accumulates the encoded batch and cols is the columnar
-	// scratch it is encoded from (drawn from the column pool on first
-	// use, returned at Close); reusing both makes a steady-state
-	// SendBatch allocation-free.
-	payload []byte
-	cols    *trace.Columns
-	opened  bool
+	conn   net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	enc    batchEncoder // returned to its pools at Close
+	opened bool
 	// onPush receives subscribed snapshot pushes that arrive interleaved
 	// ahead of a pending reply (see expect); set via OnPush.
 	onPush  func(*Push)
@@ -83,11 +78,45 @@ func NewClient(conn net.Conn) *Client {
 	br.Reset(conn)
 	bw := clientWriterPool.Get().(*bufio.Writer)
 	bw.Reset(conn)
-	c := &Client{conn: conn, br: br, bw: bw}
-	if bp, _ := clientScratchPool.Get().(*[]byte); bp != nil {
-		c.payload = (*bp)[:0]
+	return &Client{conn: conn, br: br, bw: bw}
+}
+
+// batchEncoder is the scratch batches are encoded through: columns and
+// a payload buffer, drawn from the pools on first use and reused, so a
+// steady-state encode allocates nothing.
+type batchEncoder struct {
+	cols    *trace.Columns
+	payload []byte
+}
+
+// encode encodes accs as batch seq. The returned slice is valid until
+// the next encode.
+func (e *batchEncoder) encode(seq uint64, accs []mem.Access) ([]byte, error) {
+	if e.cols == nil {
+		e.cols = GetColumns()
+		if bp, _ := clientScratchPool.Get().(*[]byte); bp != nil {
+			e.payload = (*bp)[:0]
+		}
 	}
-	return c
+	e.cols.Reset()
+	e.cols.AppendBatch(accs)
+	var err error
+	e.payload, err = EncodeColumns(e.payload, seq, e.cols)
+	return e.payload, err
+}
+
+// release returns the scratch to its pools.
+func (e *batchEncoder) release() {
+	if e.cols == nil {
+		return
+	}
+	PutColumns(e.cols)
+	if cap(e.payload) > 0 {
+		bp := new([]byte)
+		*bp = e.payload[:0]
+		clientScratchPool.Put(bp)
+	}
+	*e = batchEncoder{}
 }
 
 // Open starts the session with the given profiler configuration and
@@ -109,7 +138,7 @@ func (c *Client) open(req OpenRequest) (OpenReply, error) {
 	if c.opened {
 		return OpenReply{}, fmt.Errorf("wire: session already open")
 	}
-	req.Wire = WireV3
+	req.Wire = WireV4
 	if err := c.send(FrameOpen, marshalJSON(req)); err != nil {
 		return OpenReply{}, err
 	}
@@ -122,8 +151,8 @@ func (c *Client) open(req OpenRequest) (OpenReply, error) {
 	if err != nil {
 		return OpenReply{}, fmt.Errorf("wire: decoding open reply: %w", err)
 	}
-	if c.reply.Wire != WireV3 {
-		return OpenReply{}, fmt.Errorf("wire: server answered with wire version %d: this client speaks only version %d", c.reply.Wire, WireV3)
+	if c.reply.Wire != WireV4 {
+		return OpenReply{}, fmt.Errorf("wire: server answered with wire version %d: this client speaks only version %d", c.reply.Wire, WireV4)
 	}
 	c.opened = true
 	c.nextSeq = c.reply.ResumeSeq + 1
@@ -148,9 +177,23 @@ func (c *Client) SendBatch(accs []mem.Access) error {
 	if len(accs) == 0 {
 		return nil
 	}
-	payload, err := c.encodeColumns(c.nextSeq, accs)
+	payload, err := c.enc.encode(c.nextSeq, accs)
 	if err != nil {
 		return err
+	}
+	return c.sendEncoded(payload)
+}
+
+// sendEncoded streams one encoded batch payload (EncodeColumns) whose
+// sequence number must be the connection's next, and advances it. A
+// ReconnectingClient sends each batch's bytes through here first and
+// resends the same bytes when it replays the batch after a resume.
+func (c *Client) sendEncoded(payload []byte) error {
+	if err := c.ensureStreaming(); err != nil {
+		return err
+	}
+	if seq := binary.BigEndian.Uint64(payload); seq != c.nextSeq {
+		return fmt.Errorf("wire: encoded batch %d out of order: connection at %d", seq, c.nextSeq)
 	}
 	if err := c.send(FrameBatchV3, payload); err != nil {
 		return err
@@ -222,16 +265,7 @@ func (c *Client) Close() error {
 	c.bw.Reset(nil)
 	clientWriterPool.Put(c.bw)
 	c.bw = nil
-	if cap(c.payload) > 0 {
-		bp := new([]byte)
-		*bp = c.payload[:0]
-		clientScratchPool.Put(bp)
-		c.payload = nil
-	}
-	if c.cols != nil {
-		PutColumns(c.cols)
-		c.cols = nil
-	}
+	c.enc.release()
 	return err
 }
 
@@ -285,19 +319,6 @@ func (c *Client) ensureStreaming() error {
 		return fmt.Errorf("wire: session already finished")
 	}
 	return nil
-}
-
-// encodeColumns encodes the v3 columnar batch payload into the client's
-// reusable scratch. The returned slice is valid until the next encode.
-func (c *Client) encodeColumns(seq uint64, accs []mem.Access) ([]byte, error) {
-	if c.cols == nil {
-		c.cols = GetColumns()
-	}
-	c.cols.Reset()
-	c.cols.AppendBatch(accs)
-	var err error
-	c.payload, err = EncodeColumns(c.payload, seq, c.cols)
-	return c.payload, err
 }
 
 // send writes one frame and flushes, so server-side backpressure

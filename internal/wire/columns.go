@@ -10,20 +10,21 @@ import (
 	"repro/internal/trace"
 )
 
-// WireV3 is the one wire protocol version: columnar batches
-// (FrameBatchV3). A client sends it in OpenRequest.Wire and the server
-// echoes it in OpenReply.Wire; either side rejects any other version.
-const WireV3 = 3
+// WireV4 is the one wire protocol version: columnar batches
+// (FrameBatchV3) with bit-packed address columns. A client sends it in
+// OpenRequest.Wire and the server echoes it in OpenReply.Wire; either
+// side rejects any other version.
+const WireV4 = 4
 
-// Column encoding tags carried in a v3 column section header. Address
-// and PC columns use delta or delta-of-delta; the meta column uses raw
-// or run-length. The encoder sizes both candidates and writes the
-// smaller, so irregular streams never regress past plain delta.
+// Column encoding tags carried in a column section header. Address and
+// PC columns are bit-packed or zero-run delta-of-delta; the meta column
+// is raw or run-length. The encoder sizes both candidates and writes the
+// smaller, so irregular streams never regress past plain packing.
 const (
-	colEncDelta = 0x00 // per-value delta, zig-zag varint
-	colEncDoD   = 0x01 // zero-run delta-of-delta
-	colEncRaw   = 0x00 // meta bytes verbatim
-	colEncRLE   = 0x01 // (value, run-length uvarint) pairs
+	colEncDoD    = 0x01 // zero-run delta-of-delta
+	colEncPacked = 0x02 // frame-of-reference bit-packed zig-zag deltas
+	colEncRaw    = 0x00 // meta bytes verbatim
+	colEncRLE    = 0x01 // (value, run-length uvarint) pairs
 )
 
 // colSectionHdr is a column section's fixed prefix: encoding tag byte,
@@ -34,11 +35,11 @@ const colSectionHdr = 9
 // batchSeqBytes is the sequence-number prefix of a batch payload.
 const batchSeqBytes = 8
 
-// columnsHdrBytes is the v3 payload's fixed prefix: 8-byte sequence
+// columnsHdrBytes is the batch payload's fixed prefix: 8-byte sequence
 // number + 4-byte access count, both big-endian.
 const columnsHdrBytes = batchSeqBytes + 4
 
-// MaxColumnBatch bounds the access count a v3 payload may declare. The
+// MaxColumnBatch bounds the access count a batch payload may declare. The
 // zero-run encodings let a few bytes describe millions of values, so
 // the count must be bounded independently of the payload size to stop
 // a corrupt or hostile header from ballooning column scratch.
@@ -51,11 +52,11 @@ func colCRC(tag byte, data []byte) uint32 {
 	return crc32.Update(typeCRCs[tag], crc32.IEEETable, data)
 }
 
-// EncodeColumns resets dst and appends a v3 batch payload: the sequence
+// EncodeColumns resets dst and appends a columnar batch payload: the sequence
 // number and access count, then the address, PC and meta column
 // sections. Each section carries its own encoding tag, length and
 // crc32, so a decoder localizes corruption to a column. Address and PC
-// sections are sized both ways (delta and delta-of-delta) and only the
+// sections are sized both ways (packed and delta-of-delta) and only the
 // smaller is written; the meta section picks raw or RLE the same way.
 // Steady-state encoding into a reused dst allocates nothing.
 func EncodeColumns(dst []byte, seq uint64, cols *trace.Columns) ([]byte, error) {
@@ -76,12 +77,14 @@ func EncodeColumns(dst []byte, seq uint64, cols *trace.Columns) ([]byte, error) 
 
 // encodeReserve is the worst-case encoded size of an n-access batch,
 // which EncodeColumns reserves up front so a cold buffer pays one
-// allocation: the header and three section headers, at most 10 bytes
-// per address and PC value (a delta-of-delta column is written only when
-// it is smaller than the delta one), at most one byte per meta value
-// (RLE likewise), and the column encoders' store slack.
+// allocation: the header and three section headers, at most 8 bytes per
+// address and PC value plus a width byte per block (a delta-of-delta
+// column is written only when it is smaller than the packed one), at
+// most one byte per meta value (RLE likewise), and the column encoders'
+// store slack.
 func encodeReserve(n int) int {
-	return columnsHdrBytes + 3*colSectionHdr + n*(2*binary.MaxVarintLen64+1) + trace.ColumnSlack
+	blocks := (n + trace.PackBlock - 1) / trace.PackBlock
+	return columnsHdrBytes + 3*colSectionHdr + 2*(8*n+blocks) + n + trace.ColumnSlack
 }
 
 // appendAddrSection appends one address-valued column section: both
@@ -91,7 +94,7 @@ func appendAddrSection(dst []byte, vals []mem.Addr) []byte {
 	off := len(dst)
 	body := off + colSectionHdr
 	n, dodLen := trace.AddrColumnLens(vals)
-	tag, put := byte(colEncDelta), trace.PutDeltaColumn
+	tag, put := byte(colEncPacked), trace.PutPackedColumn
 	if dodLen < n {
 		tag, n, put = colEncDoD, dodLen, trace.PutDoDColumn
 	}
@@ -125,7 +128,7 @@ func finishSection(dst []byte, off int, tag byte) []byte {
 	return dst
 }
 
-// DecodeColumnsInto decodes a v3 batch payload, appending the accesses
+// DecodeColumnsInto decodes a columnar batch payload, appending the accesses
 // to cols (callers reuse one Columns value, Reset between batches) and
 // returning the batch's sequence number. Each column's crc32 is
 // verified before its data is interpreted, and every structural
@@ -189,8 +192,8 @@ func decodeAddrSection(dst []mem.Addr, data []byte, count int, name string) ([]m
 		return dst, data, err
 	}
 	switch tag {
-	case colEncDelta:
-		dst, err = trace.DecodeDeltaColumn(dst, col, count)
+	case colEncPacked:
+		dst, err = trace.DecodePackedColumn(dst, col, count)
 	case colEncDoD:
 		dst, err = trace.DecodeDoDColumn(dst, col, count)
 	default:

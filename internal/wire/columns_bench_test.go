@@ -8,7 +8,7 @@ import (
 	"repro/internal/workloads"
 )
 
-// The codec micro-benchmarks stream the suite kernels the way a v3
+// The codec micro-benchmarks stream the suite kernels the way a
 // session does — 8192-access batches, columnar-transposed and encoded on
 // the client, decoded on the daemon — and report ns/access, so the
 // codec can be tuned without an end-to-end benchmark run.

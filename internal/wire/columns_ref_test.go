@@ -2,25 +2,46 @@ package wire
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
-// The reference v3 encoder: the original append-based column encoders,
-// which encode every candidate in full and keep the smaller. The
-// production encoder sizes the candidates and writes only the winner;
-// the tests hold its output byte-identical to this one.
+// The reference encoder: append-based column encoders that encode
+// every candidate in full, bit by bit, and keep the smaller. The
+// production encoder sizes the candidates and writes only the winner,
+// a word at a time; the tests hold its output byte-identical to this
+// one.
 
 func refZigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
-// refAppendDeltaColumn appends the delta + zig-zag varint encoding of
-// vals to dst.
-func refAppendDeltaColumn(dst []byte, vals []mem.Addr) []byte {
+// refAppendPackedColumn appends the frame-of-reference bit-packed
+// encoding of vals to dst: per block of up to trace.PackBlock values,
+// the bit length of the OR of its zig-zag deltas, then each delta in
+// that many bits, LSB-first, written one bit at a time.
+func refAppendPackedColumn(dst []byte, vals []mem.Addr) []byte {
 	var prev mem.Addr
-	for _, v := range vals {
-		dst = binary.AppendUvarint(dst, refZigzag(int64(v)-int64(prev)))
-		prev = v
+	for start := 0; start < len(vals); start += trace.PackBlock {
+		blk := vals[start:min(start+trace.PackBlock, len(vals))]
+		zz := make([]uint64, len(blk))
+		var or uint64
+		for i, v := range blk {
+			zz[i] = refZigzag(int64(v - prev))
+			prev = v
+			or |= zz[i]
+		}
+		w := bits.Len64(or)
+		dst = append(dst, byte(w))
+		packed := make([]byte, (len(blk)*w+7)/8)
+		bit := 0
+		for _, z := range zz {
+			for k := range w {
+				packed[bit/8] |= byte(z>>k&1) << (bit % 8)
+				bit++
+			}
+		}
+		dst = append(dst, packed...)
 	}
 	return dst
 }
@@ -74,11 +95,11 @@ func refEncodeColumns(seq uint64, cols *trace.Columns) []byte {
 		dst = append(dst, data...)
 	}
 	for _, vals := range [][]mem.Addr{cols.Addrs, cols.PCs} {
-		delta, dod := refAppendDeltaColumn(nil, vals), refAppendDoDColumn(nil, vals)
-		if len(dod) < len(delta) {
+		packed, dod := refAppendPackedColumn(nil, vals), refAppendDoDColumn(nil, vals)
+		if len(dod) < len(packed) {
 			section(colEncDoD, dod)
 		} else {
-			section(colEncDelta, delta)
+			section(colEncPacked, packed)
 		}
 	}
 	if rle := refAppendRLEColumn(nil, cols.Meta); len(rle) < len(cols.Meta) {

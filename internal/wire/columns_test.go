@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -34,6 +35,77 @@ func wireTestAccesses(seed uint64, n int) []mem.Access {
 		}
 	}
 	return accs
+}
+
+// edgeSizes are batch lengths around the packed columns' block size
+// and the client's batch size: empty, one value, one short of a block,
+// exactly one, one past it, and one short of and exactly a full batch.
+var edgeSizes = []int{0, 1, trace.PackBlock - 1, trace.PackBlock, trace.PackBlock + 1, benchBatch - 1, benchBatch}
+
+// edgeWidths are packed block widths at the unpacker's edges: none, one
+// bit, the widest a single word load covers (56), the narrowest that
+// straddles 9 bytes (57), and the two widest.
+var edgeWidths = []uint{0, 1, 56, 57, 63, 64}
+
+// widthAccesses draws n accesses whose address and PC columns pack at
+// exactly width w: every zig-zag delta fits in w bits and the first
+// delta of each block uses all of them. The deltas are random within the
+// width, so delta-of-delta never wins and the packed encoding is the one
+// written; at w = 64 they include wraps by about ±2^63.
+func widthAccesses(seed uint64, w uint, n int) []mem.Access {
+	rng := stats.NewRNG(seed)
+	col := func() []mem.Addr {
+		vals := make([]mem.Addr, n)
+		var prev mem.Addr
+		for i := range vals {
+			var z uint64
+			if w > 0 {
+				z = rng.Uint64() >> (64 - w)
+				if i%trace.PackBlock == 0 {
+					z |= 1 << (w - 1)
+				}
+			}
+			prev += mem.Addr(int64(z>>1) ^ -int64(z&1))
+			vals[i] = prev
+		}
+		return vals
+	}
+	addrs, pcs := col(), col()
+	accs := make([]mem.Access, n)
+	for i := range accs {
+		accs[i] = mem.Access{Addr: addrs[i], PC: pcs[i], Size: 8, Kind: mem.Kind(i & 1)}
+	}
+	return accs
+}
+
+// wrapAccesses draws n accesses at the ends of the address space: every
+// address lies within 64 B of 0 or of 2^64, or of 2^63, so deltas wrap
+// around 2^64 and jump by about ±2^63.
+func wrapAccesses(seed uint64, n int) []mem.Access {
+	rng := stats.NewRNG(seed)
+	bases := []mem.Addr{0, 1 << 63, 0}
+	accs := make([]mem.Access, n)
+	for i := range accs {
+		off := mem.Addr(rng.Uint64n(64))
+		if rng.Uint64n(2) == 0 {
+			off = ^off // within 64 B below 2^64 (or below 2^63)
+		}
+		accs[i] = mem.Access{Addr: bases[rng.Uint64n(3)] + off, PC: off, Size: 4, Kind: mem.Store}
+	}
+	return accs
+}
+
+// edgeBatches are the block-boundary, width-edge and wrap-around
+// batches the codec tests encode next to real kernels' batches.
+func edgeBatches() [][]mem.Access {
+	var b [][]mem.Access
+	for _, n := range edgeSizes {
+		b = append(b, wireTestAccesses(uint64(n)+11, n), wrapAccesses(uint64(n)+13, n))
+	}
+	for _, w := range edgeWidths {
+		b = append(b, widthAccesses(uint64(w)+17, w, 2*trace.PackBlock+5))
+	}
+	return b
 }
 
 // TestEncodeColumnsRoundTrip: encode → decode must reproduce the batch
@@ -161,10 +233,31 @@ func TestColumnsPoolRecirculates(t *testing.T) {
 	PutColumns(nil) // no-op
 }
 
-// FuzzDecodeColumns throws arbitrary bytes at the v3 batch decoder:
-// malformed headers, lying section lengths, corrupt column data and
-// truncation must all return errors, never panic; a payload that
-// decodes must round-trip bit-exactly through the encoder.
+// resealed returns a copy of payload with every column section's crc
+// recomputed over its (possibly mutated) data, as far as the section
+// headers parse, so fuzzed bytes reach the column decoders instead of
+// stopping at a checksum.
+func resealed(payload []byte) []byte {
+	out := slices.Clone(payload)
+	for off := columnsHdrBytes; off+colSectionHdr <= len(out); {
+		n := int(binary.BigEndian.Uint32(out[off+1:]))
+		if n > len(out)-off-colSectionHdr {
+			break
+		}
+		data := out[off+colSectionHdr : off+colSectionHdr+n]
+		binary.BigEndian.PutUint32(out[off+5:], colCRC(out[off], data))
+		off += colSectionHdr + n
+	}
+	return out
+}
+
+// FuzzDecodeColumns throws arbitrary bytes at the batch decoder, both as
+// given and resealed (section crcs recomputed, so mutations get past the
+// checksums): malformed headers, lying section lengths, block widths
+// over 64, blocks overrunning their section, truncation and trailing
+// bytes must all return errors, never panic. A payload that decodes must
+// re-encode to no more bytes than it was given, and the re-encoding must
+// decode to the same accesses.
 func FuzzDecodeColumns(f *testing.F) {
 	var cols trace.Columns
 	cols.AppendBatch(wireTestAccesses(2, 64))
@@ -176,35 +269,138 @@ func FuzzDecodeColumns(f *testing.F) {
 	f.Add(seed[:columnsHdrBytes])
 	f.Add(seed[:len(seed)-3])
 	f.Add([]byte{})
+	// One payload per packed width edge, and the wrap-around batch.
+	for _, w := range edgeWidths {
+		cols.Reset()
+		cols.AppendBatch(widthAccesses(uint64(w)+5, w, trace.PackBlock+3))
+		p, err := EncodeColumns(nil, uint64(w), &cols)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p)
+	}
+	cols.Reset()
+	cols.AppendBatch(wrapAccesses(7, 200))
+	wrap, err := EncodeColumns(nil, 9, &cols)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wrap)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		t.Helper()
-		var c trace.Columns
-		seq, err := DecodeColumnsInto(&c, data)
-		if err != nil {
-			return
-		}
-		re, err := EncodeColumns(nil, seq, &c)
-		if err != nil {
-			t.Fatalf("decoded batch fails to re-encode: %v", err)
-		}
-		var c2 trace.Columns
-		seq2, err := DecodeColumnsInto(&c2, re)
-		if err != nil || seq2 != seq || c2.Len() != c.Len() {
-			t.Fatalf("batch does not round-trip: %v", err)
-		}
-		for i := 0; i < c.Len(); i++ {
-			if c.Access(i) != c2.Access(i) {
-				t.Fatalf("access %d changed across round-trip", i)
+		for _, payload := range [][]byte{data, resealed(data)} {
+			var c trace.Columns
+			seq, err := DecodeColumnsInto(&c, payload)
+			if err != nil {
+				continue
+			}
+			re, err := EncodeColumns(nil, seq, &c)
+			if err != nil {
+				t.Fatalf("decoded batch fails to re-encode: %v", err)
+			}
+			if len(re) > len(payload) {
+				t.Fatalf("accepted %d-byte payload re-encodes to %d bytes", len(payload), len(re))
+			}
+			var c2 trace.Columns
+			seq2, err := DecodeColumnsInto(&c2, re)
+			if err != nil || seq2 != seq || c2.Len() != c.Len() {
+				t.Fatalf("batch does not round-trip: %v", err)
+			}
+			for i := 0; i < c.Len(); i++ {
+				if c.Access(i) != c2.Access(i) {
+					t.Fatalf("access %d changed across round-trip", i)
+				}
 			}
 		}
 	})
 }
 
+// TestPackedWidthEdges: each width-edge batch must be written as packed
+// address and PC sections whose first block has exactly that width, and
+// must round-trip bit-exactly.
+func TestPackedWidthEdges(t *testing.T) {
+	for _, w := range edgeWidths {
+		n := 3*trace.PackBlock + 1
+		if w == 0 {
+			n = trace.PackBlock - 1 // longer all-zero runs go to delta-of-delta
+		}
+		accs := widthAccesses(uint64(w)+23, w, n)
+		var cols trace.Columns
+		cols.AppendBatch(accs)
+		payload, err := EncodeColumns(nil, 1, &cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest := payload[columnsHdrBytes:]
+		for _, name := range []string{"address", "pc"} {
+			tag, col, next, err := splitSection(rest, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tag != colEncPacked || len(col) == 0 || uint(col[0]) != w {
+				t.Fatalf("width %d: %s section tag %#x, first width %v, want packed at width %d", w, name, tag, col[:min(len(col), 1)], w)
+			}
+			rest = next
+		}
+		var back trace.Columns
+		if _, err := DecodeColumnsInto(&back, payload); err != nil {
+			t.Fatalf("width %d: %v", w, err)
+		}
+		if got := back.AppendTo(nil); !slices.Equal(got, accs) {
+			t.Fatalf("width %d: batch changed across round-trip", w)
+		}
+	}
+}
+
+// TestDecodeColumnsPackedCorruption: packed sections whose checksums are
+// intact but whose blocks are malformed — a width over 64, a block
+// overrunning its section, bytes after the last block — are errors.
+func TestDecodeColumnsPackedCorruption(t *testing.T) {
+	var cols trace.Columns
+	cols.AppendBatch(widthAccesses(3, 9, 2*trace.PackBlock))
+	payload, err := EncodeColumns(nil, 1, &cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := columnsHdrBytes // the address section's header
+	if payload[addr] != colEncPacked {
+		t.Fatalf("address section has tag %#x, want packed", payload[addr])
+	}
+	body := addr + colSectionHdr
+	secondBlock := body + 1 + 9*trace.PackBlock/8
+	for _, tc := range []struct {
+		name   string
+		mutate func([]byte) []byte
+	}{
+		{"width 65", func(p []byte) []byte { p[body] = 65; return p }},
+		{"width 255", func(p []byte) []byte { p[secondBlock] = 255; return p }},
+		// A wider second block needs more bytes than the section holds.
+		{"overrun", func(p []byte) []byte { p[secondBlock] = 10; return p }},
+		// One byte more in the address section, after its last block.
+		{"trailing", func(p []byte) []byte {
+			n := binary.BigEndian.Uint32(p[addr+1:])
+			binary.BigEndian.PutUint32(p[addr+1:], n+1)
+			end := body + int(n)
+			return append(p[:end:end], append([]byte{0}, p[end:]...)...)
+		}},
+	} {
+		mut := resealed(tc.mutate(slices.Clone(payload)))
+		var back trace.Columns
+		if _, err := DecodeColumnsInto(&back, mut); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := DecodeColumnsInto(&cols, resealed(payload)); err != nil {
+		t.Fatalf("resealing an intact payload broke it: %v", err)
+	}
+}
+
 // TestEncodeColumnsMatchesReference: the size-then-write encoder's
 // payloads must be byte-identical to the reference encoder's on the
-// suite kernels' batches (and on the mixed test batches), so the wire
-// format never moves under a codec change.
+// suite kernels' batches and on the edge batches (block boundaries,
+// width edges, wrap-around deltas), so the wire format never moves
+// under a codec change.
 func TestEncodeColumnsMatchesReference(t *testing.T) {
 	var batches [][]mem.Access
 	for _, kernel := range benchKernels {
@@ -220,9 +416,7 @@ func TestEncodeColumnsMatchesReference(t *testing.T) {
 			batches = append(batches, accs[off:min(off+benchBatch, len(accs))])
 		}
 	}
-	for _, n := range []int{0, 1, 2, 100, 4096} {
-		batches = append(batches, wireTestAccesses(uint64(n)+11, n))
-	}
+	batches = append(batches, edgeBatches()...)
 	var cols trace.Columns
 	var payload []byte
 	for i, batch := range batches {
@@ -307,6 +501,8 @@ func FuzzEncodeColumns(f *testing.F) {
 	f.Add([]byte{0x01, 0x40, 0xff, 0x00, 0x00, 0x10})
 	f.Add([]byte{0x02, 0x00, 0x00, 1, 2, 3, 4, 5, 6, 7, 0x80, 0xff, 0x05, 0x07})
 	f.Add([]byte{0xff, 0x01, 0x20, 0x7e, 0xff, 0x03, 0x81, 0x80, 0x00})
+	// Jumps to 2^64-8 and 0x55.. with a 2^62 stride: 57-64-bit widths.
+	f.Add([]byte{0x02, 0x00, 0x02, 0xf8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfb, 0x01, 0x81, 0x02, 0x00, 0x00, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x7f, 0x01, 0x03})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cols := fuzzColumns(data)
 		payload, err := EncodeColumns(nil, 7, cols)
@@ -317,10 +513,12 @@ func FuzzEncodeColumns(f *testing.F) {
 			t.Fatalf("%d accesses: payload differs from the reference encoder", cols.Len())
 		}
 		for _, vals := range [][]mem.Addr{cols.Addrs, cols.PCs} {
-			deltaLen, dodLen := trace.AddrColumnLens(vals)
-			buf := make([]byte, max(deltaLen, dodLen)+trace.ColumnSlack)
-			if n := trace.PutDeltaColumn(buf, vals); !bytes.Equal(buf[:n], refAppendDeltaColumn(nil, vals)) || n != deltaLen {
-				t.Fatalf("delta column differs from the reference")
+			packedLen, dodLen := trace.AddrColumnLens(vals)
+			buf := make([]byte, max(packedLen, dodLen)+trace.ColumnSlack)
+			if n := trace.PutPackedColumn(buf, vals); !bytes.Equal(buf[:n], refAppendPackedColumn(nil, vals)) || n != packedLen {
+				t.Fatalf("packed column differs from the reference")
+			} else if back, err := trace.DecodePackedColumn(nil, buf[:n], len(vals)); err != nil || !slices.Equal(back, vals) {
+				t.Fatalf("packed column does not decode back: %v", err)
 			}
 			if n := trace.PutDoDColumn(buf, vals); !bytes.Equal(buf[:n], refAppendDoDColumn(nil, vals)) || n != dodLen {
 				t.Fatalf("delta-of-delta column differs from the reference")

@@ -85,7 +85,7 @@ func PoolStats() (gets, misses uint64) {
 	return poolGets.Load(), poolMisses.Load()
 }
 
-// Columnar scratch pool. A v3 session decodes every batch into one
+// Columnar scratch pool. A session decodes every batch into one
 // Columns value; pooling them lets sessions come and go without paying
 // the three column allocations per session, the per-session analogue of
 // the payload pool. Get counts feed the same hit-rate metric.

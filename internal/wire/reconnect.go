@@ -85,10 +85,12 @@ type ReconnectStats struct {
 	Pushes uint64
 }
 
-// pendingBatch is one unacknowledged batch held for replay.
+// pendingBatch is one unacknowledged batch held for replay: its encoded
+// payload, resent verbatim, so a replay costs no second encode and the
+// replay buffer holds a few bytes per access instead of the rows.
 type pendingBatch struct {
-	seq  uint64
-	accs []mem.Access
+	seq     uint64
+	payload []byte
 }
 
 // ReconnectingClient is a fault-tolerant session against an rdxd
@@ -110,7 +112,8 @@ type ReconnectingClient struct {
 	lastAcked uint64
 	nextSeq   uint64 // session-level sequence of the next new batch
 	pending   []pendingBatch
-	free      [][]mem.Access // acked replay buffers awaiting reuse
+	free      [][]byte     // acked replay buffers awaiting reuse
+	enc       batchEncoder // returned to its pools by Finish and Close
 	sinceSync int
 	connected bool // a connection has succeeded at least once
 	finished  bool
@@ -152,10 +155,11 @@ func (r *ReconnectingClient) Open(ctx context.Context) (OpenReply, error) {
 	return r.reply, err
 }
 
-// SendBatch streams one batch, buffering it for replay until the server
-// acknowledges a covering checkpoint. The accesses are copied, so the
-// caller may reuse its slice. Every RetryPolicy.SyncEvery batches a
-// durable checkpoint is requested and the replay buffer trimmed.
+// SendBatch streams one batch, buffering its encoded payload for replay
+// until the server acknowledges a covering checkpoint. The accesses are
+// encoded before SendBatch returns, so the caller may reuse its slice.
+// Every RetryPolicy.SyncEvery batches a durable checkpoint is requested
+// and the replay buffer trimmed.
 func (r *ReconnectingClient) SendBatch(ctx context.Context, accs []mem.Access) error {
 	if r.finished {
 		return fmt.Errorf("wire: session already finished")
@@ -163,29 +167,22 @@ func (r *ReconnectingClient) SendBatch(ctx context.Context, accs []mem.Access) e
 	if len(accs) == 0 {
 		return nil
 	}
-	// Copy into a recycled replay buffer when one is free (acked batches
-	// return theirs via noteAcked), so a steady-state stream stops
-	// allocating once the replay window's worth of buffers exists.
-	var cp []mem.Access
-	if n := len(r.free); n > 0 {
-		cp = append(r.free[n-1][:0], accs...)
-		r.free[n-1] = nil
-		r.free = r.free[:n-1]
-	} else {
-		cp = append([]mem.Access(nil), accs...)
-	}
 	seq := r.nextSeq
+	payload, err := r.encode(seq, accs)
+	if err != nil {
+		return err
+	}
 	r.nextSeq++
-	r.pending = append(r.pending, pendingBatch{seq: seq, accs: cp})
+	r.pending = append(r.pending, pendingBatch{seq: seq, payload: payload})
 
-	err := r.withRetry(ctx, func(c *Client) error {
+	err = r.withRetry(ctx, func(c *Client) error {
 		if c.NextSeq() > seq {
 			return nil // already delivered by resume replay
 		}
 		if c.NextSeq() < seq {
 			return fmt.Errorf("wire: sequence gap: connection at %d, batch %d", c.NextSeq(), seq)
 		}
-		return c.SendBatch(cp)
+		return c.sendEncoded(payload)
 	})
 	if err != nil {
 		return err
@@ -197,6 +194,24 @@ func (r *ReconnectingClient) SendBatch(ctx context.Context, accs []mem.Access) e
 		}
 	}
 	return nil
+}
+
+// encode encodes accs as batch seq and copies the payload into a
+// recycled replay buffer when one is free (acked batches return theirs
+// via noteAcked), so a steady-state stream stops allocating once the
+// replay window's worth of buffers exists.
+func (r *ReconnectingClient) encode(seq uint64, accs []mem.Access) ([]byte, error) {
+	payload, err := r.enc.encode(seq, accs)
+	if err != nil {
+		return nil, err
+	}
+	var buf []byte
+	if n := len(r.free); n > 0 {
+		buf = r.free[n-1][:0]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+	}
+	return append(buf, payload...), nil
 }
 
 // Sync requests a durable server checkpoint, trims the replay buffer to
@@ -238,13 +253,16 @@ func (r *ReconnectingClient) Finish(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	r.finished = true
-	r.pending = nil
+	r.pending, r.free = nil, nil
+	r.enc.release()
 	return res, nil
 }
 
-// Close releases the current connection, if any.
+// Close releases the current connection, if any, and the encode
+// scratch.
 func (r *ReconnectingClient) Close() error {
 	r.dropConn()
+	r.enc.release()
 	return nil
 }
 
@@ -523,7 +541,7 @@ func (r *ReconnectingClient) ensure(ctx context.Context) (*Client, error) {
 			return nil, fmt.Errorf("wire: resume replay gap: connection at %d, buffered batch %d", c.NextSeq(), p.seq)
 		}
 		r.armDeadline(ctx) // a fresh window per replayed batch
-		if err := c.SendBatch(p.accs); err != nil {
+		if err := c.sendEncoded(p.payload); err != nil {
 			r.dropConn()
 			return nil, r.checkCtx(ctx, err)
 		}
@@ -544,8 +562,8 @@ func (r *ReconnectingClient) noteAcked(seq uint64) {
 	for _, p := range r.pending {
 		if p.seq > seq {
 			keep = append(keep, p)
-		} else if cap(p.accs) > 0 {
-			r.free = append(r.free, p.accs)
+		} else {
+			r.free = append(r.free, p.payload)
 		}
 	}
 	r.pending = keep

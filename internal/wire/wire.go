@@ -80,9 +80,9 @@ const (
 	// the session and acknowledge the last executed batch sequence
 	// number; empty payload. The reply is FrameAck.
 	FrameSync FrameType = 0x05
-	// FrameBatchV3 (client→server) carries one access batch in the v3
-	// columnar encoding (see EncodeColumns). Type 0x02 is unassigned: a
-	// session that receives it fails.
+	// FrameBatchV3 (client→server) is the columnar batch frame: one
+	// access batch in the column encoding of EncodeColumns. Type 0x02 is
+	// unassigned: a session that receives it fails.
 	FrameBatchV3 FrameType = 0x06
 	// FrameHandoff (backend→backend) transfers one retained session
 	// state — a live checkpoint or a finished session's final result —
@@ -150,7 +150,7 @@ func (t FrameType) String() string {
 	case FrameSync:
 		return "sync"
 	case FrameBatchV3:
-		return "batch-v3"
+		return "batch"
 	case FrameHandoff:
 		return "handoff"
 	case FrameOpenOK:
@@ -345,7 +345,7 @@ type OpenRequest struct {
 	ResumeToken string      `json:"resume_token,omitempty"`
 	LastAcked   uint64      `json:"last_acked,omitempty"`
 	// Wire is the wire version the client speaks. The server rejects an
-	// open whose version is not WireV3.
+	// open whose version is not WireV4.
 	Wire int `json:"wire,omitempty"`
 }
 
@@ -371,7 +371,7 @@ type OpenReply struct {
 	// CheckpointEvery is the server's periodic checkpoint interval in
 	// batches (0 = only on disconnect), a hint for client sync cadence.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// Wire is the wire version the session uses, always WireV3; a client
+	// Wire is the wire version the session uses, always WireV4; a client
 	// rejects any other.
 	Wire int `json:"wire,omitempty"`
 }

@@ -264,11 +264,11 @@ func TestToCoreMergesLikeLocal(t *testing.T) {
 	}
 }
 
-// TestClientRejectsOtherWireVersions: the client offers WireV3 at open
+// TestClientRejectsOtherWireVersions: the client offers WireV4 at open
 // and refuses a reply naming any other version, so a session can never
 // stream batches in a framing the server did not agree to.
 func TestClientRejectsOtherWireVersions(t *testing.T) {
-	for _, ver := range []int{0, 2, 4} {
+	for _, ver := range []int{0, 3, 5} {
 		cconn, sconn := net.Pipe()
 		offered := make(chan int, 1)
 		go func() {
@@ -286,11 +286,11 @@ func TestClientRejectsOtherWireVersions(t *testing.T) {
 		c := NewClient(cconn)
 		_, err := c.Open(core.DefaultConfig())
 		c.Close()
-		if got := <-offered; got != WireV3 {
-			t.Errorf("client offered wire version %d, want %d", got, WireV3)
+		if got := <-offered; got != WireV4 {
+			t.Errorf("client offered wire version %d, want %d", got, WireV4)
 		}
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("wire version %d", ver)) ||
-			!strings.Contains(err.Error(), "only version 3") {
+			!strings.Contains(err.Error(), "only version 4") {
 			t.Errorf("reply with wire %d: err = %v, want a rejection naming both versions", ver, err)
 		}
 	}

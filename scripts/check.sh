@@ -65,7 +65,7 @@ go test -run='^TestPoolE2EFaultsAndBackendDeath$' -count=1 ./internal/pool
 echo "==> migration chaos smoke (-race)"
 go test -race -run='^TestControlPlaneE2EChaos$' -count=1 ./internal/ctrl
 
-# Short fuzz smoke on the wire-protocol decoders, the v3 column encoder
+# Short fuzz smoke on the wire-protocol decoders, the column encoder
 # (byte-identical to its reference encoder) and the RDT3 trace-file
 # reader: enough to catch a regression in the corpus or an obvious
 # panic, cheap enough for CI. The trace reader's target counts
@@ -102,12 +102,12 @@ go test -run='^$' -fuzz='^FuzzRunMatchesReference$' -fuzztime=10s -fuzzminimizet
 echo "==> fuzz smoke (report decode and diff, 10s)"
 go test -run='^$' -fuzz='^FuzzReportDiff$' -fuzztime=10s ./internal/report
 
-# Wire-compression regression gate: each v3 workload shape (strided,
+# Wire-compression regression gate: each workload shape (strided,
 # clustered, sequential) is streamed through one session and the
 # server's compression ratio is held against the value committed in the
 # test. The columnar encoding is deterministic, so any drop beyond the
 # 5% batch-boundary tolerance is a real encoder regression.
-echo "==> wire compression gate (v3 shapes vs committed ratios)"
+echo "==> wire compression gate (column codec shapes vs committed ratios)"
 go test -count=1 -run='^TestWireCompressionRatio$' ./internal/server
 
 # MRC differential gate: the analytical miss-ratio curve and hierarchy
