@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/ctrl"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
@@ -89,7 +88,7 @@ func main() {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 		defer cancel()
-		if err := ctrl.DrainBackend(ctx, *drain, targets, 0); err != nil {
+		if err := drainBackend(ctx, *drain, targets); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("drained %s: zero live sessions\n", *drain)

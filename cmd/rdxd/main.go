@@ -16,8 +16,7 @@
 // off. /healthz reports 503 from the moment draining starts. POST
 // /drain on the admin listener drains live instead: each session is
 // migrated to another backend by checkpoint handover and its client is
-// redirected there (see `rdx -drain`); POST /migrate moves sessions
-// for load rebalancing without draining.
+// redirected there (see `rdx -drain`).
 //
 // Sessions are checkpointed (at open, every -checkpoint-every batches,
 // on client sync, and on disconnect) so interrupted clients can resume
@@ -90,7 +89,7 @@ func main() {
 		if *pprofOn {
 			extra = ", /debug/pprof/"
 		}
-		log.Printf("rdxd: admin on http://%s (/healthz, /metrics, /whatif, /drain, /migrate%s)", a, extra)
+		log.Printf("rdxd: admin on http://%s (/healthz, /metrics, /whatif, /drain%s)", a, extra)
 	}
 
 	sig := make(chan os.Signal, 1)

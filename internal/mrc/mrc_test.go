@@ -343,6 +343,11 @@ func TestParseSpec(t *testing.T) {
 		"l1.ways=7",                    // ways do not divide lines (Validate)
 		"l2.size=2x,l2.size",           // valid clause then malformed
 		"l2.size=99999999999999999999", // does not fit uint64
+		"l1.size=17179869185GiB",       // 2^64 + 1 GiB: the multiply wraps
+		"l1.size=18014398509481985KiB", // 2^64 + 1 KiB: the multiply wraps
+		"l1.size=nanx",                 // not-a-number multiplier
+		"l1.size=infx",                 // infinite multiplier
+		"l1.size=1e300x",               // finite, but past 2^64 bytes
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec, base); err == nil {

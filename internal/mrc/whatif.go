@@ -2,6 +2,7 @@ package mrc
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -106,15 +107,18 @@ func levelNames(specs []cache.LevelSpec) string {
 
 // parseSize parses a capacity value: "Nx" multiplies the base (N may be
 // fractional), otherwise an absolute size with an optional KiB/MiB/GiB
-// (or KB/MB/GB, treated as binary) suffix.
+// (or KB/MB/GB, treated as binary) suffix. A size that does not fit in
+// 64 bits is an error, never a wrapped or saturated value.
 func parseSize(val string, base uint64) (uint64, error) {
 	v := strings.ToLower(strings.TrimSpace(val))
 	if strings.HasSuffix(v, "x") {
 		f, err := strconv.ParseFloat(v[:len(v)-1], 64)
-		if err != nil || f <= 0 {
+		sz := f * float64(base)
+		// Written so that NaN fails too: every comparison with it is false.
+		if err != nil || !(sz > 0 && sz < 0x1p64) {
 			return 0, fmt.Errorf("bad size multiplier %q", val)
 		}
-		return uint64(f * float64(base)), nil
+		return uint64(sz), nil
 	}
 	mult := uint64(1)
 	for _, s := range []struct {
@@ -136,7 +140,11 @@ func parseSize(val string, base uint64) (uint64, error) {
 	if err != nil || n == 0 {
 		return 0, fmt.Errorf("bad size %q", val)
 	}
-	return n * mult, nil
+	hi, sz := bits.Mul64(n, mult)
+	if hi != 0 {
+		return 0, fmt.Errorf("size %q does not fit in 64 bits", val)
+	}
+	return sz, nil
 }
 
 // Report is the answer to one what-if question: the base and modified

@@ -128,26 +128,3 @@ func TestProberHysteresis(t *testing.T) {
 	admin.mode.Store(modeOK)
 	waitHealthy(t, p, 1, 2*time.Second)
 }
-
-// TestAddBackendIsIdempotent: admitting a backend twice keeps one
-// entry; admitting a second address grows the set.
-func TestAddBackendIsIdempotent(t *testing.T) {
-	admin := newFakeAdmin(t)
-	p, err := pool.New([]pool.Backend{{Addr: "127.0.0.1:1", Admin: admin.addr}}, pool.Options{
-		HealthEvery: 5 * time.Millisecond,
-		Logf:        quietLogf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if idx := p.AddBackend(pool.Backend{Addr: "127.0.0.1:1"}); idx != 0 {
-		t.Fatalf("re-adding the seed backend created index %d, want 0", idx)
-	}
-	if idx := p.AddBackend(pool.Backend{Addr: "127.0.0.1:2", Admin: admin.addr}); idx != 1 {
-		t.Fatalf("new backend got index %d, want 1", idx)
-	}
-	if n := len(p.Stats().PerBackend); n != 2 {
-		t.Fatalf("stats report %d backends, want 2", n)
-	}
-}

@@ -181,7 +181,6 @@ type backendState struct {
 	Backend
 	idx      int
 	healthy  atomic.Bool
-	draining atomic.Bool  // excluded from dispatch until it probes healthy again
 	reported atomic.Int64 // last /metrics load gauge (0 without admin)
 	sessions atomic.Uint64
 	inflight int // guarded by Pool.mu
@@ -196,9 +195,11 @@ type backendState struct {
 // It is safe for concurrent use; Close releases the prober.
 type Pool struct {
 	opts     Options
-	backends []*backendState
+	backends []*backendState // fixed at New
 	httpc    *http.Client
 
+	// mu guards every backend's inflight count and closed; cond wakes
+	// dispatches waiting for a slot.
 	mu     sync.Mutex
 	cond   *sync.Cond
 	closed bool
@@ -257,7 +258,7 @@ func (p *Pool) Stats() Stats {
 		Redispatched:  p.redispatched.Load(),
 		ProbeFailures: p.probeFails.Load(),
 	}
-	for _, b := range p.snapshotBackends() {
+	for _, b := range p.backends {
 		s.PerBackend = append(s.PerBackend, b.sessions.Load())
 	}
 	return s
@@ -267,70 +268,12 @@ func (p *Pool) Stats() Stats {
 // dispatchable.
 func (p *Pool) Healthy() int {
 	n := 0
-	for _, b := range p.snapshotBackends() {
-		if b.healthy.Load() && !b.draining.Load() {
+	for _, b := range p.backends {
+		if b.healthy.Load() {
 			n++
 		}
 	}
 	return n
-}
-
-// snapshotBackends copies the backend list under the lock; the list is
-// append-only (AddBackend), so the snapshot's entries stay valid.
-func (p *Pool) snapshotBackends() []*backendState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]*backendState(nil), p.backends...)
-}
-
-// AddBackend admits a backend to the pool at runtime — elastic scaling:
-// a coordinator brings a daemon up, admits it here, and the next
-// dispatch or failover can route to it. Adding an address the pool
-// already has is a no-op. Returns the backend's index.
-func (p *Pool) AddBackend(b Backend) int {
-	p.mu.Lock()
-	for _, ex := range p.backends {
-		if ex.Addr == b.Addr {
-			idx := ex.idx
-			p.mu.Unlock()
-			return idx
-		}
-	}
-	bs := &backendState{Backend: b, idx: len(p.backends)}
-	bs.healthy.Store(true)
-	p.backends = append(p.backends, bs)
-	idx := bs.idx
-	p.mu.Unlock()
-	p.opts.Logf("pool: backend %d (%s) admitted", idx, b.Addr)
-	p.cond.Broadcast()
-	return idx
-}
-
-// MarkDraining immediately excludes a backend from dispatch, bypassing
-// probe hysteresis — a coordinator calls it the moment it orders a
-// drain, so no new stream races onto a backend that is emptying out.
-// The exclusion lifts when the backend's admin probe reports healthy
-// again (a cancelled drain); backends probed by TCP dial alone stay
-// out, since a dial cannot see drain state. Matches by profiling or
-// admin address; reports whether a backend matched.
-func (p *Pool) MarkDraining(addr string) bool {
-	var target *backendState
-	for _, b := range p.snapshotBackends() {
-		if b.Addr == addr || (b.Admin != "" && b.Admin == addr) {
-			target = b
-			break
-		}
-	}
-	if target == nil {
-		return false
-	}
-	target.draining.Store(true)
-	target.okStreak.Store(0)
-	if target.healthy.Swap(false) {
-		p.opts.Logf("pool: backend %d (%s) draining", target.idx, target.Addr)
-	}
-	p.cond.Broadcast()
-	return true
 }
 
 // probeLoop refreshes backend health and load every HealthEvery, and
@@ -350,14 +293,9 @@ func (p *Pool) probeLoop() {
 			return
 		case <-t.C:
 		}
-		for _, b := range p.snapshotBackends() {
+		for _, b := range p.backends {
 			if p.probe(b) {
 				b.failStreak.Store(0)
-				if b.Admin != "" {
-					// The admin endpoint answered 200: whatever drain we
-					// were told about is over.
-					b.draining.Store(false)
-				}
 				if !b.healthy.Load() && int(b.okStreak.Add(1)) >= p.opts.UpAfter {
 					b.okStreak.Store(0)
 					b.healthy.Store(true)
@@ -378,8 +316,8 @@ func (p *Pool) probeLoop() {
 }
 
 // probe checks one backend: GET /healthz on the admin address when
-// configured (a 200 is healthy; a draining daemon answers 503 and stops
-// receiving new streams), else a TCP dial of the profiling address. A
+// configured (a 200 is healthy; a daemon in drain mode answers 503 and
+// stops receiving new streams), else a TCP dial of the profiling address. A
 // healthy admin probe also refreshes the server-reported load gauge.
 func (p *Pool) probe(b *backendState) bool {
 	if b.Admin == "" {
@@ -452,7 +390,7 @@ func (p *Pool) acquire(ctx context.Context) (*backendState, error) {
 		}
 		var best *backendState
 		for _, b := range p.backends {
-			if !b.healthy.Load() || b.draining.Load() || b.inflight >= p.opts.MaxInFlight {
+			if !b.healthy.Load() || b.inflight >= p.opts.MaxInFlight {
 				continue
 			}
 			if best == nil || lessLoaded(b, best) {
@@ -568,7 +506,7 @@ func (p *Pool) Profile(ctx context.Context, r trace.Reader, cfg core.Config) (*c
 func (p *Pool) profileStream(ctx context.Context, idx int, r trace.Reader, tcfg core.Config) (*wire.Result, error) {
 	maxRedispatch := p.opts.MaxRedispatch
 	if maxRedispatch <= 0 {
-		maxRedispatch = 2 * len(p.snapshotBackends())
+		maxRedispatch = 2 * len(p.backends)
 	}
 	// rec records every access already handed to a backend, so a stream
 	// whose backend dies mid-session can be replayed from the start on

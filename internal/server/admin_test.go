@@ -67,25 +67,15 @@ func TestAdminControlEndpointValidation(t *testing.T) {
 		}
 	}
 	for _, body := range []string{"{not json", `{"unknown_field":1}`, `{"to":["="]}`} {
-		resp, err := http.Post(base+"/migrate", "application/json", strings.NewReader(body))
+		resp, err := http.Post(base+"/drain", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST /migrate %q: got %s, want 400", body, resp.Status)
+			t.Errorf("POST /drain %q: got %s, want 400", body, resp.Status)
 		}
-	}
-	// /migrate without a destination is meaningless.
-	resp, err := http.Post(base+"/migrate", "application/json", strings.NewReader(`{"count":3}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("POST /migrate without targets: got %s, want 400", resp.Status)
 	}
 }
 

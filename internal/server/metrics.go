@@ -39,7 +39,7 @@ type metrics struct {
 	executorSteps  atomic.Uint64
 	executorSteals atomic.Uint64
 
-	// Control-plane counters.
+	// Live-migration counters.
 	migrationsOrdered atomic.Uint64 // migration orders delivered to sessions
 	handoffsOut       atomic.Uint64 // sessions handed off to another backend
 	handoffsIn        atomic.Uint64 // sessions installed from another backend
@@ -157,7 +157,7 @@ type Metrics struct {
 	ExecutorSteps   uint64 `json:"executor_steps"`
 	ExecutorSteals  uint64 `json:"executor_steals"`
 
-	// Control-plane counters: live migration traffic in and out.
+	// Live-migration counters: handoff traffic in and out.
 	MigrationsOrdered uint64 `json:"migrations_ordered"`
 	HandoffsOut       uint64 `json:"handoffs_out"`
 	HandoffsIn        uint64 `json:"handoffs_in"`

@@ -13,12 +13,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Live session migration: the control-plane half of rdxd.
+// Live session migration: how rdxd drains without losing sessions.
 //
 // A migration moves one session's complete state — the profiler
 // checkpoint (or a finished session's retained result) — from this
-// backend to another, so the pool can drain a hot backend live, admit
-// new backends mid-run, and rebalance under skew. The handover is
+// backend to another, so a backend can be drained live (POST /drain,
+// `rdx -drain`) instead of cutting its sessions off. The handover is
 // strictly ordered for the client's ack safety:
 //
 //  1. The runner reaches a batch boundary and takes a durable local
@@ -127,31 +127,6 @@ func (s *Server) Drain(targets []MigrateTarget) int {
 	}
 	ordered := 0
 	for i, sess := range sessions {
-		if s.orderMigration(sess, rotateTargets(targets, i)) {
-			ordered++
-		}
-	}
-	return ordered
-}
-
-// OrderMigrations asks up to count live sessions to migrate to the
-// targets (rebalancing), without entering drain mode. It returns the
-// number of sessions ordered.
-func (s *Server) OrderMigrations(targets []MigrateTarget, count int) int {
-	if len(targets) == 0 || count <= 0 {
-		return 0
-	}
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	ordered := 0
-	for i, sess := range sessions {
-		if ordered >= count {
-			break
-		}
 		if s.orderMigration(sess, rotateTargets(targets, i)) {
 			ordered++
 		}
@@ -310,8 +285,8 @@ func (s *Server) handleHandoff(conn net.Conn, bw *bufio.Writer, payload []byte) 
 	bw.Flush()
 }
 
-// maxControlBody bounds /drain and /migrate request bodies; target
-// lists are tiny, so anything larger is a client bug or abuse.
+// maxControlBody bounds /drain request bodies; target lists are tiny,
+// so anything larger is a client bug or abuse.
 const maxControlBody = 64 << 10
 
 // drainRequest is the POST /drain body.
@@ -329,10 +304,10 @@ type drainReply struct {
 }
 
 // handleDrain is POST /drain: enter drain mode and migrate every live
-// session to the given destinations. Idempotent: a coordinator polls
+// session to the given destinations. Idempotent: `rdx -drain` polls
 // /metrics and re-POSTs until sessions_active reaches zero.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	targets, ok := decodeControl(w, r, func(req *drainRequest) []string { return req.To })
+	targets, ok := decodeControl(w, r)
 	if !ok {
 		return
 	}
@@ -344,42 +319,10 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	w.Write(mustJSON(drainReply{Draining: true, Sessions: n, Ordered: ordered}))
 }
 
-// migrateRequest is the POST /migrate body.
-type migrateRequest struct {
-	To    []string `json:"to"`
-	Count int      `json:"count"`
-}
-
-// migrateReply is the POST /migrate response.
-type migrateReply struct {
-	Ordered int `json:"ordered"`
-}
-
-// handleMigrate is POST /migrate: order up to count live sessions to
-// move to the destinations (load rebalancing) without draining.
-func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	var count int
-	targets, ok := decodeControl(w, r, func(req *migrateRequest) []string {
-		count = req.Count
-		return req.To
-	})
-	if !ok {
-		return
-	}
-	if len(targets) == 0 {
-		http.Error(w, "migrate requires at least one destination", http.StatusBadRequest)
-		return
-	}
-	if count <= 0 {
-		count = 1
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(mustJSON(migrateReply{Ordered: s.OrderMigrations(targets, count)}))
-}
-
-// decodeControl shares the control handlers' method/size/shape
-// validation: POST, bounded body, strict JSON, parsed target list.
-func decodeControl[T any](w http.ResponseWriter, r *http.Request, to func(*T) []string) ([]MigrateTarget, bool) {
+// decodeControl validates a /drain request's method, size and shape:
+// POST, bounded body, strict JSON, parsed target list. It answers the
+// request itself when it reports false.
+func decodeControl(w http.ResponseWriter, r *http.Request) ([]MigrateTarget, bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -390,14 +333,14 @@ func decodeControl[T any](w http.ResponseWriter, r *http.Request, to func(*T) []
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return nil, false
 	}
-	var req T
+	var req drainRequest
 	if len(body) > 0 {
 		if err := unmarshalStrict(body, &req); err != nil {
 			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 			return nil, false
 		}
 	}
-	targets, err := ParseMigrateTargets(to(&req))
+	targets, err := ParseMigrateTargets(req.To)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return nil, false

@@ -184,9 +184,9 @@ func TestDrainRedirectsRetainedResume(t *testing.T) {
 }
 
 // TestMigrationRefusedKeepsSessionLocal: when every handoff destination
-// refuses (here: the destination is itself draining), the session must
-// keep running on the source and complete normally — migration is an
-// optimization, never a correctness risk.
+// refuses (here: the destination is itself draining), the draining
+// source's session must keep running there and complete normally —
+// migration is an optimization, never a correctness risk.
 func TestMigrationRefusedKeepsSessionLocal(t *testing.T) {
 	cfg := testConfig(400)
 	accs, err := trace.Collect(trace.ZipfAccess(29, 0, 4096, 1.0, 80000))
@@ -218,7 +218,7 @@ func TestMigrationRefusedKeepsSessionLocal(t *testing.T) {
 	waitFor(t, "session progress on source", 10*time.Second, func() bool {
 		return src.MetricsSnapshot().AccessesTotal > 10000
 	})
-	src.OrderMigrations([]server.MigrateTarget{{Addr: dst.Addr(), Admin: dst.AdminAddr()}}, 1)
+	src.Drain([]server.MigrateTarget{{Addr: dst.Addr(), Admin: dst.AdminAddr()}})
 
 	out := <-done
 	if out.err != nil {

@@ -305,7 +305,6 @@ func New(cfg Config) (*Server, error) {
 		mux.Handle("/metrics", api(s.handleMetrics))
 		mux.Handle("/whatif", api(s.handleWhatIf))
 		mux.Handle("/drain", api(s.handleDrain))
-		mux.Handle("/migrate", api(s.handleMigrate))
 		if cfg.EnablePprof {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

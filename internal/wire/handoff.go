@@ -11,7 +11,7 @@ import (
 
 // Live session migration: checkpoint handover between backends.
 //
-// A backend draining (or rebalancing) pushes each session's retained
+// A draining backend pushes each session's retained
 // state to a destination backend with a FrameHandoff — sent as a
 // connection's first frame, in place of FrameOpen — and waits for
 // FrameHandoffOK, which promises the state is installed as durably as

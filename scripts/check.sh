@@ -56,14 +56,16 @@ go test -race -run='^TestExecutorChaosGOMAXPROCS4$' -count=1 ./internal/server
 echo "==> pool fault-injection smoke"
 go test -run='^TestPoolE2EFaultsAndBackendDeath$' -count=1 ./internal/pool
 
-# Migration chaos smoke: the control-plane E2E (64 streams, a backend
-# admitted mid-run, another drained live via checkpoint handover over a
-# fault-injecting transport, a migration destination killed mid-drain)
-# must keep the MultiResult bit-identical to the local run and leave the
-# drained backend with zero live sessions — under the race detector,
-# since migration races runners, drains, and probers by design.
+# Migration chaos smoke: `rdx -drain`'s drain verb against a pooled run
+# (64 streams over 3 backends behind a fault-injecting transport): one
+# backend drained live via checkpoint handover, itself over a
+# fault-injecting transport, and a migration destination killed
+# mid-drain. The MultiResult must stay bit-identical to the local run
+# and the drained backend must end with zero live sessions — under the
+# race detector, since migration races runners, drains, and probers by
+# design.
 echo "==> migration chaos smoke (-race)"
-go test -race -run='^TestControlPlaneE2EChaos$' -count=1 ./internal/ctrl
+go test -race -run='^TestDrainChaosE2E$' -count=1 ./cmd/rdx
 
 # Short fuzz smoke on the wire-protocol decoders, the column encoder
 # (byte-identical to its reference encoder) and the RDT3 trace-file
@@ -101,6 +103,13 @@ go test -run='^$' -fuzz='^FuzzRunMatchesReference$' -fuzztime=10s -fuzzminimizet
 # marshal round trip unchanged.
 echo "==> fuzz smoke (report decode and diff, 10s)"
 go test -run='^$' -fuzz='^FuzzReportDiff$' -fuzztime=10s ./internal/report
+
+# Short fuzz smoke on the what-if spec grammar (`rdx -whatif`, the
+# daemon's /whatif): arbitrary specs must never panic ParseSpec, every
+# accepted level must be a valid cache, and an absolute size must come
+# out exactly as written, never wrapped to fit 64 bits.
+echo "==> fuzz smoke (what-if spec grammar, 10s)"
+go test -run='^$' -fuzz='^FuzzParseSpec$' -fuzztime=10s ./internal/mrc
 
 # Wire-compression regression gate: each workload shape (strided,
 # clustered, sequential) is streamed through one session and the
