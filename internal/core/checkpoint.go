@@ -42,9 +42,14 @@ var checkpointMagic = [4]byte{'R', 'D', 'X', 'C'}
 // checkpointVersion is bumped whenever the serialized layout changes.
 const checkpointVersion = 1
 
-// maxCheckpointSlots bounds the watchpoint-slot counts a checkpoint may
-// declare, far above any real debug-register file.
-const maxCheckpointSlots = 1 << 20
+// Each watchpoint carries a slot record (block, usePC, c0) and a
+// debug-register record (addr, width, kind, tag, armed flag) in a
+// checkpoint: a blob can describe at most its remaining length divided
+// by their sum.
+const (
+	ckptSlotBytes = 24
+	ckptDRSBytes  = 19
+)
 
 // Checkpoint serializes the profiler's complete state — configuration,
 // RNG positions, per-slot bookkeeping, observation logs, PMU and
@@ -173,7 +178,7 @@ func RestoreProfiler(data []byte) (*Profiler, *cpu.Machine, error) {
 	p.traps = d.u64()
 	p.finished = d.bool()
 
-	nSlots := d.count(24, maxCheckpointSlots)
+	nSlots := d.count(ckptSlotBytes)
 	if d.err == nil && int(nSlots) != cfg.NumWatchpoints {
 		return nil, nil, fmt.Errorf("core: checkpoint has %d slot records, config declares %d watchpoints", nSlots, cfg.NumWatchpoints)
 	}
@@ -185,7 +190,7 @@ func RestoreProfiler(data []byte) (*Profiler, *cpu.Machine, error) {
 		}
 	}
 	p.times = d.u64slice()
-	nPCs := d.count(16, math.MaxInt)
+	nPCs := d.count(16)
 	if d.err == nil && nPCs != uint64(len(p.times)) {
 		return nil, nil, fmt.Errorf("core: checkpoint has %d PC pairs for %d reuse times", nPCs, len(p.times))
 	}
@@ -206,7 +211,7 @@ func RestoreProfiler(data []byte) (*Profiler, *cpu.Machine, error) {
 	ps.RNG = d.u64()
 	p.pmuUnit.SetState(ps)
 
-	nDRS := d.count(19, maxCheckpointSlots)
+	nDRS := d.count(ckptDRSBytes)
 	if d.err == nil && int(nDRS) != cfg.NumWatchpoints {
 		return nil, nil, fmt.Errorf("core: checkpoint has %d debug-register records, config declares %d watchpoints", nDRS, cfg.NumWatchpoints)
 	}
@@ -370,14 +375,14 @@ func (d *ckptDecoder) bool() bool {
 }
 
 // count reads a slice length and validates it against the bytes actually
-// remaining (elemSize per element) and an absolute cap, so a corrupt
-// length can never trigger a huge allocation.
-func (d *ckptDecoder) count(elemSize int, max uint64) uint64 {
+// remaining (elemSize per element), so a corrupt length can never
+// trigger a huge allocation.
+func (d *ckptDecoder) count(elemSize int) uint64 {
 	n := d.u64()
 	if d.err != nil {
 		return 0
 	}
-	if n > max || n > uint64(len(d.b))/uint64(elemSize) {
+	if n > uint64(len(d.b))/uint64(elemSize) {
 		d.err = fmt.Errorf("core: checkpoint corrupt: count %d exceeds remaining data", n)
 		return 0
 	}
@@ -385,7 +390,7 @@ func (d *ckptDecoder) count(elemSize int, max uint64) uint64 {
 }
 
 func (d *ckptDecoder) u64slice() []uint64 {
-	n := d.count(8, math.MaxInt)
+	n := d.count(8)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -413,7 +418,9 @@ func (d *ckptDecoder) config() (Config, error) {
 	if d.err != nil {
 		return Config{}, d.err
 	}
-	if nwp == 0 || nwp > maxCheckpointSlots {
+	// Checked against the bytes left before NewProfiler sizes its slots
+	// from it.
+	if nwp == 0 || nwp > uint64(len(d.b))/(ckptSlotBytes+ckptDRSBytes) {
 		return Config{}, fmt.Errorf("core: checkpoint corrupt: %d watchpoints", nwp)
 	}
 	c.NumWatchpoints = int(nwp)

@@ -151,6 +151,9 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("core: WatchWidth must be 1, 2, 4 or 8, got %d", c.WatchWidth)
 	}
+	if c.Replacement < ReplaceProbabilistic || c.Replacement > ReplaceHybrid {
+		return fmt.Errorf("core: unknown Replacement policy %d", c.Replacement)
+	}
 	if c.Skid < 0 {
 		return fmt.Errorf("core: Skid must be non-negative, got %d", c.Skid)
 	}

@@ -41,6 +41,8 @@ func TestConfigValidation(t *testing.T) {
 		{SamplePeriod: 100, NumWatchpoints: 0, WatchWidth: 8},
 		{SamplePeriod: 100, NumWatchpoints: 4, WatchWidth: 3},
 		{SamplePeriod: 100, NumWatchpoints: 4, WatchWidth: 8, Skid: -1},
+		{SamplePeriod: 100, NumWatchpoints: 4, WatchWidth: 8, Replacement: ReplaceHybrid + 1},
+		{SamplePeriod: 100, NumWatchpoints: 4, WatchWidth: 8, Replacement: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -34,20 +34,24 @@ import (
 //     carries no dependency but the prefix sum. In zero-run
 //     delta-of-delta, a constant stride makes every second-order delta
 //     zero and a whole run of accesses collapses to one run-length
-//     uvarint — how a scan costs a few bytes per batch. The encoder
-//     sizes both in one pass and writes only the smaller, so irregular
-//     streams never pay for the second-order model;
+//     uvarint — how a scan costs a few bytes per batch. PutAddrColumn
+//     writes the smaller of the two, packed on a tie;
 //   - Meta: one byte per access packing kind and size exactly like an
 //     RDT3 record header (bit 0 kind, bits 1-4 size), either raw or
 //     run-length encoded as (value, run length) pairs — real workloads
 //     hold these constant for thousands of accesses.
 //
-// Encoding is size-then-write: AddrColumnLens and RLEColumnLen compute
-// a column's exact encoded length, the caller reserves it plus
-// ColumnSlack, and a Put*Column encoder writes the column by index —
-// so a caller choosing between encodings writes only the winner. The
-// Decode* decoders are allocation-free once dst has grown to its steady
-// size, which keeps the ingest pipeline at zero allocations per batch.
+// Address columns are encoded in one packing pass that also sums a
+// lower bound on the delta-of-delta length (PutAddrColumn): the exact
+// delta-of-delta length is computed only when that bound is below the
+// packed length, so irregular streams pay for the second-order model
+// with a few arithmetic operations per value rather than a branchy
+// sizing pass. Columns whose first block mostly keeps one stride are
+// sized exactly first and only the winner is written. The meta column
+// is sized exactly (RLEColumnLen), so the caller reserves its length
+// plus ColumnSlack and writes only the smaller encoding. The Decode*
+// decoders are allocation-free once dst has grown to its steady size,
+// which keeps the ingest pipeline at zero allocations per batch.
 
 // Columns is one batch of accesses in columnar (struct-of-arrays) form.
 // The three slices always have equal length.
@@ -215,29 +219,116 @@ func AddrColumnLens(vals []mem.Addr) (packed, dod int) {
 // packedLen is the byte length of n values packed w bits each.
 func packedLen(n int, w uint) int { return (n*int(w) + 7) >> 3 }
 
+// PackedColumnMax is the longest a packed column of n values can be:
+// every value at width 64 and one width byte per block. PutAddrColumn's
+// dst must hold this plus ColumnSlack.
+func PackedColumnMax(n int) int { return 8*n + (n+PackBlock-1)/PackBlock }
+
+// PutAddrColumn writes vals to the front of dst in the smaller of the
+// packed (PutPackedColumn) and zero-run delta-of-delta (PutDoDColumn)
+// encodings, packed on a tie, and returns the length written and
+// whether it is delta-of-delta. dst must hold PackedColumnMax(len(vals))
+// plus ColumnSlack.
+//
+// A column whose first block mostly keeps one stride is sized exactly
+// (AddrColumnLens) and only the winner is written. Any other column is
+// packed straight away by a pass that also bounds its delta-of-delta
+// length from below; the exact length is computed only when the bound
+// is under the packed length, and the delta-of-delta encoding then
+// overwrites the packed bytes only if it is strictly shorter.
+func PutAddrColumn(dst []byte, vals []mem.Addr) (n int, dod bool) {
+	if strideLed(vals[:min(PackBlock, len(vals))]) {
+		packed, dodLen := AddrColumnLens(vals)
+		if dodLen < packed {
+			return PutDoDColumn(dst, vals), true
+		}
+		return PutPackedColumn(dst, vals), false
+	}
+	n, bound := packColumn(dst, vals)
+	if bound < n {
+		if _, dodLen := AddrColumnLens(vals); dodLen < n {
+			return PutDoDColumn(dst, vals), true
+		}
+	}
+	return n, false
+}
+
+// strideLed reports whether more than half of blk's values continue the
+// stride before them, the shape on which delta-of-delta tends to win.
+func strideLed(blk []mem.Addr) bool {
+	var prev, prevDelta mem.Addr
+	kept := 0
+	for _, v := range blk {
+		d := v - prev
+		prev = v
+		if d == prevDelta {
+			kept++
+		}
+		prevDelta = d
+	}
+	return 2*kept > len(blk)
+}
+
 // PutPackedColumn writes the frame-of-reference bit-packed encoding of
 // vals to the front of dst and returns its length: per block of up to
 // PackBlock values, a width byte and the zig-zag deltas packed that many
 // bits each, LSB-first. The first value is a delta against 0. dst must
 // hold the column's length plus ColumnSlack.
 func PutPackedColumn(dst []byte, vals []mem.Addr) int {
+	n, _ := packColumn(dst, vals)
+	return n
+}
+
+// dodCost[L] is the fewest bytes a zero-run delta-of-delta column can
+// spend on a value whose zig-zag second-order delta is L bits long:
+// none for a value continuing the stride (L = 0), else the delta's own
+// uvarint and the run-length uvarint of at least one byte before it.
+var dodCost = func() (c [65]uint8) {
+	for l := 1; l <= 64; l++ {
+		c[l] = uint8(uvarintLen(1<<(l-1)) + 1)
+	}
+	return c
+}()
+
+// packColumn is PutPackedColumn that also returns, from the same pass,
+// a lower bound on the column's delta-of-delta length (PutDoDColumn):
+// each value costs at least dodCost of its second-order delta there.
+func packColumn(dst []byte, vals []mem.Addr) (n, dodBound int) {
 	pos := 0
-	var prev mem.Addr
+	var prev, prevDelta mem.Addr
 	var zz [PackBlock]uint64
 	for start := 0; start < len(vals); start += PackBlock {
 		blk := vals[start:min(start+PackBlock, len(vals))]
-		var or uint64
-		for i, v := range blk {
-			z := zigzag(int64(v - prev))
-			prev = v
-			zz[i] = z
-			or |= z
-		}
+		deltas := zz[:len(blk)]
+		or, bound := blockDeltas(deltas, blk, prev, prevDelta)
+		dodBound += bound
+		prev, prevDelta = blk[len(blk)-1], mem.Addr(unzigzag(deltas[len(blk)-1]))
 		w := uint(bits.Len64(or))
 		dst[pos] = byte(w)
-		pos = packBlock(dst, pos+1, zz[:len(blk)], w)
+		pos = packBlock(dst, pos+1, deltas, w)
 	}
-	return pos
+	return pos, dodBound
+}
+
+// blockDeltas writes the zig-zag deltas of blk, the first against prev,
+// to out and returns their OR and the sum of dodCost over their
+// second-order deltas, the first against prevDelta. It stays out of
+// line: inlined into packColumn's block loop, whose packBlock call
+// spills the loop's state, it kept or, prev and prevDelta on the stack.
+//
+//go:noinline
+func blockDeltas(out []uint64, blk []mem.Addr, prev, prevDelta mem.Addr) (or uint64, dodBound int) {
+	out = out[:len(blk)]
+	for i, v := range blk {
+		d := v - prev
+		prev = v
+		z := zigzag(int64(d))
+		out[i] = z
+		or |= z
+		dodBound += int(dodCost[bits.Len64(zigzag(int64(d-prevDelta)))])
+		prevDelta = d
+	}
+	return or, dodBound
 }
 
 // packBlock writes vals, each below 1<<w, w bits apiece LSB-first at

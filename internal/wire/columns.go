@@ -18,8 +18,8 @@ const WireV4 = 4
 
 // Column encoding tags carried in a column section header. Address and
 // PC columns are bit-packed or zero-run delta-of-delta; the meta column
-// is raw or run-length. The encoder sizes both candidates and writes the
-// smaller, so irregular streams never regress past plain packing.
+// is raw or run-length. The encoder writes the smaller candidate of each
+// pair, so irregular streams never regress past plain packing.
 const (
 	colEncDoD    = 0x01 // zero-run delta-of-delta
 	colEncPacked = 0x02 // frame-of-reference bit-packed zig-zag deltas
@@ -56,8 +56,9 @@ func colCRC(tag byte, data []byte) uint32 {
 // number and access count, then the address, PC and meta column
 // sections. Each section carries its own encoding tag, length and
 // crc32, so a decoder localizes corruption to a column. Address and PC
-// sections are sized both ways (packed and delta-of-delta) and only the
-// smaller is written; the meta section picks raw or RLE the same way.
+// sections hold the smaller of their packed and delta-of-delta
+// encodings (trace.PutAddrColumn); the meta section holds the smaller of
+// raw and RLE.
 // Steady-state encoding into a reused dst allocates nothing.
 func EncodeColumns(dst []byte, seq uint64, cols *trace.Columns) ([]byte, error) {
 	if cols.Len() > MaxColumnBatch {
@@ -83,23 +84,21 @@ func EncodeColumns(dst []byte, seq uint64, cols *trace.Columns) ([]byte, error) 
 // most one byte per meta value (RLE likewise), and the column encoders'
 // store slack.
 func encodeReserve(n int) int {
-	blocks := (n + trace.PackBlock - 1) / trace.PackBlock
-	return columnsHdrBytes + 3*colSectionHdr + 2*(8*n+blocks) + n + trace.ColumnSlack
+	return columnsHdrBytes + 3*colSectionHdr + 2*trace.PackedColumnMax(n) + n + trace.ColumnSlack
 }
 
-// appendAddrSection appends one address-valued column section: both
-// candidate encodings are sized in one pass and only the smaller is
-// written (delta-of-delta only when strictly smaller).
+// appendAddrSection appends one address-valued column section in the
+// smaller of its packed and delta-of-delta encodings (delta-of-delta
+// only when strictly smaller).
 func appendAddrSection(dst []byte, vals []mem.Addr) []byte {
 	off := len(dst)
 	body := off + colSectionHdr
-	n, dodLen := trace.AddrColumnLens(vals)
-	tag, put := byte(colEncPacked), trace.PutPackedColumn
-	if dodLen < n {
-		tag, n, put = colEncDoD, dodLen, trace.PutDoDColumn
+	dst = slices.Grow(dst, colSectionHdr+trace.PackedColumnMax(len(vals))+trace.ColumnSlack)
+	n, dod := trace.PutAddrColumn(dst[body:cap(dst)], vals)
+	tag := byte(colEncPacked)
+	if dod {
+		tag = colEncDoD
 	}
-	dst = slices.Grow(dst, colSectionHdr+n+trace.ColumnSlack)
-	put(dst[body:body+n+trace.ColumnSlack], vals)
 	return finishSection(dst[:body+n], off, tag)
 }
 

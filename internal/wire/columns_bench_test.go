@@ -73,6 +73,26 @@ func BenchmarkEncodeColumns(b *testing.B) {
 	}
 }
 
+// BenchmarkTransposeColumns times the columnar transpose alone
+// (Columns.AppendBatch), so BenchmarkEncodeColumns splits into the
+// transpose and the column encoding.
+func BenchmarkTransposeColumns(b *testing.B) {
+	for _, kernel := range benchKernels {
+		b.Run(kernel, func(b *testing.B) {
+			batches := benchBatches(b, kernel)
+			var cols trace.Columns
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, batch := range batches {
+					cols.Reset()
+					cols.AppendBatch(batch)
+				}
+			}
+			reportPerAccess(b, batches)
+		})
+	}
+}
+
 // BenchmarkDecodeColumns times the daemon side of a batch:
 // DecodeColumnsInto reused columns.
 func BenchmarkDecodeColumns(b *testing.B) {

@@ -10,9 +10,9 @@ import (
 
 // The reference encoder: append-based column encoders that encode
 // every candidate in full, bit by bit, and keep the smaller. The
-// production encoder sizes the candidates and writes only the winner,
-// a word at a time; the tests hold its output byte-identical to this
-// one.
+// production encoder packs a word at a time and sizes or writes the
+// delta-of-delta candidate only when a bound says it may win; the tests
+// hold its output byte-identical to this one.
 
 func refZigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 

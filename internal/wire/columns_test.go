@@ -396,7 +396,7 @@ func TestDecodeColumnsPackedCorruption(t *testing.T) {
 	}
 }
 
-// TestEncodeColumnsMatchesReference: the size-then-write encoder's
+// TestEncodeColumnsMatchesReference: the production encoder's
 // payloads must be byte-identical to the reference encoder's on the
 // suite kernels' batches and on the edge batches (block boundaries,
 // width edges, wrap-around deltas), so the wire format never moves
@@ -503,6 +503,24 @@ func FuzzEncodeColumns(f *testing.F) {
 	f.Add([]byte{0xff, 0x01, 0x20, 0x7e, 0xff, 0x03, 0x81, 0x80, 0x00})
 	// Jumps to 2^64-8 and 0x55.. with a 2^62 stride: 57-64-bit widths.
 	f.Add([]byte{0x02, 0x00, 0x02, 0xf8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfb, 0x01, 0x81, 0x02, 0x00, 0x00, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x7f, 0x01, 0x03})
+	// trace.PutAddrColumn's edges: one value at 2^64-64 and a stride of
+	// 64 over 3 values, where the two encodings tie; the same stride
+	// over 4 values, where delta-of-delta is one byte shorter; a block of
+	// irregular strides followed by 145 values of stride 64 (a tie) or
+	// 146 (one byte shorter), where the packed column is written first;
+	// a stride-led first block followed by irregular strides; and an
+	// irregular first block followed by a long constant stride.
+	f.Add([]byte{0x02, 0x00, 0x00, 0xc0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{0x01, 0x40, 0x02})
+	f.Add([]byte{0x01, 0x40, 0x03})
+	var irregular []byte
+	for i := range trace.PackBlock {
+		irregular = append(irregular, 0x81, byte(i*37), 0x00)
+	}
+	f.Add(append(slices.Clip(irregular), 0x01, 0x40, 144))
+	f.Add(append(slices.Clip(irregular), 0x01, 0x40, 145))
+	f.Add(append([]byte{0x01, 0x40, trace.PackBlock - 1}, irregular...))
+	f.Add(append(irregular, bytes.Repeat([]byte{0x01, 0x40, 0xff}, 16)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cols := fuzzColumns(data)
 		payload, err := EncodeColumns(nil, 7, cols)

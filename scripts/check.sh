@@ -111,6 +111,14 @@ go test -run='^$' -fuzz='^FuzzReportDiff$' -fuzztime=10s ./internal/report
 echo "==> fuzz smoke (what-if spec grammar, 10s)"
 go test -run='^$' -fuzz='^FuzzParseSpec$' -fuzztime=10s ./internal/mrc
 
+# Short fuzz smoke on checkpoint restore (checkpoint blobs come from
+# disk and from peer handoffs): arbitrary bytes must never panic
+# RestoreProfiler or make it allocate past its stated per-byte bound,
+# and an accepted blob must re-checkpoint to itself byte for byte. New
+# inputs turn up often, so minimizing is capped at 100 execs.
+echo "==> fuzz smoke (checkpoint restore, 10s)"
+go test -run='^$' -fuzz='^FuzzRestoreProfiler$' -fuzztime=10s -fuzzminimizetime=100x ./internal/core
+
 # Wire-compression regression gate: each workload shape (strided,
 # clustered, sequential) is streamed through one session and the
 # server's compression ratio is held against the value committed in the
@@ -182,7 +190,7 @@ go test -count=1 -run='^TestThroughputGate$' ./internal/core
 echo "==> bench smoke (1 iteration)"
 go test -run='^$' -bench='^(BenchmarkRun|BenchmarkExecuteColumns)$' -benchtime=1x ./internal/cpu
 go test -run='^$' -bench='^BenchmarkMeasure$' -benchtime=1x ./internal/exact
-go test -run='^$' -bench='^(BenchmarkEncodeColumns|BenchmarkDecodeColumns)$' -benchtime=1x ./internal/wire
+go test -run='^$' -bench='^(BenchmarkEncodeColumns|BenchmarkTransposeColumns|BenchmarkDecodeColumns)$' -benchtime=1x ./internal/wire
 go test -run='^$' -bench='^BenchmarkSessionChurn$' -benchtime=1x ./internal/server
 
 echo "check: OK"
