@@ -14,10 +14,12 @@
 //
 // With -remote the access stream is generated (or replayed) locally and
 // streamed to the daemon; the report is identical to local mode because
-// the daemon runs the identical engine. With -retry N the session is
-// fault-tolerant: it reconnects with exponential backoff (up to N
-// consecutive attempts), resumes from the daemon's checkpoint, and
-// replays unacknowledged batches. -remote also accepts a comma-separated
+// the daemon runs the identical engine. Every remote session is
+// fault-tolerant: it reconnects with exponential backoff, resumes from
+// the daemon's checkpoint, replays unacknowledged batches, and follows
+// a draining daemon's migration redirect; -retry N bounds the
+// consecutive failed attempts (default 8) and -dial-timeout each
+// connection attempt. -remote also accepts a comma-separated
 // backend list, each "addr" or "addr=adminaddr"; with several backends
 // the session is dispatched through the health-checked pool (admin
 // addresses enable /healthz probing and load-aware routing), and a
@@ -61,7 +63,7 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "emit the machine-readable result (histograms, counters, overheads, accuracy) to stdout instead of the report")
 		jsonFile    = flag.String("json-file", "", "additionally write the machine-readable result to this file")
 		remote      = flag.String("remote", "", "profile via rdxd instead of in-process: one daemon address, or a comma-separated pool (each \"addr\" or \"addr=adminaddr\")")
-		retry       = flag.Int("retry", 0, "with -remote: survive connection faults with up to N consecutive reconnect attempts (0 = no retry)")
+		retry       = flag.Int("retry", 0, "with -remote: give up after N consecutive failed connection attempts or RPCs (0 = the default, 8)")
 		dialTimeout = flag.Duration("dial-timeout", 10*time.Second, "with -remote: timeout for each connection attempt")
 		mrcOut      = flag.Bool("mrc", false, "print the profile's predicted miss-ratio curve over cache size")
 		whatIf      = flag.String("whatif", "", "answer a cache what-if question (e.g. \"l2.size=2x\", \"l1.ways=4,llc.size=64MiB\") against the typical three-level hierarchy")
@@ -131,21 +133,11 @@ func main() {
 	}
 
 	sessOpts := []rdx.Option{rdx.WithConfig(cfg)}
-	ctx := context.Background()
 	if *remote != "" {
-		sessOpts = append(sessOpts, rdx.WithRemote(*remote))
-		if *retry > 0 {
-			sessOpts = append(sessOpts,
-				rdx.WithRetry(rdx.RetryPolicy{MaxAttempts: *retry, DialTimeout: *dialTimeout, Seed: *seed}))
-		} else if backends, perr := rdx.ParseBackends(*remote); perr == nil && len(backends) == 1 {
-			// Single backend, no retry: bound connection establishment
-			// the way the pre-pool CLI did.
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *dialTimeout)
-			defer cancel()
-		}
+		sessOpts = append(sessOpts, rdx.WithRemote(*remote),
+			rdx.WithRetry(rdx.RetryPolicy{MaxAttempts: *retry, DialTimeout: *dialTimeout, Seed: *seed}))
 	}
-	local, err := rdx.New(sessOpts...).Profile(ctx, openStream())
+	local, err := rdx.New(sessOpts...).Profile(context.Background(), openStream())
 	if err != nil {
 		fatal(err)
 	}

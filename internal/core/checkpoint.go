@@ -147,7 +147,9 @@ func (p *Profiler) CheckpointInto(dst []byte) []byte {
 // RestoreProfiler reconstructs a profiler (and its machine, when one was
 // attached at checkpoint time) from a Checkpoint blob. The returned
 // machine, if non-nil, is wired to the profiler's PMU and debug
-// registers and ready for further Execute calls.
+// registers and ready for further Execute calls. A checkpoint taken
+// after Result (its finished flag set) is refused: there is nothing
+// left to resume.
 func RestoreProfiler(data []byte) (*Profiler, *cpu.Machine, error) {
 	d := ckptDecoder{b: data}
 	var magic [4]byte
@@ -176,7 +178,10 @@ func RestoreProfiler(data []byte) (*Profiler, *cpu.Machine, error) {
 	p.evicted = d.u64()
 	p.duplicate = d.u64()
 	p.traps = d.u64()
-	p.finished = d.bool()
+	// Result may be taken once, and a finished profile's has been.
+	if d.bool() && d.err == nil {
+		return nil, nil, fmt.Errorf("core: checkpoint of a finished profile cannot be resumed")
+	}
 
 	nSlots := d.count(ckptSlotBytes)
 	if d.err == nil && int(nSlots) != cfg.NumWatchpoints {

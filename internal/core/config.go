@@ -89,7 +89,8 @@ type Config struct {
 	// Granularity is the block size at which reuse is reported. When it
 	// exceeds the watchpoint width, a trap on the watched word is taken
 	// as a reuse of its enclosing block (the paper's same-word
-	// approximation for cache-line granularity).
+	// approximation for cache-line granularity). It is at most 12
+	// (4 KiB blocks).
 	Granularity mem.Granularity
 	// Replacement is the watchpoint replacement policy.
 	Replacement ReplacementPolicy
@@ -138,6 +139,9 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxGranularity is the coarsest measurement block: a 4 KiB page.
+const maxGranularity mem.Granularity = 12
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.SamplePeriod == 0 {
@@ -150,6 +154,9 @@ func (c Config) Validate() error {
 	case 1, 2, 4, 8:
 	default:
 		return fmt.Errorf("core: WatchWidth must be 1, 2, 4 or 8, got %d", c.WatchWidth)
+	}
+	if c.Granularity > maxGranularity {
+		return fmt.Errorf("core: Granularity must be at most %d (4 KiB blocks), got %d", maxGranularity, c.Granularity)
 	}
 	if c.Replacement < ReplaceProbabilistic || c.Replacement > ReplaceHybrid {
 		return fmt.Errorf("core: unknown Replacement policy %d", c.Replacement)

@@ -118,15 +118,56 @@ func FuzzRestoreProfiler(f *testing.F) {
 		if blob := p.Checkpoint(); !bytes.Equal(blob, data) {
 			t.Fatalf("accepted %d-byte blob re-checkpoints to %d different bytes", len(data), len(blob))
 		}
+		// A resumed session runs on and is read, live and finally: that
+		// must not panic either.
 		if m != nil {
-			// A resumed session runs on and is read: that must not panic
-			// either. (Snapshot, not Result: Result panics by contract
-			// on a blob whose finished flag is set.)
 			m.Execute(stream)
 			m.Finish()
-			p.Snapshot()
 		}
+		p.Snapshot()
+		p.Result()
 	})
+}
+
+// TestRestoreProfilerRefusesFinished: a checkpoint taken after Result
+// is refused. Restoring it would hand back a profiler whose Result
+// panics, and the daemon's resume path takes Result at finish.
+func TestRestoreProfilerRefusesFinished(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SamplePeriod = 300
+	p, err := NewProfiler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := p.NewMachine(cpumodel.Default())
+	accs, err := trace.Collect(trace.ZipfAccess(3, 0, 2000, 1.0, 6000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Execute(accs)
+	m.Finish()
+	p.Result()
+	if _, _, err := RestoreProfiler(p.Checkpoint()); err == nil {
+		t.Fatal("checkpoint of a finished profile restored")
+	}
+}
+
+// TestRestoreProfilerRejectsCoarseGranularity: a checkpoint whose
+// granularity byte is past a 4 KiB page is refused, instead of
+// profiling with every address mapped to block 0.
+func TestRestoreProfilerRejectsCoarseGranularity(t *testing.T) {
+	blob := checkpointSeeds(t)[0]
+	// The granularity byte follows magic, version, SamplePeriod,
+	// RandomizePeriod, the watchpoint count and WatchWidth.
+	const granOff = 4 + 1 + 8 + 1 + 8 + 1
+	if g := blob[granOff]; g != 3 {
+		t.Fatalf("byte %d of the seed checkpoint is %d, want word granularity 3", granOff, g)
+	}
+	bad := append([]byte(nil), blob...)
+	bad[granOff] = 200
+	if _, _, err := RestoreProfiler(bad); err == nil {
+		t.Fatal("checkpoint with granularity 200 restored")
+	}
 }
 
 // TestRestoreProfilerWatchpointCountBound: a blob declaring more

@@ -43,6 +43,8 @@ func TestConfigValidation(t *testing.T) {
 		{SamplePeriod: 100, NumWatchpoints: 4, WatchWidth: 8, Skid: -1},
 		{SamplePeriod: 100, NumWatchpoints: 4, WatchWidth: 8, Replacement: ReplaceHybrid + 1},
 		{SamplePeriod: 100, NumWatchpoints: 4, WatchWidth: 8, Replacement: -1},
+		{SamplePeriod: 100, NumWatchpoints: 4, WatchWidth: 8, Granularity: 13},
+		{SamplePeriod: 100, NumWatchpoints: 4, WatchWidth: 8, Granularity: 200},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -54,6 +56,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
+	}
+	page := DefaultConfig()
+	page.Granularity = 12
+	if err := page.Validate(); err != nil {
+		t.Errorf("4 KiB granularity invalid: %v", err)
 	}
 }
 

@@ -32,8 +32,8 @@ func (h *Histogram) Snapshot() Snapshot {
 func FromSnapshot(s Snapshot) (*Histogram, error) {
 	h := New()
 	for b, w := range s.Buckets {
-		if b < 0 {
-			return nil, fmt.Errorf("histogram: negative bucket index %d", b)
+		if b < 0 || b > maxBucket {
+			return nil, fmt.Errorf("histogram: bucket index %d outside [0,%d]", b, maxBucket)
 		}
 		if w < 0 {
 			return nil, fmt.Errorf("histogram: negative weight %v in bucket %d", w, b)

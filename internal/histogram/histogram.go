@@ -21,6 +21,10 @@ import (
 // accessed) locations.
 const Infinite = math.MaxUint64
 
+// maxBucket is the bucket of the largest finite value: no observation
+// lands above it, so a snapshot naming a higher bucket is corrupt.
+const maxBucket = 64
+
 // bucketOf maps a value to its power-of-two bucket index.
 func bucketOf(v uint64) int {
 	return bits.Len64(v)

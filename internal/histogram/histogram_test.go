@@ -282,4 +282,14 @@ func TestFromSnapshotRejectsInvalid(t *testing.T) {
 	if _, err := FromSnapshot(Snapshot{Cold: -1}); err == nil {
 		t.Error("negative cold accepted")
 	}
+	// The largest finite value sets the highest bucket a snapshot may
+	// name; one past it is corrupt, and must not size the histogram.
+	top := New()
+	top.Add(Infinite-1, 1)
+	if got, err := FromSnapshot(top.Snapshot()); err != nil || got.NumBuckets() != top.NumBuckets() {
+		t.Errorf("top bucket %d rejected: %v", top.NumBuckets()-1, err)
+	}
+	if _, err := FromSnapshot(Snapshot{Buckets: map[int]float64{top.NumBuckets(): 1}}); err == nil {
+		t.Error("bucket past the largest finite value accepted")
+	}
 }

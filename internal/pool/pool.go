@@ -561,40 +561,33 @@ func (p *Pool) runOn(ctx context.Context, b *backendState, r trace.Reader, tcfg 
 	c := wire.NewReconnectingClient(b.Addr, tcfg, policy)
 	defer c.Close()
 
-	batch := p.opts.BatchSize
-	for off := 0; off < len(*rec); off += batch {
-		end := min(off+batch, len(*rec))
-		if err := c.SendBatch(ctx, (*rec)[off:end]); err != nil {
-			return nil, err
-		}
+	rr := &recordingReader{r: r, rec: rec}
+	res, err := c.Profile(ctx, trace.Concat(trace.FromSlice(*rec), rr), wire.ProfileOptions{BatchSize: p.opts.BatchSize}, 0, nil)
+	if rr.err != nil {
+		// The stream itself failed; no backend can fix that.
+		return nil, &permanentError{fmt.Errorf("reading access stream: %w", rr.err)}
 	}
-	var buf []mem.Access
-	if batch <= trace.DefaultBatchSize {
-		buf = trace.BatchBuf()[:batch]
-		defer trace.ReleaseBatchBuf(buf)
-	} else {
-		buf = make([]mem.Access, batch)
-	}
-	for {
-		n, rerr := r.Read(buf)
-		if n > 0 {
-			*rec = append(*rec, buf[:n]...)
-			if err := c.SendBatch(ctx, buf[:n]); err != nil {
-				return nil, err
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			// The stream itself failed; no backend can fix that.
-			return nil, &permanentError{fmt.Errorf("reading access stream: %w", rerr)}
-		}
-	}
-	res, err := c.Finish(ctx)
 	if err != nil {
 		return nil, err
 	}
 	*rec = nil // completed: the replay record is no longer needed
 	return res, nil
+}
+
+// recordingReader appends every access it reads from r to rec, so a
+// re-dispatch can replay the prefix, and keeps r's read error, which
+// marks the stream as failed for good.
+type recordingReader struct {
+	r   trace.Reader
+	rec *[]mem.Access
+	err error
+}
+
+func (rr *recordingReader) Read(dst []mem.Access) (int, error) {
+	n, err := rr.r.Read(dst)
+	*rr.rec = append(*rr.rec, dst[:n]...)
+	if err != nil && err != io.EOF {
+		rr.err = err
+	}
+	return n, err
 }

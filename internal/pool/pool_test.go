@@ -3,6 +3,8 @@ package pool_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -391,5 +393,52 @@ func TestPoolProfileSingle(t *testing.T) {
 	}
 	if g, w := wireJSON(t, got), wireJSON(t, want); g != w {
 		t.Errorf("single-stream pool profile differs:\n got %s\nwant %s", g, w)
+	}
+}
+
+// failingReader yields r's accesses, then fails with err where r would
+// have ended.
+type failingReader struct {
+	r   trace.Reader
+	err error
+}
+
+func (f *failingReader) Read(dst []mem.Access) (int, error) {
+	n, err := f.r.Read(dst)
+	if err == io.EOF {
+		err = f.err
+	}
+	return n, err
+}
+
+// TestPoolReaderErrorIsPermanent: a stream whose own reader fails is
+// not a backend fault. The run returns the reader's error without
+// re-dispatching the stream or marking any backend down.
+func TestPoolReaderErrorIsPermanent(t *testing.T) {
+	s1, s2 := startBackend(t, server.Config{}), startBackend(t, server.Config{})
+	p, err := pool.New(backendsOf(s1, s2), pool.Options{
+		HealthEvery: 20 * time.Millisecond,
+		Retry:       fastRetry(13),
+		BatchSize:   1024,
+		Logf:        quietLogf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	errStream := errors.New("stream source failed")
+	good, _ := collectStreams(t, 1, 10_000)
+	bad, _ := collectStreams(t, 1, 10_000)
+	streams := []trace.Reader{good[0], &failingReader{r: bad[0], err: errStream}}
+	_, err = p.ProfileThreads(context.Background(), streams, testConfig(256))
+	if !errors.Is(err, errStream) {
+		t.Fatalf("got error %v, want the reader's error", err)
+	}
+	if st := p.Stats(); st.Redispatched != 0 {
+		t.Errorf("a reader error was re-dispatched: %+v", st)
+	}
+	if n := p.Healthy(); n != 2 {
+		t.Errorf("%d of 2 backends healthy after a reader error", n)
 	}
 }

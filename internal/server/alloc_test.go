@@ -43,7 +43,7 @@ func TestE2EQueueDepthOneBitIdentical(t *testing.T) {
 	// Awkward batch size: frame boundaries land mid-trace everywhere,
 	// and decoded batches keep changing length so recycled buffers are
 	// constantly re-sliced.
-	got, err := dial(t, s).Profile(replay(), cfg, wire.ProfileOptions{BatchSize: 977})
+	got, err := profilePlain(dial(t, s), replay(), cfg, 977)
 	if err != nil {
 		t.Fatal(err)
 	}

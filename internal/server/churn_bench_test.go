@@ -33,7 +33,7 @@ func BenchmarkSessionChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Profile(trace.FromSlice(accs), cfg, wire.ProfileOptions{BatchSize: 8192}); err != nil {
+		if _, err := profilePlain(c, trace.FromSlice(accs), cfg, 8192); err != nil {
 			b.Fatal(err)
 		}
 		c.Close()

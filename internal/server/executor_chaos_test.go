@@ -85,7 +85,7 @@ func TestExecutorChaosGOMAXPROCS4(t *testing.T) {
 			rc := wire.NewReconnectingClient(src.Addr(), cfg, policy)
 			defer rc.Close()
 			res, err := rc.Profile(context.Background(), trace.FromSlice(traces[i]),
-				wire.ProfileOptions{BatchSize: batchSize})
+				wire.ProfileOptions{BatchSize: batchSize}, 0, nil)
 			outcomes[i] = outcome{res, err, rc.Stats()}
 		}(i)
 	}

@@ -61,7 +61,7 @@ func TestResilientProfileUnderFaults(t *testing.T) {
 
 	rc := wire.NewReconnectingClient(s.Addr(), cfg, policy)
 	defer rc.Close()
-	got, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 2048})
+	got, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 2048}, 0, nil)
 	if err != nil {
 		t.Fatalf("resilient profile failed: %v (stats %+v)", err, rc.Stats())
 	}
@@ -123,7 +123,7 @@ func TestReplayResendsEncodedBytes(t *testing.T) {
 	}
 	rc := wire.NewReconnectingClient(s.Addr(), cfg, policy)
 	defer rc.Close()
-	got, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 2048})
+	got, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 2048}, 0, nil)
 	if err != nil {
 		t.Fatalf("resilient profile failed: %v (stats %+v)", err, rc.Stats())
 	}
@@ -209,7 +209,7 @@ func TestResilientSurvivesDaemonRestart(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 1024})
+		res, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 1024}, 0, nil)
 		done <- outcome{res, err}
 	}()
 

@@ -55,7 +55,7 @@ func TestLiveMigrationBitIdentical(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 1024})
+		res, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 1024}, 0, nil)
 		done <- outcome{res, err}
 	}()
 
@@ -212,7 +212,7 @@ func TestMigrationRefusedKeepsSessionLocal(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 1024})
+		res, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 1024}, 0, nil)
 		done <- outcome{res, err}
 	}()
 	waitFor(t, "session progress on source", 10*time.Second, func() bool {

@@ -53,6 +53,43 @@ func dial(t *testing.T, s *server.Server) *wire.Client {
 	return c
 }
 
+// profilePlain streams r through a fresh session on the plain client
+// c end to end — Open, SendBatch in batches of batch accesses (0 is
+// trace.DefaultBatchSize) to exhaustion, Finish — with no reconnect or
+// replay in between, so the server sees exactly one connection.
+func profilePlain(c *wire.Client, r trace.Reader, cfg core.Config, batch int) (*wire.Result, error) {
+	if batch <= 0 {
+		batch = trace.DefaultBatchSize
+	}
+	if _, err := c.Open(cfg); err != nil {
+		return nil, err
+	}
+	// A pooled buffer, as the resilient client's loop uses, keeps
+	// BenchmarkSessionChurn's allocation figure to the session's own.
+	var buf []mem.Access
+	if batch <= trace.DefaultBatchSize {
+		buf = trace.BatchBuf()[:batch]
+		defer trace.ReleaseBatchBuf(buf)
+	} else {
+		buf = make([]mem.Access, batch)
+	}
+	for {
+		n, rerr := r.Read(buf)
+		if n > 0 {
+			if err := c.SendBatch(buf[:n]); err != nil {
+				return nil, err
+			}
+		}
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return nil, rerr
+		}
+	}
+	return c.Finish()
+}
+
 // sameWireProfile asserts two results describe bit-identical profiles.
 // StateBytes is excluded: it reports allocated capacity, which depends
 // on append growth history, not on the profile.
@@ -148,7 +185,7 @@ func TestE2ERecordedTraceBitIdentical(t *testing.T) {
 	s := start(t, server.Config{})
 	// Deliberately awkward batch size so frame boundaries land mid-trace
 	// everywhere; results must not depend on them.
-	got, err := dial(t, s).Profile(replay(), cfg, wire.ProfileOptions{BatchSize: 1013})
+	got, err := profilePlain(dial(t, s), replay(), cfg, 1013)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +232,7 @@ func TestE2EConcurrentSessions(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			got[i], errs[i] = c.Profile(trace.FromSlice(streams[i]), cfg, wire.ProfileOptions{BatchSize: 4096})
+			got[i], errs[i] = profilePlain(c, trace.FromSlice(streams[i]), cfg, 4096)
 		}(i)
 	}
 	wg.Wait()
@@ -261,7 +298,7 @@ func TestBackpressureBoundsSessionMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dial(t, s).Profile(trace.FromSlice(accs), cfg, wire.ProfileOptions{BatchSize: 4000})
+	got, err := profilePlain(dial(t, s), trace.FromSlice(accs), cfg, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +351,7 @@ func TestKilledConnectionFreesSession(t *testing.T) {
 	// The server must stay fully usable for the next client.
 	cfg := testConfig(500)
 	want := localProfile(t, accs, cfg)
-	got, err := dial(t, s).Profile(trace.FromSlice(accs), cfg, wire.ProfileOptions{})
+	got, err := profilePlain(dial(t, s), trace.FromSlice(accs), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +504,7 @@ func TestAdminEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dial(t, s).Profile(trace.FromSlice(accs), testConfig(500), wire.ProfileOptions{}); err != nil {
+	if _, err := profilePlain(dial(t, s), trace.FromSlice(accs), testConfig(500), 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -72,7 +72,7 @@ func TestWireVersionMatrix(t *testing.T) {
 	}
 	t.Run("v4-client-to-v4-server", func(t *testing.T) {
 		s := start(t, server.Config{})
-		got, err := dial(t, s).Profile(trace.FromSlice(accs), cfg, wire.ProfileOptions{BatchSize: 2048})
+		got, err := profilePlain(dial(t, s), trace.FromSlice(accs), cfg, 2048)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestWireCompressionRatio(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := start(t, server.Config{})
-			if _, err := dial(t, s).Profile(trace.FromSlice(accs), testConfig(8192), wire.ProfileOptions{BatchSize: 8192}); err != nil {
+			if _, err := profilePlain(dial(t, s), trace.FromSlice(accs), testConfig(8192), 8192); err != nil {
 				t.Fatal(err)
 			}
 			got := s.MetricsSnapshot().CompressionRatio
@@ -196,7 +196,7 @@ func TestReconnectAcrossDaemons(t *testing.T) {
 
 	rc := wire.NewReconnectingClient(sA.Addr(), cfg, policy)
 	defer rc.Close()
-	got, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 2048})
+	got, err := rc.Profile(context.Background(), trace.FromSlice(accs), wire.ProfileOptions{BatchSize: 2048}, 0, nil)
 	if err != nil {
 		t.Fatalf("cross-daemon profile failed: %v (stats %+v)", err, rc.Stats())
 	}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -21,8 +20,8 @@ import (
 // distinguish a server-side rejection from a transport failure.
 var ErrRemote = errors.New("wire: remote error")
 
-// DefaultDialTimeout bounds connection establishment when the caller's
-// context carries no deadline of its own.
+// DefaultDialTimeout bounds each connection attempt unless a
+// RetryPolicy or a handoff sets its own.
 const DefaultDialTimeout = 10 * time.Second
 
 // Client is one profiling session against an rdxd daemon. It is not safe
@@ -43,17 +42,12 @@ type Client struct {
 	nextSeq uint64 // sequence number of the next batch (first batch is 1)
 }
 
-// Dial connects to an rdxd daemon with the default timeout.
+// Dial connects a plain Client to an rdxd daemon, giving up after
+// DefaultDialTimeout. A plain Client is driven by hand and has no
+// fault tolerance; streaming a Reader is ReconnectingClient.Profile's
+// job.
 func Dial(addr string) (*Client, error) {
-	return DialContext(context.Background(), addr)
-}
-
-// DialContext connects to an rdxd daemon, honoring ctx for cancellation
-// and deadline. When ctx has no deadline, DefaultDialTimeout applies —
-// a dial can never hang forever.
-func DialContext(ctx context.Context, addr string) (*Client, error) {
-	d := net.Dialer{Timeout: DefaultDialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dialing %s: %w", addr, err)
 	}
@@ -269,46 +263,11 @@ func (c *Client) Close() error {
 	return err
 }
 
-// ProfileOptions tunes Client.Profile.
+// ProfileOptions tunes ReconnectingClient.Profile.
 type ProfileOptions struct {
 	// BatchSize is the number of accesses per frame (default
 	// trace.DefaultBatchSize).
 	BatchSize int
-}
-
-// Profile streams r through a fresh session end to end: Open, batched
-// SendBatch to exhaustion, Finish. It is the remote analogue of a local
-// Session.Profile and returns the bit-identical result.
-func (c *Client) Profile(r trace.Reader, cfg core.Config, opts ProfileOptions) (*Result, error) {
-	batch := opts.BatchSize
-	if batch <= 0 {
-		batch = trace.DefaultBatchSize
-	}
-	if _, err := c.Open(cfg); err != nil {
-		return nil, err
-	}
-	var buf []mem.Access
-	if batch <= trace.DefaultBatchSize {
-		buf = trace.BatchBuf()[:batch]
-		defer trace.ReleaseBatchBuf(buf)
-	} else {
-		buf = make([]mem.Access, batch)
-	}
-	for {
-		n, rerr := r.Read(buf)
-		if n > 0 {
-			if err := c.SendBatch(buf[:n]); err != nil {
-				return nil, err
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return nil, fmt.Errorf("wire: reading access stream: %w", rerr)
-		}
-	}
-	return c.Finish()
 }
 
 func (c *Client) ensureStreaming() error {

@@ -2,8 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cpumodel"
+	"repro/internal/testutil"
+	"repro/internal/trace"
 )
 
 // FuzzReadFrame throws arbitrary bytes at the frame decoder: whatever
@@ -47,4 +56,141 @@ func TestReadFrameEOFContract(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty stream: %v, want io.EOF", err)
 	}
+}
+
+// allocBytes returns the heap bytes fn allocates: the smaller of two
+// measurements, since an allocation by another goroutine (the fuzzing
+// engine's own) can land inside one.
+func allocBytes(fn func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 2 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// pushAllocPerByte and pushAllocFixed bound the heap bytes one
+// decodePush call may allocate: pushAllocPerByte per payload byte plus
+// pushAllocFixed for the Result, its two histograms, the decoder state
+// and an error message. The per-byte term is set by the attribution
+// array: an element as short as "0," still grows the slice by a
+// 56-byte PairStat and records a type error, which measures about 210
+// heap bytes per payload byte at 300000 elements. A histogram that
+// sized its buckets from an index it had not checked fails the bound
+// on a payload of a few dozen bytes.
+const (
+	pushAllocPerByte = 256
+	pushAllocFixed   = 16 << 10
+)
+
+// FuzzDecodePush throws arbitrary bytes at the snapshot-push decoder,
+// which reads server-initiated frames off a watched session's
+// connection. Whatever the input, it must return an error or a push,
+// never panic, and allocate at most pushAllocPerByte heap bytes per
+// payload byte plus pushAllocFixed. A push it accepts must round-trip:
+// its JSON encoding decodes to a push with the same encoding.
+func FuzzDecodePush(f *testing.F) {
+	cfg := core.DefaultConfig()
+	cfg.SamplePeriod = 300
+	p, err := core.NewProfiler(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := p.Run(trace.ZipfAccess(5, 0, 2048, 1.0, 30000), cpumodel.Default())
+	if err != nil {
+		f.Fatal(err)
+	}
+	full, err := json.Marshal(Push{Seq: 8, Result: FromCore(res, false)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add(full[:len(full)/2])
+	f.Add([]byte(`{"seq":1,"result":{}}`))
+	f.Add([]byte(`{"seq":1,"result":{"reuse_time":{"buckets":{"64":1},"count":1}}}`))
+	// A bucket index no uint64 distance reaches, which must not size
+	// the histogram.
+	f.Add([]byte(`{"seq":1,"result":{"reuse_time":{"buckets":{"1000000":1}}}}`))
+	f.Add([]byte(`{"seq":1}`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !testutil.RaceEnabled {
+			bound := uint64(pushAllocPerByte*len(data) + pushAllocFixed)
+			if alloc := allocBytes(func() { decodePush(data) }); alloc > bound {
+				t.Fatalf("decoding a %d-byte push allocates %d bytes, bound %d", len(data), alloc, bound)
+			}
+		}
+		p, err := decodePush(data)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("accepted push fails to encode: %v", err)
+		}
+		p2, err := decodePush(enc)
+		if err != nil {
+			t.Fatalf("re-encoded push rejected: %v", err)
+		}
+		enc2, err := json.Marshal(p2)
+		if err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("push does not round-trip: %v", err)
+		}
+	})
+}
+
+// handoffAllocMax bounds the heap bytes one DecodeHandoff call may
+// allocate whatever the payload's length: the token string (at most
+// 255 bytes) or an error message. The body aliases the payload, so a
+// multi-megabyte checkpoint is never copied by the decoder.
+const handoffAllocMax = 1 << 10
+
+// FuzzDecodeHandoff throws arbitrary bytes at the handoff decoder,
+// which reads a session's state from a peer daemon. Whatever the input,
+// it must return an error or the parts, never panic, and allocate at
+// most handoffAllocMax bytes. A payload it accepts must re-encode to
+// itself byte for byte.
+func FuzzDecodeHandoff(f *testing.F) {
+	for _, tc := range []struct {
+		kind  byte
+		token string
+		body  []byte
+	}{
+		{HandoffLive, "tok-1", []byte("RDXC\x01checkpoint")},
+		{HandoffFinal, strings.Repeat("t", 255), []byte(`{"final":true}`)},
+		{HandoffLive, "t", nil},
+	} {
+		p, err := EncodeHandoff(nil, tc.kind, 42, tc.token, tc.body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p)
+		f.Add(p[:handoffFixed])
+	}
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 1, 3, 'a', 'b', 'c'})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !testutil.RaceEnabled {
+			if alloc := allocBytes(func() { DecodeHandoff(data) }); alloc > handoffAllocMax {
+				t.Fatalf("decoding a %d-byte handoff allocates %d bytes, bound %d", len(data), alloc, handoffAllocMax)
+			}
+		}
+		kind, seq, token, body, err := DecodeHandoff(data)
+		if err != nil {
+			return
+		}
+		re, err := EncodeHandoff(nil, kind, seq, token, body)
+		if err != nil {
+			t.Fatalf("accepted handoff fails to re-encode: %v", err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted %d-byte handoff re-encodes to %d different bytes", len(data), len(re))
+		}
+	})
 }

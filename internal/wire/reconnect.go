@@ -267,12 +267,27 @@ func (r *ReconnectingClient) Close() error {
 }
 
 // Profile streams tr through the resilient session end to end and
-// returns the final result: the fault-tolerant analogue of
-// Client.Profile.
-func (r *ReconnectingClient) Profile(ctx context.Context, tr trace.Reader, opts ProfileOptions) (*Result, error) {
+// returns the final result, bit-identical to a local run of the same
+// stream and config. It is the one loop that streams a Reader to a
+// daemon: a single remote run, a pool dispatch and a watched thread all
+// run it. A read error ends the run with an error that wraps it.
+//
+// With watchEvery > 0 the run is watched: the session subscribes to
+// pushed snapshots every watchEvery batches and the loop paces itself
+// on them — after each boundary batch it waits for that boundary's
+// snapshot (WatchSnapshot) and hands it to onWatch before sending
+// more, so every boundary reaches onWatch exactly once, in order,
+// across reconnects and migrations. An error from onWatch ends the run
+// with that error. onWatch is not called when watchEvery is 0.
+func (r *ReconnectingClient) Profile(ctx context.Context, tr trace.Reader, opts ProfileOptions, watchEvery int, onWatch func(*Result) error) (*Result, error) {
 	batch := opts.BatchSize
 	if batch <= 0 {
 		batch = trace.DefaultBatchSize
+	}
+	if watchEvery > 0 {
+		if err := r.Watch(ctx, watchEvery, nil); err != nil {
+			return nil, err
+		}
 	}
 	var buf []mem.Access
 	if batch <= trace.DefaultBatchSize {
@@ -286,6 +301,15 @@ func (r *ReconnectingClient) Profile(ctx context.Context, tr trace.Reader, opts 
 		if n > 0 {
 			if err := r.SendBatch(ctx, buf[:n]); err != nil {
 				return nil, err
+			}
+			if seq := r.nextSeq - 1; watchEvery > 0 && seq%uint64(watchEvery) == 0 {
+				snap, err := r.WatchSnapshot(ctx, seq)
+				if err != nil {
+					return nil, err
+				}
+				if err := onWatch(snap); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if rerr == io.EOF {

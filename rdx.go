@@ -19,7 +19,7 @@
 //	rdx.New(rdx.WithConfig(cfg))                     // custom operating point
 //	rdx.New(rdx.WithRemote("host:9090"))             // profile on an rdxd daemon
 //	rdx.New(rdx.WithRemote("host:9090"),
-//	        rdx.WithRetry(rdx.RetryPolicy{}))        // + reconnect/resume fault tolerance
+//	        rdx.WithRetry(rdx.RetryPolicy{MaxAttempts: 12})) // tune its fault tolerance
 //	rdx.New(rdx.WithRemote("a:9090,b:9090,c:9090"))  // shard threads across a fleet
 //
 // Session.ProfileThreads profiles multithreaded programs (one stream

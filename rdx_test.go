@@ -33,6 +33,13 @@ func TestProfileRejectsBadConfig(t *testing.T) {
 	if _, err := New(WithConfig(Config{})).Profile(context.Background(), Cyclic(0, 8, 100)); err == nil {
 		t.Error("zero config accepted")
 	}
+	// A remote run refuses it before dialing, rather than retrying the
+	// daemon's rejection.
+	want := Config{}.Validate()
+	_, err := New(WithConfig(Config{}), WithRemote("127.0.0.1:1")).Profile(context.Background(), Cyclic(0, 8, 100))
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("remote run with a zero config: got %v, want %v", err, want)
+	}
 }
 
 func TestWorkloadAPI(t *testing.T) {

@@ -9,18 +9,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Pool vocabulary, re-exported so callers configure multi-backend
-// profiling without importing internal packages.
-type (
-	// Backend identifies one rdxd daemon: profiling address plus
-	// optional admin (health/metrics) address.
-	Backend = pool.Backend
-	// PoolOptions tunes the multi-backend dispatcher: per-backend
-	// in-flight bound, health-probe cadence, failover budget.
-	PoolOptions = pool.Options
-	// PoolStats counts a pool's dispatch and failover events.
-	PoolStats = pool.Stats
-)
+// Backend identifies one rdxd daemon: profiling address plus optional
+// admin (health/metrics) address.
+type Backend = pool.Backend
 
 // ParseBackends parses a comma-separated backend list, each element
 // "addr" or "addr=adminaddr" — the format cmd/rdx's -remote flag and
@@ -30,16 +21,15 @@ func ParseBackends(spec string) ([]Backend, error) { return pool.ParseBackends(s
 // Session is the configured entry point of the API: construct one with
 // New and the With* options, then Profile or ProfileThreads under a
 // context. The zero configuration profiles locally under DefaultConfig
-// and DefaultCosts; options layer remote execution, fault tolerance and
-// multi-backend sharding on top without changing the results — every
-// execution strategy returns bit-identical profiles for the same stream
-// and config.
+// and DefaultCosts; options layer remote execution and multi-backend
+// sharding on top without changing the results — every execution
+// strategy returns bit-identical profiles for the same stream and
+// config. Every remote run is fault tolerant (see WithRetry).
 //
 //	res, err := rdx.New().Profile(ctx, stream)                    // local
 //	res, err := rdx.New(rdx.WithRemote("host:9090")).Profile(ctx, stream)
 //	m, err := rdx.New(
 //	    rdx.WithRemote("a:9090", "b:9090", "c:9090"),
-//	    rdx.WithRetry(rdx.RetryPolicy{}),
 //	).ProfileThreads(ctx, streams)                                // sharded pool
 //
 // A Session is immutable after New and safe for concurrent use; each
@@ -48,11 +38,9 @@ type Session struct {
 	cfg        Config
 	costs      Costs
 	remotes    []Backend
-	retry      *RetryPolicy
+	retry      RetryPolicy
 	remoteOpts RemoteOptions
 	workers    int
-	poolOpts   PoolOptions
-	poolSet    bool
 	window     *WindowOptions
 	err        error
 }
@@ -96,11 +84,13 @@ func WithRemote(addrs ...string) Option {
 	}
 }
 
-// WithRetry makes remote sessions fault tolerant: transparent
-// reconnection with backoff, checkpoint/resume, idempotent batch
-// replay. The zero RetryPolicy selects sane defaults.
+// WithRetry tunes how remote sessions ride out faults: reconnection
+// with backoff, checkpoint/resume, idempotent batch replay, and
+// following a draining daemon's migration redirect. Every remote
+// session has this fault tolerance; without WithRetry it runs under the
+// zero RetryPolicy, whose fields all select the defaults.
 func WithRetry(policy RetryPolicy) Option {
-	return func(s *Session) { s.retry = &policy }
+	return func(s *Session) { s.retry = policy }
 }
 
 // WithRemoteOptions tunes remote streaming (batch size).
@@ -113,24 +103,10 @@ func WithRemoteOptions(opts RemoteOptions) Option {
 // the worker count.
 func WithWorkers(n int) Option { return func(s *Session) { s.workers = n } }
 
-// WithPool tunes multi-backend dispatch (per-backend in-flight bound,
-// probe cadence, failover budget) and forces pool dispatch even for a
-// single backend. The options' zero values select the pool defaults.
-func WithPool(opts PoolOptions) Option {
-	return func(s *Session) { s.poolOpts = opts; s.poolSet = true }
-}
-
-// newPool builds the dispatcher a remote multi-backend run uses,
-// folding the session's retry policy into the pool options.
+// newPool builds the dispatcher a multi-backend run uses, under the
+// session's retry policy and batch size.
 func (s *Session) newPool() (*pool.Pool, error) {
-	opts := s.poolOpts
-	if s.retry != nil {
-		opts.Retry = *s.retry
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = s.remoteOpts.BatchSize
-	}
-	return pool.New(s.remotes, opts)
+	return pool.New(s.remotes, pool.Options{Retry: s.retry, BatchSize: s.remoteOpts.BatchSize})
 }
 
 // Profile measures the reuse-distance profile of one access stream
@@ -152,24 +128,15 @@ func (s *Session) Profile(ctx context.Context, r Reader) (*Result, error) {
 			return nil, fmt.Errorf("rdx: profiling: %w", err)
 		}
 		return res, nil
-	case len(s.remotes) == 1 && !s.poolSet:
-		var (
-			wres *RemoteResult
-			err  error
-		)
-		if s.retry != nil {
-			c := wire.NewReconnectingClient(s.remotes[0].Addr, s.cfg, *s.retry)
-			defer c.Close()
-			wres, err = c.Profile(ctx, r, s.remoteOpts)
-		} else {
-			var c *wire.Client
-			c, err = wire.DialContext(ctx, s.remotes[0].Addr)
-			if err != nil {
-				return nil, err
-			}
-			defer c.Close()
-			wres, err = c.Profile(r, s.cfg, s.remoteOpts)
+	case len(s.remotes) == 1:
+		// Checked here, not by the daemon: the client retries a
+		// rejected open like any other fault.
+		if err := s.cfg.Validate(); err != nil {
+			return nil, err
 		}
+		c := wire.NewReconnectingClient(s.remotes[0].Addr, s.cfg, s.retry)
+		defer c.Close()
+		wres, err := c.Profile(ctx, r, s.remoteOpts, 0, nil)
 		if err != nil {
 			return nil, fmt.Errorf("rdx: remote profiling: %w", err)
 		}

@@ -8,6 +8,9 @@ package rdx
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,4 +179,145 @@ func TestSessionLocalContextCancel(t *testing.T) {
 	if _, err := New().Profile(ctx, Cyclic(0, 1024, 1<<30)); err == nil {
 		t.Error("cancelled local profile should fail")
 	}
+}
+
+// startDrainable starts an rdxd with an admin listener (the /drain
+// endpoint) for one test. A source daemon gets a per-batch step delay
+// so a drain lands mid-run.
+func startDrainable(t *testing.T, step time.Duration) *server.Server {
+	t.Helper()
+	s, err := server.New(server.Config{
+		AdminAddr:       "127.0.0.1:0",
+		CheckpointEvery: 4,
+		StepDelay:       step,
+		RetryAfterHint:  5 * time.Millisecond,
+		Logf:            func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// drainTo waits until src has executed some of the run, then orders it
+// through POST /drain to migrate its sessions to dst.
+func drainTo(t *testing.T, src, dst *server.Server) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for src.MetricsSnapshot().AccessesTotal < 20000 {
+		if time.Now().After(deadline) {
+			t.Error("the run made no progress on the source daemon")
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	body := fmt.Sprintf(`{"to":[%q]}`, dst.Addr()+"="+dst.AdminAddr())
+	resp, err := http.Post("http://"+src.AdminAddr()+"/drain", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("POST /drain: %s", resp.Status)
+	}
+}
+
+// TestRemoteFollowsDrainWithoutRetry: a Session with one remote and no
+// WithRetry streams through the resilient client too, so when its
+// daemon is drained mid-run the session migrates to the peer and the
+// run completes there. Profile must return the local result, and Watch
+// must deliver every window once, in order, with the local windows and
+// final result.
+func TestRemoteFollowsDrainWithoutRetry(t *testing.T) {
+	ctx := context.Background()
+	cfg := policyConfig(ReplaceProbabilistic)
+	accs, err := trace.Collect(ZipfAccess(37, 0, 8192, 1.0, 200000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 1024-access batches put 16 in each window, so remote boundaries
+	// land on the local ones.
+	remoteOpts := WithRemoteOptions(RemoteOptions{BatchSize: 1024})
+	wo := WindowOptions{EveryAccesses: 16384}
+
+	local, err := New(WithConfig(cfg)).Profile(ctx, FromSlice(accs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lch, err := New(WithConfig(cfg), WithWindow(wo)).Watch(ctx, WatchOptions{Streams: []Reader{FromSlice(accs)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lwins, lfinal := drainWatch(t, lch)
+	if lfinal.Err != nil {
+		t.Fatal(lfinal.Err)
+	}
+
+	checkMigrated := func(src, dst *server.Server) {
+		t.Helper()
+		if m := dst.MetricsSnapshot(); m.HandoffsIn == 0 {
+			t.Errorf("no session was handed to the peer: %+v", m)
+		}
+		// The source lets go of a migrated session after its client
+		// has been redirected, so wait for it to empty.
+		deadline := time.Now().Add(5 * time.Second)
+		for src.MetricsSnapshot().SessionsActive != 0 {
+			if time.Now().After(deadline) {
+				t.Errorf("drained daemon still holds %d live sessions", src.MetricsSnapshot().SessionsActive)
+				break
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+
+	t.Run("Profile", func(t *testing.T) {
+		src, dst := startDrainable(t, time.Millisecond), startDrainable(t, 0)
+		type outcome struct {
+			res *Result
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := New(WithConfig(cfg), WithRemote(src.Addr()), remoteOpts).Profile(ctx, FromSlice(accs))
+			done <- outcome{res, err}
+		}()
+		drainTo(t, src, dst)
+		out := <-done
+		if out.err != nil {
+			t.Fatalf("remote profile across a drain failed: %v", out.err)
+		}
+		if neutralFP(t, out.res) != neutralFP(t, local) {
+			t.Error("migrated remote profile diverges from local")
+		}
+		checkMigrated(src, dst)
+	})
+
+	t.Run("Watch", func(t *testing.T) {
+		src, dst := startDrainable(t, time.Millisecond), startDrainable(t, 0)
+		ch, err := New(WithConfig(cfg), WithRemote(src.Addr()), remoteOpts, WithWindow(wo)).
+			Watch(ctx, WatchOptions{Streams: []Reader{FromSlice(accs)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainTo(t, src, dst)
+		wins, final := drainWatch(t, ch)
+		if final.Err != nil {
+			t.Fatalf("remote watch across a drain failed: %v", final.Err)
+		}
+		if len(wins) != len(lwins) {
+			t.Fatalf("watch delivered %d windows across the drain, local %d", len(wins), len(lwins))
+		}
+		for i := range wins {
+			if neutralFP(t, wins[i].Cumulative.Threads[0]) != neutralFP(t, lwins[i].Cumulative.Threads[0]) {
+				t.Errorf("window %d diverges from local", i+1)
+			}
+		}
+		if neutralFP(t, final.Cumulative.Threads[0]) != neutralFP(t, local) {
+			t.Error("migrated watched lifetime diverges from local")
+		}
+		checkMigrated(src, dst)
+	})
 }

@@ -3,7 +3,6 @@ package rdx
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/pool"
@@ -132,10 +131,10 @@ func (s *Session) Watch(ctx context.Context, opts WatchOptions) (<-chan WindowSn
 	}
 	wo.fill()
 
-	// Multi-backend (or forced-pool) runs claim one backend per thread
-	// from the shared dispatcher, like ProfileThreads does.
+	// Multi-backend runs claim one backend per thread from the shared
+	// dispatcher, like ProfileThreads does.
 	var pl *pool.Pool
-	if len(s.remotes) > 1 || (len(s.remotes) == 1 && s.poolSet) {
+	if len(s.remotes) > 1 {
 		var err error
 		if pl, err = s.newPool(); err != nil {
 			return nil, err
@@ -270,12 +269,11 @@ func (s *Session) watchThread(ctx context.Context, i int, r Reader, wo WindowOpt
 	send(threadEvent{final: res})
 }
 
-// watchThreadRemote drives one stream against an rdxd backend under a
-// wire watch subscription. The driver paces itself on boundaries: it
-// sends the batches of one window, then blocks on the boundary's
-// pushed snapshot before sending more. That pacing is what makes every
-// boundary recoverable across a reconnect (see
-// wire.ReconnectingClient.WatchSnapshot).
+// watchThreadRemote drives one stream against an rdxd backend through
+// the resilient client's watched loop: it sends the batches of one
+// window, then blocks on the boundary's pushed snapshot before sending
+// more. That pacing is what makes every boundary recoverable across a
+// reconnect or a migration (see wire.ReconnectingClient.WatchSnapshot).
 func (s *Session) watchThreadRemote(ctx context.Context, r Reader, tcfg core.Config, wo WindowOptions, pl *pool.Pool, send func(threadEvent) bool) (*core.Result, error) {
 	addr := s.remotes[0].Addr
 	if pl != nil {
@@ -291,97 +289,16 @@ func (s *Session) watchThreadRemote(ctx context.Context, r Reader, tcfg core.Con
 	if batch <= 0 {
 		batch = trace.DefaultBatchSize
 	}
-	everyBatches := int(wo.EveryAccesses / uint64(batch))
-	if everyBatches < 1 {
-		everyBatches = 1
-	}
+	everyBatches := max(1, int(wo.EveryAccesses/uint64(batch)))
 
-	var buf []Access
-	if batch <= trace.DefaultBatchSize {
-		buf = trace.BatchBuf()[:batch]
-		defer trace.ReleaseBatchBuf(buf)
-	} else {
-		buf = make([]Access, batch)
-	}
-
-	if s.retry != nil {
-		rc := wire.NewReconnectingClient(addr, tcfg, *s.retry)
-		defer rc.Close()
-		if err := rc.Watch(ctx, everyBatches, nil); err != nil {
-			return nil, err
+	rc := wire.NewReconnectingClient(addr, tcfg, s.retry)
+	defer rc.Close()
+	res, err := rc.Profile(ctx, r, s.remoteOpts, everyBatches, func(snap *wire.Result) error {
+		if !send(threadEvent{cum: wire.ToCore(snap)}) {
+			return ctx.Err()
 		}
-		var sent uint64
-		for {
-			n, rerr := r.Read(buf)
-			if n > 0 {
-				if err := rc.SendBatch(ctx, buf[:n]); err != nil {
-					return nil, err
-				}
-				sent++
-				if sent%uint64(everyBatches) == 0 {
-					snap, err := rc.WatchSnapshot(ctx, sent)
-					if err != nil {
-						return nil, err
-					}
-					if !send(threadEvent{cum: wire.ToCore(snap)}) {
-						return nil, ctx.Err()
-					}
-				}
-			}
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				return nil, fmt.Errorf("reading access stream: %w", rerr)
-			}
-		}
-		res, err := rc.Finish(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return wire.ToCore(res), nil
-	}
-
-	c, err := wire.DialContext(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	if _, err := c.Open(tcfg); err != nil {
-		return nil, err
-	}
-	if err := c.Watch(everyBatches); err != nil {
-		return nil, err
-	}
-	var sent uint64
-	for {
-		n, rerr := r.Read(buf)
-		if n > 0 {
-			if err := c.SendBatch(buf[:n]); err != nil {
-				return nil, err
-			}
-			sent++
-			if sent%uint64(everyBatches) == 0 {
-				p, err := c.ReadPush()
-				if err != nil {
-					return nil, err
-				}
-				if p.Seq != sent {
-					return nil, fmt.Errorf("watch pushed boundary %d, want %d", p.Seq, sent)
-				}
-				if !send(threadEvent{cum: wire.ToCore(p.Result)}) {
-					return nil, ctx.Err()
-				}
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return nil, fmt.Errorf("reading access stream: %w", rerr)
-		}
-	}
-	res, err := c.Finish()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
