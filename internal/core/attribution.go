@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"sort"
 
 	"repro/internal/histogram"
@@ -37,6 +40,82 @@ type PairStat struct {
 // Attribution is the per-code-pair breakdown of a profile, ordered by
 // descending weight (the pairs carrying the most accesses first).
 type Attribution []PairStat
+
+// maxAttributionDepth bounds how deep an attribution element may nest:
+// a PairStat is two objects deep, and the rest is room for fields added
+// later.
+const maxAttributionDepth = 4
+
+// UnmarshalJSON decodes an attribution array into a slice sized from
+// one allocation-free scan of the array, refusing any element that is
+// not an object or nests deeper than maxAttributionDepth. The default
+// decoder would grow the slice by a 56-byte PairStat for every element,
+// even a two-byte "0," that then fails, and appending one element at a
+// time allocates about five times the final slice: about 210 heap bytes
+// per payload byte for a hostile array of bare numbers. Here an element
+// takes at least three bytes ("{},") and one PairStat.
+func (a *Attribution) UnmarshalJSON(data []byte) error {
+	if bytes.Equal(data, []byte("null")) {
+		*a = nil
+		return nil
+	}
+	n, err := countObjects(data)
+	if err != nil {
+		return err
+	}
+	out := make([]PairStat, 0, n) // the decoder appends within this capacity
+	if err := json.Unmarshal(data, &out); err != nil {
+		return err
+	}
+	*a = out
+	return nil
+}
+
+// countObjects returns the element count of data, a JSON array the
+// caller's decoder has already checked for syntax. It refuses an array
+// holding anything but objects, or objects nesting deeper than
+// maxAttributionDepth.
+func countObjects(data []byte) (int, error) {
+	if len(data) == 0 || data[0] != '[' {
+		return 0, fmt.Errorf("core: attribution %.16q is not an array", data)
+	}
+	n, depth := 0, 0
+	inString, escaped := false, false
+	for _, c := range data {
+		switch {
+		case inString:
+			switch {
+			case escaped:
+				escaped = false
+			case c == '\\':
+				escaped = true
+			case c == '"':
+				inString = false
+			}
+		case c == '"':
+			if depth == 1 {
+				return 0, fmt.Errorf("core: attribution element %d is not an object", n)
+			}
+			inString = true
+		case c == '{' || c == '[':
+			depth++
+			if depth == 2 {
+				if c != '{' {
+					return 0, fmt.Errorf("core: attribution element %d is not an object", n)
+				}
+				n++
+			}
+			if depth > maxAttributionDepth+1 {
+				return 0, fmt.Errorf("core: attribution element %d nests deeper than %d", n-1, maxAttributionDepth)
+			}
+		case c == '}' || c == ']':
+			depth--
+		case depth == 1 && c != ',' && c != ' ' && c != '\t' && c != '\r' && c != '\n':
+			return 0, fmt.Errorf("core: attribution element %d is not an object", n)
+		}
+	}
+	return n, nil
+}
 
 // TopWeight returns the first n pairs (all if n exceeds the length).
 func (a Attribution) TopWeight(n int) Attribution {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/cpumodel"
@@ -163,4 +165,57 @@ func resultWeightsForTest(p *Profiler) []float64 {
 		w[i] = 1
 	}
 	return w
+}
+
+// TestAttributionJSON: an attribution round-trips through JSON
+// bit-exactly, unknown fields (strings holding brackets included) are
+// skipped, and an array holding anything but shallow objects is refused
+// before its elements are allocated.
+func TestAttributionJSON(t *testing.T) {
+	in := Attribution{
+		{Pair: PairKey{UsePC: 0x401000, ReusePC: 0x401040}, Count: 3, Weight: 24576.5, MeanDistance: 17.25, MinTime: 9, MaxTime: 4096},
+		{Pair: PairKey{UsePC: 0x402000, ReusePC: 0x401000}, Count: 1, Weight: 8192, MeanDistance: 1e-300, MinTime: 1 << 40, MaxTime: 1<<64 - 1},
+	}
+	data, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Attribution
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip changed the attribution:\n in=%+v\nout=%+v", in, out)
+	}
+	if err := json.Unmarshal([]byte(` [ {"Count":2,"Note":"}]{[\"\\"} , {"Count":3} ] `), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 2 || out[0].Count != 2 || out[1].Count != 3 {
+		t.Fatalf("decoded %+v", out)
+	}
+	if err := json.Unmarshal([]byte(`null`), &out); err != nil || out != nil {
+		t.Fatalf("null decoded to %+v, %v", out, err)
+	}
+	for _, bad := range []string{
+		`[0,0,0]`,
+		`[{},1]`,
+		`[{},[]]`,
+		`[{}, null]`,
+		`["",""]`,
+		`[{},"x"]`,
+		`["{}"]`,
+		`{"Count":1}`,
+		`7`,
+		`[{"a":{"b":{"c":{"d":{}}}}}]`,
+		`[{"a":[[[[[]]]]]}]`,
+	} {
+		if err := json.Unmarshal([]byte(bad), &out); err == nil {
+			t.Errorf("%s decoded to %+v, want an error", bad, out)
+		}
+		// The default decoder refuses these too, but only after growing
+		// the slice element by element: the scan must refuse them first.
+		if n, err := countObjects([]byte(bad)); err == nil {
+			t.Errorf("%s counted as %d objects, want an error", bad, n)
+		}
+	}
 }

@@ -106,13 +106,17 @@ type Config struct {
 	// reuse times to reuse distances. When false, Result.ReuseDistance
 	// reports raw reuse times (ablation A2's strawman).
 	ConvertDistances bool
-	// BiasCorrection weights each completed reuse pair by the inverse of
-	// its watchpoint's survival probability against replacement.
-	// Replacement censors long reuse times (the watchpoint is evicted
-	// before the reuse arrives); the profiler tracks the exact per-slot
-	// eviction risk of every sample that arrived while the register file
-	// was full, so completed observations can be reweighted to represent
-	// their censored peers (ablation A5 measures the effect).
+	// BiasCorrection redistributes the censored observations to the
+	// right (redistributeCensored, the Kaplan-Meier estimator in
+	// redistribution form). Replacement censors long reuse times: a
+	// watchpoint evicted after E accesses only says its reuse time
+	// exceeds E. Each such observation's unit weight is spread over the
+	// completed and end-of-run censored observations longer than E, and
+	// weight with no longer observation to go to is reported as cold.
+	// When false, completed pairs keep unit weight, watchpoints still
+	// armed at the end count as cold, and evicted samples are dropped
+	// (ablation A5 measures the effect). Either way the total weight is
+	// then scaled to the access count.
 	BiasCorrection bool
 	// Seed makes the profiler's randomness (period jitter, reservoir)
 	// deterministic.

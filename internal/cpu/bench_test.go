@@ -1,6 +1,7 @@
 package cpu_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -48,45 +49,49 @@ func BenchmarkRun(b *testing.B) {
 
 // BenchmarkExecuteColumns times ExecuteColumns as a streaming daemon
 // runs it: the suite kernels in 8192-access columnar batches through an
-// RDX profiler at the featherlight 64K period, reported in ns/access.
-// Each iteration profiles the whole kernel trace on a fresh profiler.
+// RDX profiler, reported in ns/access. It runs at two operating points:
+// BenchmarkRun's (period 8192, 4 Mi accesses), so that rows and columns
+// compare on the same work, and the featherlight 64K period over 1 Mi
+// accesses, stream-steady's period. Each iteration profiles the whole
+// kernel trace on a fresh profiler.
 func BenchmarkExecuteColumns(b *testing.B) {
-	const (
-		batch    = 8192
-		accesses = 1 << 20
-	)
-	for _, kernel := range []string{"lbm", "mcf", "xalancbmk", "exchange2"} {
-		b.Run(kernel, func(b *testing.B) {
-			r, err := workloads.Build(kernel, 1, accesses)
-			if err != nil {
-				b.Fatal(err)
-			}
-			accs, err := trace.Collect(r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var batches []trace.Columns
-			for off := 0; off < len(accs); off += batch {
-				var c trace.Columns
-				c.AppendBatch(accs[off:min(off+batch, len(accs))])
-				batches = append(batches, c)
-			}
-			cfg := core.DefaultConfig()
-			cfg.SamplePeriod = 64 << 10
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				p, err := core.NewProfiler(cfg)
+	const batch = 8192
+	for _, op := range []struct {
+		period, accesses uint64
+	}{{8192, 4 << 20}, {64 << 10, 1 << 20}} {
+		for _, kernel := range []string{"lbm", "mcf", "xalancbmk", "exchange2"} {
+			b.Run(fmt.Sprintf("period=%d/%s", op.period, kernel), func(b *testing.B) {
+				r, err := workloads.Build(kernel, 1, op.accesses)
 				if err != nil {
 					b.Fatal(err)
 				}
-				m := p.NewMachine(cpumodel.Default())
-				b.StartTimer()
-				for k := range batches {
-					m.ExecuteColumns(&batches[k])
+				accs, err := trace.Collect(r)
+				if err != nil {
+					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(accs)), "ns/access")
-		})
+				var batches []trace.Columns
+				for off := 0; off < len(accs); off += batch {
+					var c trace.Columns
+					c.AppendBatch(accs[off:min(off+batch, len(accs))])
+					batches = append(batches, c)
+				}
+				cfg := core.DefaultConfig()
+				cfg.SamplePeriod = op.period
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					p, err := core.NewProfiler(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					m := p.NewMachine(cpumodel.Default())
+					b.StartTimer()
+					for k := range batches {
+						m.ExecuteColumns(&batches[k])
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(accs)), "ns/access")
+			})
+		}
 	}
 }

@@ -107,14 +107,14 @@ func (m *Machine) runSamplingColumns(cols *trace.Columns, i int) int {
 // runWatchedColumns mirrors runWatched over columns. When the sampler
 // counts every access (or there is none), only a watchpoint hit or the
 // overflow — headroom accesses ahead — can be an event, so the segment
-// scans the address column alone against the armed slots
-// (screenWatchedColumns). Filtered events need each access's kind:
-// those accesses are materialized one by one, PMU counting staying a
-// local pending advance flushed before any event delivery.
+// probes the address column alone against the filter
+// (scanWatchedColumns). Filtered events need each access's kind: those
+// accesses are materialized one by one, PMU counting staying a local
+// pending advance flushed before any event delivery.
 func (m *Machine) runWatchedColumns(cols *trace.Columns, i int) int {
-	wps := m.armedWatchpoints()
+	wps := m.filter.sync(m.drs)
 	if m.pmu == nil || m.pmu.Config().Event == pmu.AllAccesses {
-		return m.screenWatchedColumns(cols, i, wps)
+		return m.scanWatchedColumns(cols, i, wps)
 	}
 	n := cols.Len()
 	h := m.pmu.Headroom()
@@ -123,7 +123,7 @@ func (m *Machine) runWatchedColumns(cols *trace.Columns, i int) int {
 	start := i
 	for ; i < n; i++ {
 		a := cols.Access(i)
-		hit := coversAny(wps, a)
+		hit := m.filter.passes(a) && coversAny(wps, a)
 		matches := ev.Matches(a)
 		if hit || (matches && qual == h) {
 			m.skip(uint64(i-start), qual)
@@ -138,21 +138,16 @@ func (m *Machine) runWatchedColumns(cols *trace.Columns, i int) int {
 	return n
 }
 
-// screenWatchedColumns is screenWatched over the address column.
-func (m *Machine) screenWatchedColumns(cols *trace.Columns, i int, wps []debugreg.Watchpoint) int {
+// scanWatchedColumns is scanWatched over the address column.
+func (m *Machine) scanWatchedColumns(cols *trace.Columns, i int, wps []debugreg.Watchpoint) int {
 	n := cols.Len()
-	end, screens := m.screenSegment(wps, i, n, maxMetaSize)
+	end := m.segmentEnd(i, n)
 	j, hit := end, false
-scan:
-	for k, addr := range cols.Addrs[i:end] {
-		for g := range screens {
-			if screens[g].pass(addr) {
-				if coversAny(wps, cols.Access(i+k)) {
-					j, hit = i+k, true
-					break scan
-				}
-				break
-			}
+	for k := i; k < end; k++ {
+		k += firstProbeAddr(m.filter.bits, m.filter.mask, cols.Addrs[k:end])
+		if k < end && coversAny(wps, cols.Access(k)) {
+			j, hit = k, true
+			break
 		}
 	}
 	m.skip(uint64(j-i), uint64(j-i))
@@ -160,6 +155,6 @@ scan:
 		return n
 	}
 	a := cols.Access(j)
-	m.deliver(a, hit || coversAny(wps, a)) // the overflow index was not screened
+	m.deliver(a, hit || coversAny(wps, a)) // the overflow index was not scanned
 	return j + 1
 }

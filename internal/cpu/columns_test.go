@@ -16,7 +16,7 @@ import (
 // edgeTrace draws accesses packed against both ends of the address
 // space — within 64 bytes of 0 and of 2^64 — at every size a meta byte
 // holds, with a quarter far from either, so watchpoints get armed where
-// the address pre-screen's window wraps around 0.
+// the watch filter's window wraps around 0.
 func edgeTrace(seed uint64, n int) []mem.Access {
 	rng := stats.NewRNG(seed)
 	accs := make([]mem.Access, n)

@@ -23,16 +23,20 @@
 //     not a call;
 //   - with watchpoints armed and the sampler counting every access (or
 //     no sampler), only addresses are scanned, up to the overflow index,
-//     against one unsigned range compare per armed slot (its address
-//     screen); Covers decides each screened candidate exactly, and the
-//     stretch before the first confirmed trap is one bulk Advance;
+//     with one probe each into the watch filter: a bitmap, hashed on the
+//     8-byte block, holding every block an access that some armed slot
+//     can trap may start in. Covers decides each access whose bit is set
+//     exactly, and the stretch before the first confirmed trap is one
+//     bulk Advance;
 //   - with watchpoints armed and a filtered event (loads or stores
-//     only), each access is checked against a snapshot of the armed
-//     slots, PMU counting accumulated and flushed immediately before any
-//     trap or sample is delivered, so handlers observe exact counter
-//     values;
+//     only), each access is probed and, when its bit is set, checked
+//     against the armed slots, PMU counting accumulated and flushed
+//     immediately before any trap or sample is delivered, so handlers
+//     observe exact counter values;
 //   - after any delivered event the segment ends, because handlers may
 //     arm or disarm watchpoints and the PMU re-draws its next period.
+//     The machine keeps the filter across segments; each segment
+//     compares the slots with it and re-marks only the ones that changed.
 //
 // The engine is bit-exact with the retained per-access reference loop
 // (RunReference): same stream and configuration produce identical
@@ -42,7 +46,6 @@ package cpu
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/cpumodel"
 	"repro/internal/debugreg"
@@ -67,9 +70,7 @@ type Machine struct {
 	executed    uint64 // accesses executed so far (index of the next one)
 	running     bool
 
-	wpScratch     []debugreg.Watchpoint // armed-set snapshot, reused per segment
-	slotScratch   []int
-	screenScratch []screenGroup // wpScratch's address screens
+	filter watchFilter // the armed slots and their filter, kept across segments
 }
 
 // Option configures a Machine.
@@ -318,15 +319,15 @@ func (m *Machine) runSampling(batch []mem.Access, i int) int {
 // runWatched advances through batch[i:] with at least one watchpoint
 // armed. When the sampler counts every access (or there is none), only
 // a watchpoint hit or the overflow — headroom accesses ahead — can be an
-// event, so the segment scans addresses alone against the armed slots'
-// screens (screenWatched). Filtered events need each access's kind:
-// those accesses are checked one by one, PMU counting staying a local
-// pending advance flushed before any event delivery. Returns the index
-// after the last executed access.
+// event, so the segment probes each address's filter bit alone
+// (scanWatched). Filtered events need each access's kind: those
+// accesses are checked one by one, PMU counting staying a local pending
+// advance flushed before any event delivery. Returns the index after
+// the last executed access.
 func (m *Machine) runWatched(batch []mem.Access, i int) int {
-	wps := m.armedWatchpoints()
+	wps := m.filter.sync(m.drs)
 	if m.pmu == nil || m.pmu.Config().Event == pmu.AllAccesses {
-		return m.screenWatched(batch, i, wps)
+		return m.scanWatched(batch, i, wps)
 	}
 	n := len(batch)
 	h := m.pmu.Headroom()
@@ -335,7 +336,7 @@ func (m *Machine) runWatched(batch []mem.Access, i int) int {
 	start := i
 	for ; i < n; i++ {
 		a := batch[i]
-		hit := coversAny(wps, a)
+		hit := m.filter.passes(a) && coversAny(wps, a)
 		matches := ev.Matches(a)
 		if hit || (matches && qual == h) {
 			m.skip(uint64(i-start), qual)
@@ -350,25 +351,19 @@ func (m *Machine) runWatched(batch []mem.Access, i int) int {
 	return n
 }
 
-// screenWatched is runWatched for a sampler counting every access, or
-// none. The event is the first screened candidate Covers confirms before
-// the overflow index, else the overflow, else none in this batch.
-func (m *Machine) screenWatched(batch []mem.Access, i int, wps []debugreg.Watchpoint) int {
+// scanWatched is runWatched for a sampler counting every access, or
+// none. The event is the first access before the overflow index whose
+// filter bit is set and which Covers confirms, else the overflow, else
+// none in this batch.
+func (m *Machine) scanWatched(batch []mem.Access, i int, wps []debugreg.Watchpoint) int {
 	n := len(batch)
-	end, screens := m.screenSegment(wps, i, n, maxRowSize)
+	end := m.segmentEnd(i, n)
 	j, hit := end, false
-	rows := batch[i:end]
-scan:
-	for k := range rows {
-		addr := rows[k].Addr
-		for g := range screens {
-			if screens[g].pass(addr) {
-				if coversAny(wps, rows[k]) {
-					j, hit = i+k, true
-					break scan
-				}
-				break
-			}
+	for k := i; k < end; k++ {
+		k += firstProbeRow(m.filter.bits, m.filter.mask, batch[k:end])
+		if k < end && coversAny(wps, batch[k]) {
+			j, hit = k, true
+			break
 		}
 	}
 	m.skip(uint64(j-i), uint64(j-i))
@@ -377,84 +372,20 @@ scan:
 	}
 	// batch[j] traps, overflows, or both: deliver precisely, then
 	// re-dispatch (the armed set or period changed). The overflow index
-	// was not screened.
+	// was not scanned.
 	m.deliver(batch[j], hit || coversAny(wps, batch[j]))
 	return j + 1
 }
 
-// Address screens. An armed slot [w, w+W) can trap an access [a, a+S)
-// only if a < w+W and w < a+S. With w+W not wrapping, every such access
-// has a in [w-S_max, w+W) mod 2^64, where S_max is the widest access the
-// stream can hold; when w+W wraps to 0 nothing is covered, and when a+S
-// wraps a cannot also lie below w+W. So "a-lo < span", unsigned, with
-// lo = w-S_max and span = W+S_max, passes every access Covers accepts,
-// including at both ends of the address space, and Covers then decides
-// each candidate exactly.
-const (
-	// maxRowSize is the widest access a mem.Access row can hold (its
-	// Size is a uint8).
-	maxRowSize = math.MaxUint8
-	// maxMetaSize is the widest access a columnar meta byte can hold
-	// (trace.MetaSize).
-	maxMetaSize = 0x0f
-)
-
-// screenGroup holds the address screens of up to four armed slots: an
-// access at addr can overlap slot k only if addr-lo[k] < span[k],
-// unsigned. An unused screen has span 0 and passes nothing. Four to a
-// group, the scan tests one address against four screens without a loop.
-type screenGroup struct{ lo, span [4]mem.Addr }
-
-// pass reports whether addr passes any of the group's screens.
-func (s *screenGroup) pass(addr mem.Addr) bool {
-	return addr-s.lo[0] < s.span[0] || addr-s.lo[1] < s.span[1] ||
-		addr-s.lo[2] < s.span[2] || addr-s.lo[3] < s.span[3]
-}
-
-// screenSegment prepares a screened segment over [i, n): end is where
-// the scan stops — the overflowing index, headroom accesses ahead, or n
-// — and screens holds the address screens of wps, four to a group, for
-// accesses at most widest bytes wide.
-func (m *Machine) screenSegment(wps []debugreg.Watchpoint, i, n int, widest mem.Addr) (end int, screens []screenGroup) {
-	end = n
+// segmentEnd is where a scanned segment over [i, n) stops: the
+// overflowing index, headroom accesses ahead, or n.
+func (m *Machine) segmentEnd(i, n int) int {
 	if m.pmu != nil {
 		if h := m.pmu.Headroom(); h < uint64(n-i) {
-			end = i + int(h)
+			return i + int(h)
 		}
 	}
-	screens = m.screenScratch[:0]
-	for k, wp := range wps {
-		if k%4 == 0 {
-			screens = append(screens, screenGroup{})
-		}
-		s := &screens[len(screens)-1]
-		s.lo[k%4], s.span[k%4] = wp.Addr-widest, mem.Addr(wp.Width)+widest
-	}
-	m.screenScratch = screens
-	return end, screens
-}
-
-// armedWatchpoints snapshots the armed slots. The snapshot holds for one
-// segment: the armed set only changes when an event is delivered, and
-// the segment ends there.
-func (m *Machine) armedWatchpoints() []debugreg.Watchpoint {
-	m.slotScratch = m.drs.ArmedSlots(m.slotScratch[:0])
-	wps := m.wpScratch[:0]
-	for _, s := range m.slotScratch {
-		wps = append(wps, m.drs.Slot(s))
-	}
-	m.wpScratch = wps
-	return wps
-}
-
-// coversAny reports whether any of wps would trap on a.
-func coversAny(wps []debugreg.Watchpoint, a mem.Access) bool {
-	for k := range wps {
-		if wps[k].Covers(a) {
-			return true
-		}
-	}
-	return false
+	return n
 }
 
 // skip bulk-executes k event-free accesses, qual of which the sampler

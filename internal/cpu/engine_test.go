@@ -1,9 +1,11 @@
 package cpu
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cpumodel"
@@ -150,11 +152,40 @@ func TestBatchedEngineMatchesReference(t *testing.T) {
 func differReference(t *testing.T, cfg pmu.Config, slots int, costs cpumodel.Costs, accs []mem.Access, watch debugreg.WatchKind) {
 	t.Helper()
 	fast := newRDXLike(cfg, slots, costs)
-	ref := newRDXLike(cfg, slots, costs)
-	fast.watch, ref.watch = watch, watch
+	fast.watch = watch
 	if err := fast.m.Run(trace.FromSlice(accs)); err != nil {
 		t.Fatal(err)
 	}
+	matchReference(t, fast, cfg, slots, costs, accs, watch)
+}
+
+// differColumnsReference drives ExecuteColumns over batch boundaries
+// drawn from seed — empty and single-access batches included — and
+// requires RunReference's results, as differReference does for Run.
+func differColumnsReference(t *testing.T, cfg pmu.Config, slots int, costs cpumodel.Costs, accs []mem.Access, watch debugreg.WatchKind, seed uint64) {
+	t.Helper()
+	col := newRDXLike(cfg, slots, costs)
+	col.watch = watch
+	rng := stats.NewRNG(seed)
+	var cols trace.Columns
+	for pos := 0; pos < len(accs); {
+		n := min(int(rng.Uint64n(40)), len(accs)-pos)
+		cols.Reset()
+		cols.AppendBatch(accs[pos : pos+n])
+		col.m.ExecuteColumns(&cols)
+		pos += n
+	}
+	col.m.Finish()
+	matchReference(t, col, cfg, slots, costs, accs, watch)
+}
+
+// matchReference runs accs through RunReference on a machine configured
+// like fast's and requires fast's event log, cycle account, PMU and
+// debug-register counters and final index to be identical.
+func matchReference(t *testing.T, fast *rdxLike, cfg pmu.Config, slots int, costs cpumodel.Costs, accs []mem.Access, watch debugreg.WatchKind) {
+	t.Helper()
+	ref := newRDXLike(cfg, slots, costs)
+	ref.watch = watch
 	if err := ref.m.RunReference(trace.FromSlice(accs)); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +213,9 @@ func differReference(t *testing.T, cfg pmu.Config, slots int, costs cpumodel.Cos
 // FuzzRunMatchesReference drives Run and RunReference with arbitrary
 // accesses — any address, any size 0–255, either kind — under a fuzzed
 // PMU configuration, slot count and watchpoint kind, and requires the
-// same results from both.
+// same results from both. When every size fits a meta byte (0–15) it
+// also drives ExecuteColumns over irregular batch boundaries drawn from
+// the seed byte and requires the same results from it.
 //
 // Input: a 4-byte header (event, randomize, skid and watch-kind bits;
 // period; seed; slots), then one 4-byte record per access: kind bit and
@@ -192,10 +225,18 @@ func FuzzRunMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 4, 1, 3, 0, 8, 40, 0, 1, 200, 0, 0, 0, 16, 48, 0, 1, 255, 8, 0})
 	f.Add([]byte{0x24, 2, 7, 0, 2, 255, 16, 0, 3, 255, 0, 0, 2, 0, 8, 0, 7, 0, 0, 0, 0, 0, 0, 0xff, 4, 0, 0, 0})
 	f.Add([]byte{0x05, 3, 9, 1, 4, 100, 0, 1, 2, 255, 200, 0, 1, 0, 240, 0, 4, 17, 0, 1})
-	// Inputs on which a screen that does not wrap around 0, and one
-	// backed off by only 15 bytes, miss a trap.
+	// Inputs on which an address window [w-S_max, w+W) that does not
+	// wrap around 0, and a 15-byte window that lets rows wider than 15
+	// bytes through unchecked, miss a trap.
 	f.Add([]byte("7\x0470000000000000000\x00100\x00"))
 	f.Add([]byte("CC0000000000000\x0000 \x00"))
+	// Nine slots, accesses up to 15 bytes wide packed against both ends
+	// of the address space, under the all-access and the loads-only
+	// event: the column engine's filter wraps around 0 and holds more
+	// than four slots.
+	edges := []byte{2, 8, 5, 0, 0, 15, 3, 0, 3, 4, 6, 0, 1, 8, 2, 0, 2, 15, 12, 0, 0, 1, 0, 0, 3, 8, 1, 0, 0, 8, 9, 0}
+	f.Add(append([]byte{0x00, 3, 1, 8}, bytes.Repeat(edges, 6)...))
+	f.Add(append([]byte{0x21, 2, 4, 17}, bytes.Repeat(edges, 6)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -236,6 +277,9 @@ func FuzzRunMatchesReference(f *testing.F) {
 			accs = append(accs, a)
 		}
 		differReference(t, cfg, slots, cpumodel.Default(), accs, watch)
+		if !slices.ContainsFunc(accs, func(a mem.Access) bool { return a.Size > trace.MaxMetaSize }) {
+			differColumnsReference(t, cfg, slots, cpumodel.Default(), accs, watch, uint64(data[2]))
+		}
 	})
 }
 
@@ -289,8 +333,8 @@ func head(ev []event) []event {
 
 // TestBatchedEngineManySlots exercises the >64-slot fallback path of the
 // debug-register file under the batched engine, over a dense region
-// (every access near some watchpoint) and a sparse one (the address
-// screens of slots past the first four decide the traps).
+// (every access near some watchpoint) and a sparse one (the filter bits
+// of slots past the first four decide the traps).
 func TestBatchedEngineManySlots(t *testing.T) {
 	cfg := pmu.Config{Event: pmu.AllAccesses, Period: 20, Randomize: true, Seed: 2}
 	accs := randomTrace(42, 20000, 64)

@@ -55,8 +55,8 @@ type Watchpoint struct {
 
 // Covers reports whether access a overlaps the watched range and matches
 // the watch kind — i.e. whether this watchpoint would trap on a. The
-// simulated core uses it to pre-screen accesses against armed slots
-// before paying for full trap delivery.
+// simulated core uses it to decide the accesses its watch filter lets
+// through before paying for full trap delivery.
 func (w Watchpoint) Covers(a mem.Access) bool {
 	if !w.Kind.matches(a) {
 		return false

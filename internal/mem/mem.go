@@ -40,6 +40,12 @@ func (k Kind) String() string {
 // deliberately a small value type: simulations stream hundreds of
 // millions of them.
 //
+// In-process profiling takes any Size and Kind. The RDT3 trace file and
+// the wire's column batches carry only sizes up to 15 bytes and the
+// kinds Load and Store: they refuse any other access with an error
+// (trace.ErrUnfitAccess), so a file or remote profile never silently
+// differs from the in-process one.
+//
 // The PC is what makes attribution possible: profilers that capture the
 // sampled access's PC and the reusing access's PC can report which pair
 // of code locations carries each reuse — the actionable output of a

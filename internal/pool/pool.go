@@ -445,7 +445,8 @@ func (p *Pool) PickBackend(ctx context.Context) (Backend, func(), error) {
 }
 
 // permanentError marks a failure re-dispatching cannot cure (the
-// stream's own reader failed); the dispatch loop stops retrying.
+// stream's own reader failed, or it holds an access no batch can
+// carry); the dispatch loop stops retrying.
 type permanentError struct{ err error }
 
 func (e *permanentError) Error() string { return e.err.Error() }
@@ -566,6 +567,9 @@ func (p *Pool) runOn(ctx context.Context, b *backendState, r trace.Reader, tcfg 
 	if rr.err != nil {
 		// The stream itself failed; no backend can fix that.
 		return nil, &permanentError{fmt.Errorf("reading access stream: %w", rr.err)}
+	}
+	if errors.Is(err, trace.ErrUnfitAccess) {
+		return nil, &permanentError{err} // the stream holds an access no batch can carry
 	}
 	if err != nil {
 		return nil, err

@@ -442,3 +442,37 @@ func TestPoolReaderErrorIsPermanent(t *testing.T) {
 		t.Errorf("%d of 2 backends healthy after a reader error", n)
 	}
 }
+
+// TestPoolUnfitAccessIsPermanent: a stream holding an access the wire
+// cannot carry is not a backend fault either. The run fails with
+// trace.ErrUnfitAccess without re-dispatching the stream or marking any
+// backend down.
+func TestPoolUnfitAccessIsPermanent(t *testing.T) {
+	s1, s2 := startBackend(t, server.Config{}), startBackend(t, server.Config{})
+	p, err := pool.New(backendsOf(s1, s2), pool.Options{
+		HealthEvery: 20 * time.Millisecond,
+		Retry:       fastRetry(13),
+		BatchSize:   1024,
+		Logf:        quietLogf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	accs, err := trace.Collect(trace.Sequential(0, 5000, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	accs[3000].Size = 16
+	_, err = p.Profile(context.Background(), trace.FromSlice(accs), testConfig(256))
+	if !errors.Is(err, trace.ErrUnfitAccess) {
+		t.Fatalf("got error %v, want ErrUnfitAccess", err)
+	}
+	if st := p.Stats(); st.Redispatched != 0 {
+		t.Errorf("an unfit stream was re-dispatched: %+v", st)
+	}
+	if n := p.Healthy(); n != 2 {
+		t.Errorf("%d of 2 backends healthy after an unfit stream", n)
+	}
+}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -59,14 +60,55 @@ type Columns struct {
 	Addrs []mem.Addr
 	PCs   []mem.Addr
 	// Meta packs each access's kind and size into the RDT3 record
-	// header byte: bit 0 kind (0 load, 1 store), bits 1-4 size.
+	// header byte: bit 0 kind (0 load, 1 store), bits 1-4 size
+	// (PackMeta).
 	Meta []byte
 }
 
+// MaxMetaSize is the widest access a meta byte, and so an RDT3 record
+// or a wire batch, can carry.
+const MaxMetaSize = 0x0f
+
+// metaUnfit is the meta byte of an access no meta byte can carry: wider
+// than MaxMetaSize bytes, or of a kind other than Load or Store. Its bit
+// 7 is set, which no packed access has (FirstInvalidMeta).
+const metaUnfit = 0x80
+
+// metaSpare holds the meta byte's bits no packed access sets.
+const metaSpare = 0xe0
+
+// ErrUnfitAccess is wrapped by the errors of the RDT3 writer and the
+// wire batch encoder for an access they cannot carry. Local profiling
+// takes any access; a file or remote profile of the same stream would
+// differ from it, so those refuse the stream instead.
+var ErrUnfitAccess = errors.New("trace: access wider than 15 bytes or of unknown kind does not fit a record")
+
 // PackMeta packs an access's kind and size into a meta byte (the RDT3
-// record-header packing).
+// record-header packing), or metaUnfit, which FirstInvalidMeta finds,
+// for an access the byte cannot carry.
 func PackMeta(a mem.Access) byte {
-	return byte(a.Kind&1) | byte(a.Size&0x0f)<<1
+	if a.Size > MaxMetaSize || a.Kind > mem.Store {
+		return metaUnfit
+	}
+	return byte(a.Kind) | a.Size<<1
+}
+
+// FirstInvalidMeta returns the index of the first byte of meta with a
+// bit set that no packed access sets — metaUnfit, or a corrupt byte — or
+// -1 if there is none. It tests eight bytes at a time.
+func FirstInvalidMeta(meta []byte) int {
+	i := 0
+	for ; i+8 <= len(meta); i += 8 {
+		if binary.LittleEndian.Uint64(meta[i:])&(metaSpare*0x0101010101010101) != 0 {
+			break
+		}
+	}
+	for ; i < len(meta); i++ {
+		if meta[i]&metaSpare != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // MetaKind extracts the access kind from a meta byte.

@@ -13,7 +13,9 @@ import (
 //
 //	magic   [4]byte  "RDT3"
 //	records *        one per access:
-//	    header byte: bit0 = kind (0 load, 1 store), bits1-4 = size
+//	    header byte: bit0 = kind (0 load, 1 store), bits1-4 = size,
+//	                 bits5-7 zero (a reader refuses a header with any
+//	                 of them set)
 //	    varint       address delta against previous access's address
 //	    varint       PC delta against previous access's PC
 //	trailer
@@ -30,8 +32,8 @@ import (
 var fileMagic = [4]byte{'R', 'D', 'T', '3'}
 
 // endSentinel marks the end of the record stream. It can never begin a
-// record: sizes are 1, 2, 4 or 8, so a header byte never has all of
-// bits 1-7 set.
+// record: the writer refuses sizes above 15, so a header byte never has
+// bits 5-7 set.
 const endSentinel = 0xFF
 
 // ErrTruncated is wrapped by replay errors caused by a trace that ends
@@ -64,12 +66,17 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return tw, nil
 }
 
-// Write appends one access to the trace.
+// Write appends one access to the trace. An access wider than
+// MaxMetaSize bytes or of a kind other than Load or Store is refused
+// with an error wrapping ErrUnfitAccess, and nothing is written.
 func (w *Writer) Write(a mem.Access) error {
 	if w.closed {
 		return fmt.Errorf("trace: write after Close")
 	}
-	hdr := byte(a.Kind&1) | byte(a.Size&0x0f)<<1
+	hdr := PackMeta(a)
+	if hdr == metaUnfit {
+		return fmt.Errorf("trace: access %d (%v): %w", w.n, a, ErrUnfitAccess)
+	}
 	if err := w.w.WriteByte(hdr); err != nil {
 		return err
 	}
@@ -178,6 +185,9 @@ func (f *fileReader) Read(dst []mem.Access) (int, error) {
 			}
 			return i, io.EOF
 		}
+		if hdr&metaSpare != 0 {
+			return i, fmt.Errorf("trace: record %d header %#x is not a packed access (corrupt stream)", f.n, hdr)
+		}
 		delta, err := binary.ReadVarint(f.r)
 		if err != nil {
 			return i, f.recordErr(err)
@@ -193,8 +203,8 @@ func (f *fileReader) Read(dst []mem.Access) (int, error) {
 		dst[i] = mem.Access{
 			Addr: addr,
 			PC:   pc,
-			Size: hdr >> 1 & 0x0f,
-			Kind: mem.Kind(hdr & 1),
+			Size: MetaSize(hdr),
+			Kind: MetaKind(hdr),
 		}
 		f.n++
 	}

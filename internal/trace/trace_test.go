@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -394,4 +397,68 @@ func TestBatchBufRoundTrip(t *testing.T) {
 	ReleaseBatchBuf(make([]mem.Access, 7))      // foreign capacity: ignored
 	ReleaseBatchBuf(buf[:100])                  // short view of a pooled buffer still returns it
 	ReleaseBatchBuf(make([]mem.Access, 0, 100)) // foreign capacity: ignored
+}
+
+// TestFileRefusesUnfitAccess: an access wider than 15 bytes or of an
+// unknown kind is refused with ErrUnfitAccess instead of being written
+// with its size or kind masked, and the trace written so far replays
+// intact. Every size up to 15 of either kind round-trips.
+func TestFileRefusesUnfitAccess(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in []mem.Access
+	for size := uint8(0); size <= MaxMetaSize; size++ {
+		for _, kind := range []mem.Kind{mem.Load, mem.Store} {
+			a := mem.Access{Addr: mem.Addr(size) << 12, PC: 0x400000, Size: size, Kind: kind}
+			if err := w.Write(a); err != nil {
+				t.Fatalf("write %v: %v", a, err)
+			}
+			in = append(in, a)
+		}
+	}
+	for _, a := range []mem.Access{
+		{Addr: 0x1000, Size: 16},
+		{Addr: 0x2000, Size: 255, Kind: mem.Store},
+		{Addr: 0x3000, Size: 8, Kind: 2},
+	} {
+		if err := w.Write(a); !errors.Is(err, ErrUnfitAccess) {
+			t.Fatalf("write %v: got %v, want ErrUnfitAccess", a, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Collect(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(out, in) {
+		t.Fatalf("replayed %d accesses, wrote %d: %v", len(out), len(in), out)
+	}
+}
+
+// TestFileRejectsCorruptHeader: a record header with a bit set that the
+// writer never sets (bits 5-7) is corruption, reported as an error
+// instead of replayed as an access with those bits dropped.
+func TestFileRejectsCorruptHeader(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := Record(&buf, Sequential(0x1000, 10, 8)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[len(fileMagic)] |= 0x40 // the first record's header
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := Collect(r); err == nil || !strings.Contains(err.Error(), "record 0 header 0x") {
+		t.Fatalf("replayed %d accesses with error %v, want the header refused", len(out), err)
+	}
 }

@@ -58,11 +58,16 @@ func colCRC(tag byte, data []byte) uint32 {
 // crc32, so a decoder localizes corruption to a column. Address and PC
 // sections hold the smaller of their packed and delta-of-delta
 // encodings (trace.PutAddrColumn); the meta section holds the smaller of
-// raw and RLE.
+// raw and RLE. A batch holding an access the meta byte cannot carry
+// (trace.PackMeta marks it, trace.FirstInvalidMeta finds it) is refused
+// with an error wrapping trace.ErrUnfitAccess.
 // Steady-state encoding into a reused dst allocates nothing.
 func EncodeColumns(dst []byte, seq uint64, cols *trace.Columns) ([]byte, error) {
 	if cols.Len() > MaxColumnBatch {
 		return dst, fmt.Errorf("wire: columnar batch of %d accesses exceeds limit %d", cols.Len(), MaxColumnBatch)
+	}
+	if i := trace.FirstInvalidMeta(cols.Meta); i >= 0 {
+		return dst, fmt.Errorf("wire: batch %d access %d at %#x: %w", seq, i, uint64(cols.Addrs[i]), trace.ErrUnfitAccess)
 	}
 	if worst := encodeReserve(cols.Len()); cap(dst) < worst {
 		dst = make([]byte, 0, worst)
@@ -222,6 +227,11 @@ func decodeMetaSection(dst []byte, data []byte, count int) ([]byte, []byte, erro
 		}
 	default:
 		return dst, data, fmt.Errorf("wire: meta column has unknown encoding %#x", tag)
+	}
+	// A byte no encoder writes would decode to an access no encoder
+	// was given.
+	if i := trace.FirstInvalidMeta(dst[len(dst)-count:]); i >= 0 {
+		return dst, data, fmt.Errorf("wire: meta byte %#x of access %d is not a packed access", dst[len(dst)-count+i], i)
 	}
 	return dst, rest, nil
 }

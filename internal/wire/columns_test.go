@@ -3,7 +3,10 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -552,4 +555,56 @@ func FuzzEncodeColumns(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestEncodeColumnsRefusesUnfitAccess: a batch holding an access the
+// meta byte cannot carry fails to encode with an error wrapping
+// trace.ErrUnfitAccess and naming the access, instead of shipping it
+// with its size masked to 4 bits: a 16-byte access would arrive 0
+// bytes wide, and a remote profile would silently differ from the
+// local one.
+func TestEncodeColumnsRefusesUnfitAccess(t *testing.T) {
+	accs := wireTestAccesses(5, 100)
+	for _, bad := range []mem.Access{
+		{Addr: 0xabc0, Size: 16},
+		{Addr: 0xabc0, Size: 8, Kind: 2},
+	} {
+		batch := slices.Clone(accs)
+		batch[37] = bad
+		var cols trace.Columns
+		cols.AppendBatch(batch)
+		_, err := EncodeColumns(nil, 9, &cols)
+		if !errors.Is(err, trace.ErrUnfitAccess) {
+			t.Fatalf("%v: got %v, want ErrUnfitAccess", bad, err)
+		}
+		if !strings.Contains(err.Error(), "access 37 at 0xabc0") {
+			t.Errorf("error %q does not name the access", err)
+		}
+	}
+}
+
+// TestDecodeColumnsRejectsInvalidMeta: a meta byte with a bit set that
+// no packed access sets (bits 5-7) is refused, even under a valid
+// checksum. Accepted, it would decode to an access no encoder was
+// given, and the batch would fail to re-encode.
+func TestDecodeColumnsRejectsInvalidMeta(t *testing.T) {
+	const n = 100
+	var cols trace.Columns
+	cols.AppendBatch(wireTestAccesses(5, n))
+	payload, err := EncodeColumns(nil, 1, &cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metaOff := len(payload) - n // the raw meta section ends the payload
+	if payload[metaOff-colSectionHdr] != colEncRaw {
+		t.Fatalf("meta section is not raw: tag %#x", payload[metaOff-colSectionHdr])
+	}
+	for _, i := range []int{0, 37, n - 1} {
+		bad := slices.Clone(payload)
+		bad[metaOff+i] |= 0x80
+		var back trace.Columns
+		if _, err := DecodeColumnsInto(&back, resealed(bad)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("access %d is not a packed access", i)) {
+			t.Errorf("meta byte %d set to %#x: got %v, want it refused", i, bad[metaOff+i], err)
+		}
+	}
 }

@@ -77,13 +77,15 @@ func allocBytes(fn func()) uint64 {
 // decodePush call may allocate: pushAllocPerByte per payload byte plus
 // pushAllocFixed for the Result, its two histograms, the decoder state
 // and an error message. The per-byte term is set by the attribution
-// array: an element as short as "0," still grows the slice by a
-// 56-byte PairStat and records a type error, which measures about 210
-// heap bytes per payload byte at 300000 elements. A histogram that
-// sized its buckets from an index it had not checked fails the bound
-// on a payload of a few dozen bytes.
+// array: an element as short as "{}," still holds a 56-byte PairStat,
+// 18.7 heap bytes per payload byte, and the decoder's scanner stack
+// under nesting 9990 arrays deep costs 17.9. A bare-number ("0,") or
+// string ("\"\",") element is refused before any PairStat is
+// allocated; the default decoder would spend about 210 bytes per payload
+// byte on it. A histogram that sized its buckets from an index it had
+// not checked fails the bound on a payload of a few dozen bytes.
 const (
-	pushAllocPerByte = 256
+	pushAllocPerByte = 24
 	pushAllocFixed   = 16 << 10
 )
 
@@ -117,6 +119,11 @@ func FuzzDecodePush(f *testing.F) {
 	f.Add([]byte(`{"seq":1,"result":{"reuse_time":{"buckets":{"1000000":1}}}}`))
 	f.Add([]byte(`{"seq":1}`))
 	f.Add([]byte{})
+	// Attribution arrays of bare numbers, of empty strings and of empty
+	// objects, the densest an attribution can be per payload byte.
+	f.Add([]byte(`{"seq":1,"result":{"attribution":[` + strings.Repeat("0,", 5000) + `0]}}`))
+	f.Add([]byte(`{"seq":1,"result":{"attribution":[{},` + strings.Repeat(`"",`, 5000) + `""]}}`))
+	f.Add([]byte(`{"seq":1,"result":{"attribution":[` + strings.Repeat("{},", 5000) + `{}]}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !testutil.RaceEnabled {

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -49,5 +51,28 @@ func TestBackoffHonorsCancelPromptly(t *testing.T) {
 	}
 	if waited > 2*time.Second {
 		t.Fatalf("cancel during backoff took %v to return, want prompt", waited)
+	}
+}
+
+// TestSendBatchUnfitAccessIsPermanent: a batch holding an access the
+// wire cannot carry fails SendBatch with trace.ErrUnfitAccess at once.
+// No reconnect could cure it, so the client must not dial or retry.
+func TestSendBatchUnfitAccessIsPermanent(t *testing.T) {
+	var dials int
+	rc := wire.NewReconnectingClient("127.0.0.1:1", core.DefaultConfig(), wire.RetryPolicy{
+		MaxAttempts: 5,
+		BaseDelay:   time.Millisecond,
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			dials++
+			return nil, errors.New("unreachable")
+		},
+	})
+	defer rc.Close()
+	batch := []mem.Access{{Addr: 0x1000, Size: 8}, {Addr: 0x2000, Size: 16}}
+	if err := rc.SendBatch(context.Background(), batch); !errors.Is(err, trace.ErrUnfitAccess) {
+		t.Fatalf("got %v, want ErrUnfitAccess", err)
+	}
+	if dials != 0 {
+		t.Errorf("an unfit batch was retried: %d dials", dials)
 	}
 }

@@ -88,13 +88,13 @@ go test -run='^$' -fuzz='^FuzzTraceReader$' -fuzztime=10s -fuzzminimizetime=100x
 echo "==> fuzz smoke (exact oracle vs naive, 10s)"
 go test -run='^$' -fuzz='^FuzzExactMatchesNaive$' -fuzztime=10s -fuzzminimizetime=50x ./internal/exact
 
-# Short fuzz smoke on the row engine: arbitrary accesses (any address,
+# Short fuzz smoke on both engines: arbitrary accesses (any address,
 # any size 0-255, either kind) under fuzzed PMU and watchpoint settings,
-# Run checked against the per-access RunReference loop — the address
-# pre-screen must pass every access Covers accepts, at both ends of the
-# address space. New inputs turn up often, and minimizing each for the
+# Run — and ExecuteColumns when every size is at most 15 — checked
+# against the per-access RunReference loop: the watch filter must pass
+# every access Covers accepts, at both ends of the address space. New inputs turn up often, and minimizing each for the
 # default 60s would stall the smoke, so minimizing is capped at 100 execs.
-echo "==> fuzz smoke (row engine vs reference, 10s)"
+echo "==> fuzz smoke (row and column engines vs reference, 10s)"
 go test -run='^$' -fuzz='^FuzzRunMatchesReference$' -fuzztime=10s -fuzzminimizetime=100x ./internal/cpu
 
 # Short fuzz smoke on `rdx diff`'s input: arbitrary bytes as a report
