@@ -52,13 +52,10 @@ func collectStreams(t *testing.T, n int, perStream uint64) (a, b []trace.Reader)
 	return a, b
 }
 
-// wireJSON fingerprints one thread result bit-exactly (StateBytes
-// zeroed: it reports allocated capacity, not profile content).
+// wireJSON fingerprints one thread result bit-exactly.
 func wireJSON(t *testing.T, r *core.Result) string {
 	t.Helper()
-	w := wire.FromCore(r, true)
-	w.StateBytes = 0
-	b, err := json.Marshal(w)
+	b, err := json.Marshal(wire.FromCore(r, true))
 	if err != nil {
 		t.Fatal(err)
 	}

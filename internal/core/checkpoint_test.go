@@ -54,16 +54,6 @@ func runInterrupted(t *testing.T, cfg Config, mk func() trace.Reader, batchSize,
 	return p.Result()
 }
 
-// normalizeState clears the fields that legitimately depend on slice
-// allocation history (a restored log has capacity == length, an
-// uninterrupted one carries append growth). Everything else must match
-// bit-exactly.
-func normalizeState(r *Result) *Result {
-	c := *r
-	c.StateBytes = 0
-	return &c
-}
-
 // TestCheckpointRestoreBitIdentical is the checkpoint contract test: for
 // every replacement policy, several seeds/skids, several workloads and
 // several cut points — including cuts with armed watchpoints and a
@@ -91,12 +81,12 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 					cfg.Skid = int(seed - 1)
 
 					mkr := func() trace.Reader { return mk(seed) }
-					want := normalizeState(runInterrupted(t, cfg, mkr, batchSize, 0))
+					want := runInterrupted(t, cfg, mkr, batchSize, 0)
 					if want.Samples == 0 && cfg.Replacement != ReplaceNever {
 						t.Fatal("degenerate run: no samples delivered")
 					}
 					for _, cut := range cuts {
-						got := normalizeState(runInterrupted(t, cfg, mkr, batchSize, cut))
+						got := runInterrupted(t, cfg, mkr, batchSize, cut)
 						if !reflect.DeepEqual(got, want) {
 							t.Errorf("cut at batch %d diverges from uninterrupted run: got={samples:%d traps:%d pairs:%d dropped:%d evicted:%d} want={samples:%d traps:%d pairs:%d dropped:%d evicted:%d}",
 								cut, got.Samples, got.Traps, got.ReusePairs, got.Dropped, got.Evicted,
@@ -145,8 +135,8 @@ func TestCheckpointRoundTripStable(t *testing.T) {
 	}
 
 	// And the restored session must project the same snapshot.
-	s1 := normalizeState(p.Snapshot())
-	s2 := normalizeState(p2.Snapshot())
+	s1 := p.Snapshot()
+	s2 := p2.Snapshot()
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatal("snapshots diverge after restore")
 	}

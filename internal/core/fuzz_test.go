@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/cpumodel"
@@ -28,19 +26,9 @@ func restoreAllocBound(data []byte) uint64 {
 	return uint64(restoreAllocPerByte*len(data) + restoreAllocFixed)
 }
 
-// restoreAlloc returns the heap bytes RestoreProfiler(data) allocates:
-// the smaller of two measurements, since an allocation by another
-// goroutine (the fuzzing engine's own) can land inside one.
+// restoreAlloc returns the heap bytes RestoreProfiler(data) allocates.
 func restoreAlloc(data []byte) uint64 {
-	least := uint64(math.MaxUint64)
-	for range 2 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		RestoreProfiler(data)
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
+	return testutil.AllocBytes(func() { RestoreProfiler(data) })
 }
 
 // checkpointSeeds are real checkpoints: taken mid-stream and after

@@ -386,15 +386,18 @@ func (p *Profiler) buildResult(cold uint64, endCensored []uint64) *Result {
 }
 
 // StateBytes models RDX's current memory footprint: fixed runtime state
-// plus the per-observation logs and per-slot bookkeeping. All four
-// observation logs count at their allocated capacity — times, censored
-// and endCensored hold 8-byte values, pcs holds 16-byte use→reuse PC
-// pairs. It is safe to call mid-run (the profiling service exposes it as
-// a per-session gauge), from the goroutine driving the machine.
+// plus the per-observation logs and per-slot bookkeeping. The four
+// observation logs count by the observations they hold — times,
+// censored and endCensored hold 8-byte values, pcs holds 16-byte
+// use→reuse PC pairs — so the figure is a function of the profiling
+// state alone: a restored or migrated profile reports what an
+// uninterrupted one does. It is safe to call mid-run (the profiling
+// service exposes it as a per-session gauge), from the goroutine
+// driving the machine.
 func (p *Profiler) StateBytes() uint64 {
 	perSlot := uint64(len(p.slots)) * 24 // block, usePC, c0
-	logs := uint64(cap(p.times)+cap(p.censored)+cap(p.endCensored))*8 +
-		uint64(cap(p.pcs))*16
+	logs := uint64(len(p.times)+len(p.censored)+len(p.endCensored))*8 +
+		uint64(len(p.pcs))*16
 	return runtimeFixedBytes + logs + perSlot
 }
 

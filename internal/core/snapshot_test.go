@@ -11,8 +11,9 @@ import (
 
 // sameProfile asserts the parts of two results that must be bit-identical
 // when they describe the same profiling state: histograms, attribution,
-// counters and modelled overhead. StateBytes is excluded — it reports
-// allocated capacity, which finalization may grow.
+// counters and modelled overhead. StateBytes is excluded — Result logs
+// the still-armed watchpoints as end-censored, where a Snapshot only
+// projects them.
 func sameProfile(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(a.ReuseDistance.Snapshot(), b.ReuseDistance.Snapshot()) {

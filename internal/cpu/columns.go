@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"repro/internal/debugreg"
+	"repro/internal/mem"
 	"repro/internal/pmu"
 	"repro/internal/trace"
 )
@@ -14,7 +15,12 @@ import (
 // stretches never materialize a mem.Access at all — a free run is a
 // counter add, and an AllAccesses sampling segment jumps straight from
 // the PMU's headroom to the overflowing index. Accesses are
-// reconstructed from the columns only where an event can observe them.
+// reconstructed from the columns only where an event can observe them,
+// and a column still packed (wire.DecodeColumnsInto) is unpacked only
+// when the engine first reads it: a watched segment reads the address
+// column, a filter pass the meta column, an event all three. A batch
+// at a long period with no watchpoint armed and no overflow unpacks
+// nothing.
 // Like Execute, call once per batch in order, then Finish; not safe for
 // concurrent use.
 func (m *Machine) ExecuteColumns(cols *trace.Columns) {
@@ -138,16 +144,22 @@ func (m *Machine) runWatchedColumns(cols *trace.Columns, i int) int {
 	return n
 }
 
-// scanWatchedColumns is scanWatched over the address column.
+// scanWatchedColumns is scanWatched over the address column. An access
+// the filter passes is checked against the armed slots with its address
+// and meta byte alone (watchedAccess), so a false positive leaves the PC
+// column packed; only the access the segment ends on is materialized.
 func (m *Machine) scanWatchedColumns(cols *trace.Columns, i int, wps []debugreg.Watchpoint) int {
 	n := cols.Len()
 	end := m.segmentEnd(i, n)
 	j, hit := end, false
-	for k := i; k < end; k++ {
-		k += firstProbeAddr(m.filter.bits, m.filter.mask, cols.Addrs[k:end])
-		if k < end && coversAny(wps, cols.Access(k)) {
-			j, hit = k, true
-			break
+	if i < end {
+		addrs := cols.Addrs()
+		for k := i; k < end; k++ {
+			k += firstProbeAddr(m.filter.bits, m.filter.mask, addrs[k:end])
+			if k < end && coversAny(wps, watchedAccess(addrs, cols.Meta(), k)) {
+				j, hit = k, true
+				break
+			}
 		}
 	}
 	m.skip(uint64(j-i), uint64(j-i))
@@ -157,4 +169,10 @@ func (m *Machine) scanWatchedColumns(cols *trace.Columns, i int, wps []debugreg.
 	a := cols.Access(j)
 	m.deliver(a, hit || coversAny(wps, a)) // the overflow index was not scanned
 	return j + 1
+}
+
+// watchedAccess is access k of the columns whose address and meta
+// columns are addrs and meta, without its PC: all Covers reads.
+func watchedAccess(addrs []mem.Addr, meta []byte, k int) mem.Access {
+	return mem.Access{Addr: addrs[k], Size: trace.MetaSize(meta[k]), Kind: trace.MetaKind(meta[k])}
 }

@@ -81,14 +81,10 @@ func collectStreams(t *testing.T, n int, perStream uint64) (a, b []trace.Reader)
 }
 
 // wireJSON is the bit-identity fingerprint of one thread result: its
-// wire form (the exact payload a backend ships), with StateBytes zeroed
-// — that field reports allocated capacity, which depends on append
-// growth history (batch size), not on the profile.
+// wire form, the exact payload a backend ships.
 func wireJSON(t *testing.T, r *core.Result) string {
 	t.Helper()
-	w := wire.FromCore(r, true)
-	w.StateBytes = 0
-	b, err := json.Marshal(w)
+	b, err := json.Marshal(wire.FromCore(r, true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -563,8 +563,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		reject(fmt.Errorf("expected open frame, got %s", t))
 		return
 	}
-	var req wire.OpenRequest
-	err = unmarshalStrict(payload, &req)
+	req, err := decodeOpenRequest(payload)
 	wire.PutPayload(payload)
 	if err != nil {
 		reject(fmt.Errorf("bad open request: %v", err))

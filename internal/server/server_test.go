@@ -91,17 +91,15 @@ func profilePlain(c *wire.Client, r trace.Reader, cfg core.Config, batch int) (*
 }
 
 // sameWireProfile asserts two results describe bit-identical profiles.
-// StateBytes is excluded: it reports allocated capacity, which depends
-// on append growth history, not on the profile.
 func sameWireProfile(t *testing.T, label string, got, want *wire.Result) {
 	t.Helper()
 	if got.Config != want.Config {
 		t.Errorf("%s: configs differ: %+v vs %+v", label, got.Config, want.Config)
 	}
-	type counters struct{ a, s, as, tr, rp, cs, d, e, du uint64 }
+	type counters struct{ a, s, as, tr, rp, cs, d, e, du, sb uint64 }
 	c := func(r *wire.Result) counters {
 		return counters{r.Accesses, r.Samples, r.ArmedSamples, r.Traps,
-			r.ReusePairs, r.ColdSamples, r.Dropped, r.Evicted, r.Duplicates}
+			r.ReusePairs, r.ColdSamples, r.Dropped, r.Evicted, r.Duplicates, r.StateBytes}
 	}
 	if c(got) != c(want) {
 		t.Errorf("%s: counters differ: %+v vs %+v", label, c(got), c(want))

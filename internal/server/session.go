@@ -12,6 +12,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/trace"
 	"repro/internal/window"
+	"repro/internal/wire"
 )
 
 // session is one remote profiling run: a dedicated Profiler+Machine
@@ -108,4 +109,15 @@ func unmarshalStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
+}
+
+// decodeOpenRequest decodes a FrameOpen payload, the first frame a
+// client sends, strictly, refusing one over wire.MaxOpenPayload.
+func decodeOpenRequest(payload []byte) (wire.OpenRequest, error) {
+	var req wire.OpenRequest
+	if len(payload) > wire.MaxOpenPayload {
+		return req, fmt.Errorf("open request of %d bytes exceeds limit %d", len(payload), wire.MaxOpenPayload)
+	}
+	err := unmarshalStrict(payload, &req)
+	return req, err
 }

@@ -79,8 +79,8 @@ func kernelColumns(t *testing.T, kernel string, batches int) []addrColumn {
 		var c trace.Columns
 		c.AppendBatch(accs[b*batch : min((b+1)*batch, len(accs))])
 		cols = append(cols,
-			addrColumn{fmt.Sprintf("%s/batch%d/addrs", kernel, b), c.Addrs},
-			addrColumn{fmt.Sprintf("%s/batch%d/pcs", kernel, b), c.PCs})
+			addrColumn{fmt.Sprintf("%s/batch%d/addrs", kernel, b), c.Addrs()},
+			addrColumn{fmt.Sprintf("%s/batch%d/pcs", kernel, b), c.PCs()})
 	}
 	return cols
 }

@@ -50,20 +50,46 @@ import (
 // sizing pass. Columns whose first block mostly keeps one stride are
 // sized exactly first and only the winner is written. The meta column
 // is sized exactly (RLEColumnLen), so the caller reserves its length
-// plus ColumnSlack and writes only the smaller encoding. The Decode*
-// decoders are allocation-free once dst has grown to its steady size,
-// which keeps the ingest pipeline at zero allocations per batch.
+// plus ColumnSlack and writes only the smaller encoding.
+//
+// A received column is checked and unpacked in two steps. Its structure
+// walk (CheckColumn) accepts exactly what its Decode* unpacker accepts,
+// in one step per block, varint or run, and Columns.AppendPacked keeps
+// the checked bytes packed until the column is first read; unpacking
+// then cannot fail. Checking into a Columns whose scratch has grown to
+// its steady size allocates nothing, and the Decode* unpackers are
+// allocation-free once dst has, which keeps the ingest pipeline at zero
+// allocations per batch.
 
 // Columns is one batch of accesses in columnar (struct-of-arrays) form.
-// The three slices always have equal length.
+// Each column is either unpacked, its values held in a slice, or still
+// packed: its verified encoded bytes wait in the Columns' scratch and
+// are unpacked the first time the column is read (Addrs, PCs, Meta,
+// Access). Columns built by AppendBatch are unpacked from the start;
+// AppendPacked defers each column it is given. Len is the access count
+// either way.
 type Columns struct {
-	Addrs []mem.Addr
-	PCs   []mem.Addr
-	// Meta packs each access's kind and size into the RDT3 record
+	addrs, pcs []mem.Addr
+	// meta packs each access's kind and size into the RDT3 record
 	// header byte: bit 0 kind (0 load, 1 store), bits 1-4 size
 	// (PackMeta).
-	Meta []byte
+	meta []byte
+	n    int
+
+	// packed holds the encoded bytes of the columns still packed.
+	// deferred[k] is column k's, its data in packed, while the column is
+	// packed, and zero once it is unpacked; the column's values are its
+	// slice followed by the deferred[k].count values its bytes decode to.
+	packed   []byte
+	deferred [3]PackedColumn
 }
+
+// Column indices into Columns.deferred.
+const (
+	addrCol = iota
+	pcCol
+	metaCol
+)
 
 // MaxMetaSize is the widest access a meta byte, and so an RDT3 record
 // or a wire batch, can carry.
@@ -118,32 +144,53 @@ func MetaKind(b byte) mem.Kind { return mem.Kind(b & 1) }
 func MetaSize(b byte) uint8 { return b >> 1 & 0x0f }
 
 // Len returns the number of accesses held.
-func (c *Columns) Len() int { return len(c.Addrs) }
+func (c *Columns) Len() int { return c.n }
+
+// Addrs returns the address column, unpacking it if it is still packed.
+func (c *Columns) Addrs() []mem.Addr {
+	if c.deferred[addrCol].enc != 0 {
+		c.unpack(addrCol)
+	}
+	return c.addrs
+}
+
+// PCs returns the PC column, unpacking it if it is still packed.
+func (c *Columns) PCs() []mem.Addr {
+	if c.deferred[pcCol].enc != 0 {
+		c.unpack(pcCol)
+	}
+	return c.pcs
+}
+
+// Meta returns the meta column, unpacking it if it is still packed.
+func (c *Columns) Meta() []byte {
+	if c.deferred[metaCol].enc != 0 {
+		c.unpack(metaCol)
+	}
+	return c.meta
+}
 
 // Reset empties the columns, retaining capacity for reuse.
 func (c *Columns) Reset() {
-	c.Addrs = c.Addrs[:0]
-	c.PCs = c.PCs[:0]
-	c.Meta = c.Meta[:0]
-}
-
-// Grow ensures capacity for n more accesses, so the appends or column
-// decodes that follow reallocate at most once per column instead of
-// doubling their way up — the difference between ~3 and ~40 allocations
-// when cold scratch meets its first full batch.
-func (c *Columns) Grow(n int) {
-	c.Addrs = slices.Grow(c.Addrs, n)
-	c.PCs = slices.Grow(c.PCs, n)
-	c.Meta = slices.Grow(c.Meta, n)
+	c.addrs = c.addrs[:0]
+	c.pcs = c.pcs[:0]
+	c.meta = c.meta[:0]
+	c.n = 0
+	c.packed = c.packed[:0]
+	c.deferred = [3]PackedColumn{}
 }
 
 // AppendBatch adds a recorded batch of accesses — the columnar builder
-// for streams that are already materialized row-wise.
+// for streams that are already materialized row-wise. Each column grows
+// at most once, never doubling its way up.
 func (c *Columns) AppendBatch(accs []mem.Access) {
-	c.Grow(len(accs))
-	base, n := len(c.Addrs), len(c.Addrs)+len(accs)
-	c.Addrs, c.PCs, c.Meta = c.Addrs[:n], c.PCs[:n], c.Meta[:n]
-	addrs, pcs, meta := c.Addrs[base:n], c.PCs[base:n], c.Meta[base:n]
+	c.unpackAll()
+	base, n := c.n, c.n+len(accs)
+	c.addrs = slices.Grow(c.addrs, len(accs))[:n]
+	c.pcs = slices.Grow(c.pcs, len(accs))[:n]
+	c.meta = slices.Grow(c.meta, len(accs))[:n]
+	c.n = n
+	addrs, pcs, meta := c.addrs[base:n], c.pcs[base:n], c.meta[base:n]
 	for i, a := range accs {
 		addrs[i] = a.Addr
 		pcs[i] = a.PC
@@ -151,14 +198,78 @@ func (c *Columns) AppendBatch(accs []mem.Access) {
 	}
 }
 
-// Access reconstructs the i-th access. It is a plain load of the three
-// columns — no allocation — so event-delivery paths can materialize
-// exactly the accesses they observe.
+// AppendPacked adds a batch whose columns are still encoded, each
+// checked by CheckColumn: addrs and pcs in an address encoding (EncPacked,
+// EncDoD), meta in a meta one (EncRaw, EncRLE), all of one count. The
+// encoded bytes are copied, so the buffer they came from may be reused
+// as soon as AppendPacked returns; each column is unpacked the first
+// time it is read. A raw meta column is copied in unpacked.
+func (c *Columns) AppendPacked(addrs, pcs, meta PackedColumn) {
+	if !addrs.addrs() || !pcs.addrs() || meta.enc != EncRaw && meta.enc != EncRLE || pcs.count != addrs.count || meta.count != addrs.count {
+		panic("trace: AppendPacked needs address, PC and meta columns of one count")
+	}
+	c.unpackAll()
+	// One reservation, so the appends below never move the bytes an
+	// earlier column's deferred data points at.
+	c.packed = slices.Grow(c.packed, len(addrs.data)+len(pcs.data)+len(meta.data))
+	c.deferTo(addrCol, addrs)
+	c.deferTo(pcCol, pcs)
+	if meta.enc == EncRaw {
+		c.meta = append(c.meta, meta.data...)
+	} else {
+		c.deferTo(metaCol, meta)
+	}
+	c.n += addrs.count
+}
+
+// deferTo copies p's bytes into the scratch as column k's packed tail.
+func (c *Columns) deferTo(k int, p PackedColumn) {
+	off := len(c.packed)
+	c.packed = append(c.packed, p.data...)
+	p.data = c.packed[off:]
+	c.deferred[k] = p
+}
+
+// unpack decodes packed column k onto its slice. The column passed
+// CheckColumn, after which its decoder cannot fail.
+func (c *Columns) unpack(k int) {
+	p := c.deferred[k]
+	var err error
+	switch {
+	case p.enc == EncRLE:
+		c.meta, err = DecodeRLEColumn(c.meta, p.data, p.count)
+	case k == addrCol:
+		c.addrs, err = p.decodeAddrs(c.addrs)
+	default:
+		c.pcs, err = p.decodeAddrs(c.pcs)
+	}
+	if err != nil {
+		panic("trace: checked column fails to unpack: " + err.Error())
+	}
+	c.deferred[k] = PackedColumn{}
+}
+
+// unpackAll unpacks every column still packed.
+func (c *Columns) unpackAll() {
+	for k := range c.deferred {
+		if c.deferred[k].enc != 0 {
+			c.unpack(k)
+		}
+	}
+	c.packed = c.packed[:0]
+}
+
+// Access reconstructs the i-th access, unpacking whichever columns are
+// still packed. It allocates nothing, so event-delivery paths can
+// materialize exactly the accesses they observe.
 func (c *Columns) Access(i int) mem.Access {
-	m := c.Meta[i]
+	if c.deferred[addrCol].enc|c.deferred[pcCol].enc|c.deferred[metaCol].enc != 0 {
+		c.unpackAll()
+	}
+	m := c.meta[i]
 	return mem.Access{
-		Addr: c.Addrs[i],
-		PC:   c.PCs[i],
+		Addr: c.addrs[i],
+		PC:   c.pcs[i],
 		Size: MetaSize(m),
 		Kind: MetaKind(m),
 	}
@@ -167,7 +278,7 @@ func (c *Columns) Access(i int) mem.Access {
 // AppendTo materializes every access onto dst and returns the extended
 // slice.
 func (c *Columns) AppendTo(dst []mem.Access) []mem.Access {
-	for i := range c.Addrs {
+	for i := range c.n {
 		dst = append(dst, c.Access(i))
 	}
 	return dst
@@ -632,6 +743,159 @@ func DecodeRLEColumn(dst []byte, data []byte, count int) ([]byte, error) {
 		return dst, fmt.Errorf("trace: RLE column has %d trailing bytes after %d values", len(data)-pos, count)
 	}
 	return dst, nil
+}
+
+// ColumnEncoding names the encoding of a packed column (the wire
+// protocol's v4 column sections).
+type ColumnEncoding uint8
+
+const (
+	EncPacked ColumnEncoding = iota + 1 // address column: PutPackedColumn
+	EncDoD                              // address column: PutDoDColumn
+	EncRaw                              // meta column: its bytes verbatim
+	EncRLE                              // meta column: PutRLEColumn
+)
+
+// PackedColumn is one encoded column that has passed CheckColumn, so
+// unpacking it cannot fail.
+type PackedColumn struct {
+	enc   ColumnEncoding
+	data  []byte
+	count int
+}
+
+// addrs reports whether p is in an address column's encoding.
+func (p PackedColumn) addrs() bool { return p.enc == EncPacked || p.enc == EncDoD }
+
+// decodeAddrs unpacks p, an address column, onto dst.
+func (p PackedColumn) decodeAddrs(dst []mem.Addr) ([]mem.Addr, error) {
+	if p.enc == EncDoD {
+		return DecodeDoDColumn(dst, p.data, p.count)
+	}
+	return DecodePackedColumn(dst, p.data, p.count)
+}
+
+// CheckColumn walks data as a column of exactly count values in
+// encoding enc and returns it ready for Columns.AppendPacked, which
+// copies it; until then it aliases data. It accepts exactly what the
+// encoding's unpacker accepts — DecodePackedColumn, DecodeDoDColumn, a
+// copy, or DecodeRLEColumn, the meta encodings followed by
+// FirstInvalidMeta — without unpacking a value: a packed column costs
+// one step per block, a delta-of-delta column one per varint, an RLE
+// column one per run.
+func CheckColumn(enc ColumnEncoding, data []byte, count int) (PackedColumn, error) {
+	var err error
+	switch enc {
+	case EncPacked:
+		err = checkPacked(data, count)
+	case EncDoD:
+		err = checkDoD(data, count)
+	case EncRaw:
+		if len(data) != count {
+			err = fmt.Errorf("trace: raw meta column of %d bytes, want %d", len(data), count)
+		} else if i := FirstInvalidMeta(data); i >= 0 {
+			err = invalidMetaErr(data[i], i)
+		}
+	case EncRLE:
+		err = checkRLEMeta(data, count)
+	default:
+		err = fmt.Errorf("trace: unknown column encoding %d", enc)
+	}
+	if err != nil {
+		return PackedColumn{}, err
+	}
+	return PackedColumn{enc, data, count}, nil
+}
+
+// invalidMetaErr refuses a meta byte no encoder writes: it would decode
+// to an access no encoder was given.
+func invalidMetaErr(b byte, i int) error {
+	return fmt.Errorf("trace: meta byte %#x of access %d is not a packed access", b, i)
+}
+
+// checkPacked walks DecodePackedColumn's block headers: every width at
+// most 64, every block inside the column, no bytes after the last.
+func checkPacked(data []byte, count int) error {
+	pos := 0
+	for start := 0; start < count; start += PackBlock {
+		if pos >= len(data) {
+			return fmt.Errorf("trace: packed column cut off at value %d: %w", start, ErrTruncated)
+		}
+		w := uint(data[pos])
+		pos++
+		if w > 64 {
+			return fmt.Errorf("trace: packed column block at value %d has width %d, over 64", start, w)
+		}
+		n := packedLen(min(PackBlock, count-start), w)
+		if n > len(data)-pos {
+			return fmt.Errorf("trace: packed column block at value %d needs %d bytes, %d left: %w", start, n, len(data)-pos, ErrTruncated)
+		}
+		pos += n
+	}
+	if pos != len(data) {
+		return fmt.Errorf("trace: packed column has %d trailing bytes after %d values", len(data)-pos, count)
+	}
+	return nil
+}
+
+// checkDoD walks DecodeDoDColumn's varints: (run, delta) pairs, every
+// run inside count, no bytes after the last.
+func checkDoD(data []byte, count int) error {
+	pos, i := 0, 0
+	for i < count {
+		zeros, n := uvarint(data, pos)
+		if n <= 0 {
+			return dodVarintErr(n, i)
+		}
+		pos += n
+		if zeros > uint64(count-i) {
+			return fmt.Errorf("trace: delta-of-delta column runs past %d values", count)
+		}
+		i += int(zeros)
+		if i == count {
+			break
+		}
+		if _, n = uvarint(data, pos); n <= 0 {
+			return dodVarintErr(n, i)
+		}
+		pos += n
+		i++
+	}
+	if pos != len(data) {
+		return fmt.Errorf("trace: delta-of-delta column has %d trailing bytes after %d values", len(data)-pos, count)
+	}
+	return nil
+}
+
+// checkRLEMeta walks DecodeRLEColumn's runs: none empty, their total
+// count, no bytes after the last, and no run value with a spare bit.
+func checkRLEMeta(data []byte, count int) error {
+	pos, total := 0, 0
+	for total < count {
+		if pos >= len(data) {
+			return fmt.Errorf("trace: RLE column ends after %d of %d values: %w", total, count, ErrTruncated)
+		}
+		v := data[pos]
+		run, n := uvarint(data, pos+1)
+		switch {
+		case n == 0:
+			return fmt.Errorf("trace: RLE column cut off inside a run length: %w", ErrTruncated)
+		case n < 0:
+			return fmt.Errorf("trace: RLE column run length overflows 64 bits")
+		case run == 0:
+			return fmt.Errorf("trace: RLE column contains a zero-length run")
+		case run > uint64(count-total):
+			return fmt.Errorf("trace: RLE column runs past %d values", count)
+		case v&metaSpare != 0:
+			return invalidMetaErr(v, total)
+		}
+		pos += 1 + n
+		total += int(run)
+	}
+	if pos != len(data) {
+		return fmt.Errorf("trace: RLE column has %d trailing bytes after %d values", len(data)-pos, count)
+	}
+	return nil
 }
 
 // fill sets every byte of s to v by doubling a copied prefix, so a long

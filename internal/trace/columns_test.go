@@ -85,13 +85,13 @@ func TestColumnsRoundTrip(t *testing.T) {
 		for _, enc := range []string{"packed", "dod"} {
 			var addrCol, pcCol []byte
 			if enc == "packed" {
-				addrCol = packedColumn(t, c.Addrs)
-				pcCol = packedColumn(t, c.PCs)
+				addrCol = packedColumn(t, c.Addrs())
+				pcCol = packedColumn(t, c.PCs())
 			} else {
-				addrCol = dodColumn(t, c.Addrs)
-				pcCol = dodColumn(t, c.PCs)
+				addrCol = dodColumn(t, c.Addrs())
+				pcCol = dodColumn(t, c.PCs())
 			}
-			metaCol := rleColumn(t, c.Meta)
+			metaCol := rleColumn(t, c.Meta())
 
 			decode := func(col []byte) ([]mem.Addr, error) {
 				if enc == "packed" {
@@ -111,7 +111,7 @@ func TestColumnsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d %s: meta column: %v", n, enc, err)
 			}
-			back := Columns{Addrs: addrs, PCs: pcs, Meta: meta}
+			back := Columns{addrs: addrs, pcs: pcs, meta: meta, n: n}
 			got := back.AppendTo(nil)
 			if len(got) != n {
 				t.Fatalf("n=%d %s: decoded %d accesses", n, enc, len(got))
@@ -221,7 +221,7 @@ func TestColumnCompression(t *testing.T) {
 		pick := func(vals []mem.Addr) int {
 			return min(len(packedColumn(t, vals)), len(dodColumn(t, vals)))
 		}
-		total := pick(c.Addrs) + pick(c.PCs) + len(rleColumn(t, c.Meta))
+		total := pick(c.Addrs()) + pick(c.PCs()) + len(rleColumn(t, c.Meta()))
 		perAccess := float64(total) / float64(len(accs))
 		t.Logf("%s: %.3f bytes/access columnar", tc.name, perAccess)
 		if perAccess > tc.budget {

@@ -109,8 +109,9 @@ func TestReadFramePooledAllocFree(t *testing.T) {
 	}
 }
 
-// TestDecodeColumnsIntoAllocFree: decoding a full batch into warm
-// columns performs zero heap allocations.
+// TestDecodeColumnsIntoAllocFree: checking a full batch into warm
+// columns, then unpacking every column by reading an access, performs
+// zero heap allocations.
 func TestDecodeColumnsIntoAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -125,6 +126,9 @@ func TestDecodeColumnsIntoAllocFree(t *testing.T) {
 		}
 		if cols.Len() != len(accs) {
 			t.Fatalf("decoded %d accesses, want %d", cols.Len(), len(accs))
+		}
+		if cols.Access(len(accs)-1) != accs[len(accs)-1] {
+			t.Fatal("last access changed across decode")
 		}
 	}
 	decode()

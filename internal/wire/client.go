@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -140,14 +141,12 @@ func (c *Client) open(req OpenRequest) (OpenReply, error) {
 	if err != nil {
 		return OpenReply{}, err
 	}
-	err = json.Unmarshal(payload, &c.reply)
+	reply, err := decodeOpenReply(payload)
 	PutPayload(payload)
 	if err != nil {
-		return OpenReply{}, fmt.Errorf("wire: decoding open reply: %w", err)
+		return OpenReply{}, err
 	}
-	if c.reply.Wire != WireV4 {
-		return OpenReply{}, fmt.Errorf("wire: server answered with wire version %d: this client speaks only version %d", c.reply.Wire, WireV4)
-	}
+	c.reply = reply
 	c.opened = true
 	c.nextSeq = c.reply.ResumeSeq + 1
 	return c.reply, nil
@@ -328,28 +327,20 @@ func (c *Client) expect(want FrameType) ([]byte, error) {
 		return nil, err
 	}
 	if t == FrameRetryAfter {
-		var ra RetryAfter
-		err := json.Unmarshal(payload, &ra)
+		ra, err := decodeRetryAfter(payload)
 		PutPayload(payload)
 		if err != nil {
-			return nil, fmt.Errorf("wire: decoding retry-after: %w", err)
+			return nil, err
 		}
-		return nil, &RetryAfterError{
-			After:  time.Duration(ra.AfterMillis) * time.Millisecond,
-			Reason: ra.Reason,
-		}
+		return nil, ra
 	}
 	if t == FrameMoved {
-		var mv Moved
-		err := json.Unmarshal(payload, &mv)
+		mv, err := decodeMoved(payload)
 		PutPayload(payload)
 		if err != nil {
-			return nil, fmt.Errorf("wire: decoding moved redirect: %w", err)
+			return nil, err
 		}
-		if mv.Addr == "" {
-			return nil, fmt.Errorf("wire: moved redirect without an address")
-		}
-		return nil, &MovedError{Addr: mv.Addr, Admin: mv.Admin, Seq: mv.Seq}
+		return nil, mv
 	}
 	if t != want {
 		err := fmt.Errorf("wire: server sent %s frame, want %s", t, want)
@@ -357,6 +348,61 @@ func (c *Client) expect(want FrameType) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// unmarshalOpen decodes the JSON payload of a server's answer to an
+// open into v, refusing one over MaxOpenPayload.
+func unmarshalOpen(what string, payload []byte, v any) error {
+	if len(payload) > MaxOpenPayload {
+		return fmt.Errorf("wire: %s of %d bytes exceeds limit %d", what, len(payload), MaxOpenPayload)
+	}
+	if err := json.Unmarshal(payload, v); err != nil {
+		return fmt.Errorf("wire: decoding %s: %w", what, err)
+	}
+	return nil
+}
+
+// decodeOpenReply decodes a FrameOpenOK payload, refusing any wire
+// version but WireV4.
+func decodeOpenReply(payload []byte) (OpenReply, error) {
+	var r OpenReply
+	if err := unmarshalOpen("open reply", payload, &r); err != nil {
+		return OpenReply{}, err
+	}
+	if r.Wire != WireV4 {
+		return OpenReply{}, fmt.Errorf("wire: server answered with wire version %d: this client speaks only version %d", r.Wire, WireV4)
+	}
+	return r, nil
+}
+
+// maxRetryAfterMillis is the longest retry-after hint a time.Duration
+// holds.
+const maxRetryAfterMillis = math.MaxInt64 / int64(time.Millisecond)
+
+// decodeRetryAfter decodes a FrameRetryAfter payload into the error the
+// open fails with, refusing a negative hint or one no Duration holds.
+func decodeRetryAfter(payload []byte) (*RetryAfterError, error) {
+	var ra RetryAfter
+	if err := unmarshalOpen("retry-after", payload, &ra); err != nil {
+		return nil, err
+	}
+	if ra.AfterMillis < 0 || ra.AfterMillis > maxRetryAfterMillis {
+		return nil, fmt.Errorf("wire: retry-after hint of %d ms is out of range", ra.AfterMillis)
+	}
+	return &RetryAfterError{After: time.Duration(ra.AfterMillis) * time.Millisecond, Reason: ra.Reason}, nil
+}
+
+// decodeMoved decodes a FrameMoved payload into the redirect error,
+// refusing one without an address.
+func decodeMoved(payload []byte) (*MovedError, error) {
+	var mv Moved
+	if err := unmarshalOpen("moved redirect", payload, &mv); err != nil {
+		return nil, err
+	}
+	if mv.Addr == "" {
+		return nil, fmt.Errorf("wire: moved redirect without an address")
+	}
+	return &MovedError{Addr: mv.Addr, Admin: mv.Admin, Seq: mv.Seq}, nil
 }
 
 func (c *Client) readResult(want FrameType) (*Result, error) {

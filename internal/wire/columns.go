@@ -66,8 +66,9 @@ func EncodeColumns(dst []byte, seq uint64, cols *trace.Columns) ([]byte, error) 
 	if cols.Len() > MaxColumnBatch {
 		return dst, fmt.Errorf("wire: columnar batch of %d accesses exceeds limit %d", cols.Len(), MaxColumnBatch)
 	}
-	if i := trace.FirstInvalidMeta(cols.Meta); i >= 0 {
-		return dst, fmt.Errorf("wire: batch %d access %d at %#x: %w", seq, i, uint64(cols.Addrs[i]), trace.ErrUnfitAccess)
+	meta := cols.Meta()
+	if i := trace.FirstInvalidMeta(meta); i >= 0 {
+		return dst, fmt.Errorf("wire: batch %d access %d at %#x: %w", seq, i, uint64(cols.Addrs()[i]), trace.ErrUnfitAccess)
 	}
 	if worst := encodeReserve(cols.Len()); cap(dst) < worst {
 		dst = make([]byte, 0, worst)
@@ -75,9 +76,9 @@ func EncodeColumns(dst []byte, seq uint64, cols *trace.Columns) ([]byte, error) 
 	dst = dst[:columnsHdrBytes]
 	binary.BigEndian.PutUint64(dst, seq)
 	binary.BigEndian.PutUint32(dst[batchSeqBytes:], uint32(cols.Len()))
-	dst = appendAddrSection(dst, cols.Addrs)
-	dst = appendAddrSection(dst, cols.PCs)
-	dst = appendMetaSection(dst, cols.Meta)
+	dst = appendAddrSection(dst, cols.Addrs())
+	dst = appendAddrSection(dst, cols.PCs())
+	dst = appendMetaSection(dst, meta)
 	return dst, nil
 }
 
@@ -132,14 +133,18 @@ func finishSection(dst []byte, off int, tag byte) []byte {
 	return dst
 }
 
-// DecodeColumnsInto decodes a columnar batch payload, appending the accesses
-// to cols (callers reuse one Columns value, Reset between batches) and
-// returning the batch's sequence number. Each column's crc32 is
-// verified before its data is interpreted, and every structural
-// violation — truncated sections, unknown encoding tags, columns that
-// decode to the wrong count, trailing bytes — is a descriptive error.
-// Decoding into columns that have grown to the session's steady batch
-// size allocates nothing.
+// DecodeColumnsInto checks a columnar batch payload and appends its
+// accesses to cols (callers reuse one Columns value, Reset between
+// batches), returning the batch's sequence number. Every column's crc32
+// is verified before its data is interpreted, and its full structure is
+// walked (trace.CheckColumn): truncated sections, unknown encoding
+// tags, columns that decode to the wrong count, meta bytes no encoder
+// writes and trailing bytes are descriptive errors, and a payload that
+// passes cannot fail to unpack. The columns are copied into cols still
+// packed, and each is unpacked the first time something reads it, so
+// payload may be reused as soon as DecodeColumnsInto returns. Checking
+// into columns that have grown to the session's steady batch size
+// allocates nothing.
 func DecodeColumnsInto(cols *trace.Columns, payload []byte) (uint64, error) {
 	if len(payload) < columnsHdrBytes {
 		return 0, fmt.Errorf("wire: columnar payload of %d bytes lacks its %d-byte header", len(payload), columnsHdrBytes)
@@ -149,25 +154,23 @@ func DecodeColumnsInto(cols *trace.Columns, payload []byte) (uint64, error) {
 	if count > MaxColumnBatch {
 		return seq, fmt.Errorf("wire: columnar batch declares %d accesses, limit %d", count, MaxColumnBatch)
 	}
-	// Build the whole batch's scratch up front: the count is declared, so
-	// cold columns pay one allocation each instead of append-doubling.
-	// The MaxColumnBatch bound above keeps a hostile count from turning
-	// this into a huge speculative allocation.
-	cols.Grow(int(count))
 	rest := payload[columnsHdrBytes:]
-	var err error
-	if cols.Addrs, rest, err = decodeAddrSection(cols.Addrs, rest, int(count), "address"); err != nil {
+	addrs, rest, err := checkSection(rest, int(count), "address", addrEncs[:])
+	if err != nil {
 		return seq, err
 	}
-	if cols.PCs, rest, err = decodeAddrSection(cols.PCs, rest, int(count), "pc"); err != nil {
+	pcs, rest, err := checkSection(rest, int(count), "pc", addrEncs[:])
+	if err != nil {
 		return seq, err
 	}
-	if cols.Meta, rest, err = decodeMetaSection(cols.Meta, rest, int(count)); err != nil {
+	meta, rest, err := checkSection(rest, int(count), "meta", metaEncs[:])
+	if err != nil {
 		return seq, err
 	}
 	if len(rest) > 0 {
 		return seq, fmt.Errorf("wire: %d trailing bytes after columnar batch", len(rest))
 	}
+	cols.AppendPacked(addrs, pcs, meta)
 	return seq, nil
 }
 
@@ -190,48 +193,28 @@ func splitSection(data []byte, name string) (byte, []byte, []byte, error) {
 	return tag, col, data[colSectionHdr+int(n):], nil
 }
 
-func decodeAddrSection(dst []mem.Addr, data []byte, count int, name string) ([]mem.Addr, []byte, error) {
+// Section encodings by tag: address and PC sections, then the meta
+// section. A tag outside its table, or mapped to 0, is unknown.
+var (
+	addrEncs = [...]trace.ColumnEncoding{colEncDoD: trace.EncDoD, colEncPacked: trace.EncPacked}
+	metaEncs = [...]trace.ColumnEncoding{colEncRaw: trace.EncRaw, colEncRLE: trace.EncRLE}
+)
+
+// checkSection splits the named column's section off data, verifies its
+// crc and walks its structure (trace.CheckColumn) as count values in the
+// encoding encs maps its tag to, returning the checked column and the
+// remainder.
+func checkSection(data []byte, count int, name string, encs []trace.ColumnEncoding) (trace.PackedColumn, []byte, error) {
 	tag, col, rest, err := splitSection(data, name)
 	if err != nil {
-		return dst, data, err
+		return trace.PackedColumn{}, data, err
 	}
-	switch tag {
-	case colEncPacked:
-		dst, err = trace.DecodePackedColumn(dst, col, count)
-	case colEncDoD:
-		dst, err = trace.DecodeDoDColumn(dst, col, count)
-	default:
-		return dst, data, fmt.Errorf("wire: %s column has unknown encoding %#x", name, tag)
+	if int(tag) >= len(encs) || encs[tag] == 0 {
+		return trace.PackedColumn{}, data, fmt.Errorf("wire: %s column has unknown encoding %#x", name, tag)
 	}
+	p, err := trace.CheckColumn(encs[tag], col, count)
 	if err != nil {
-		return dst, data, fmt.Errorf("wire: %s column: %w", name, err)
+		return p, data, fmt.Errorf("wire: %s column: %w", name, err)
 	}
-	return dst, rest, nil
-}
-
-func decodeMetaSection(dst []byte, data []byte, count int) ([]byte, []byte, error) {
-	tag, col, rest, err := splitSection(data, "meta")
-	if err != nil {
-		return dst, data, err
-	}
-	switch tag {
-	case colEncRaw:
-		if len(col) != count {
-			return dst, data, fmt.Errorf("wire: raw meta column of %d bytes, want %d", len(col), count)
-		}
-		dst = append(dst, col...)
-	case colEncRLE:
-		dst, err = trace.DecodeRLEColumn(dst, col, count)
-		if err != nil {
-			return dst, data, fmt.Errorf("wire: meta column: %w", err)
-		}
-	default:
-		return dst, data, fmt.Errorf("wire: meta column has unknown encoding %#x", tag)
-	}
-	// A byte no encoder writes would decode to an access no encoder
-	// was given.
-	if i := trace.FirstInvalidMeta(dst[len(dst)-count:]); i >= 0 {
-		return dst, data, fmt.Errorf("wire: meta byte %#x of access %d is not a packed access", dst[len(dst)-count+i], i)
-	}
-	return dst, rest, nil
+	return p, rest, nil
 }

@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/cpumodel"
 	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -93,8 +96,10 @@ func BenchmarkTransposeColumns(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeColumns times the daemon side of a batch:
-// DecodeColumnsInto reused columns.
+// BenchmarkDecodeColumns times the daemon's check of a batch on
+// arrival: DecodeColumnsInto reused columns, which verifies every
+// column and copies it in still packed. The unpacking execution does is
+// BenchmarkIngestColumns's.
 func BenchmarkDecodeColumns(b *testing.B) {
 	for _, kernel := range benchKernels {
 		b.Run(kernel, func(b *testing.B) {
@@ -120,5 +125,53 @@ func BenchmarkDecodeColumns(b *testing.B) {
 			}
 			reportPerAccess(b, batches)
 		})
+	}
+}
+
+// BenchmarkIngestColumns times the daemon's whole per-batch work on the
+// suite kernels' batches: DecodeColumnsInto, then ExecuteColumns on an
+// RDX profiler's machine, which unpacks only the columns it reads. It
+// runs at stream-steady's period 65536, where most batches hold no
+// event, and at session churn's period 512, where every batch reads
+// every column. Each iteration profiles the whole kernel trace on a
+// fresh profiler; reported in ns/access.
+func BenchmarkIngestColumns(b *testing.B) {
+	for _, period := range []uint64{64 << 10, 512} {
+		for _, kernel := range benchKernels {
+			b.Run(fmt.Sprintf("period=%d/%s", period, kernel), func(b *testing.B) {
+				batches := benchBatches(b, kernel)
+				cols := GetColumns()
+				defer PutColumns(cols)
+				payloads := make([][]byte, len(batches))
+				for seq, batch := range batches {
+					cols.Reset()
+					cols.AppendBatch(batch)
+					var err error
+					if payloads[seq], err = EncodeColumns(nil, uint64(seq), cols); err != nil {
+						b.Fatal(err)
+					}
+				}
+				cfg := core.DefaultConfig()
+				cfg.SamplePeriod = period
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					p, err := core.NewProfiler(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					m := p.NewMachine(cpumodel.Default())
+					b.StartTimer()
+					for _, payload := range payloads {
+						cols.Reset()
+						if _, err := DecodeColumnsInto(cols, payload); err != nil {
+							b.Fatal(err)
+						}
+						m.ExecuteColumns(cols)
+					}
+				}
+				reportPerAccess(b, batches)
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/bits"
 
 	"repro/internal/mem"
@@ -94,7 +95,7 @@ func refEncodeColumns(seq uint64, cols *trace.Columns) []byte {
 		dst = binary.BigEndian.AppendUint32(dst, colCRC(tag, data))
 		dst = append(dst, data...)
 	}
-	for _, vals := range [][]mem.Addr{cols.Addrs, cols.PCs} {
+	for _, vals := range [][]mem.Addr{cols.Addrs(), cols.PCs()} {
 		packed, dod := refAppendPackedColumn(nil, vals), refAppendDoDColumn(nil, vals)
 		if len(dod) < len(packed) {
 			section(colEncDoD, dod)
@@ -102,10 +103,63 @@ func refEncodeColumns(seq uint64, cols *trace.Columns) []byte {
 			section(colEncPacked, packed)
 		}
 	}
-	if rle := refAppendRLEColumn(nil, cols.Meta); len(rle) < len(cols.Meta) {
+	if rle := refAppendRLEColumn(nil, cols.Meta()); len(rle) < len(cols.Meta()) {
 		section(colEncRLE, rle)
 	} else {
-		section(colEncRaw, cols.Meta)
+		section(colEncRaw, cols.Meta())
 	}
 	return dst
+}
+
+// refDecodeColumns is the eager decoder DecodeColumnsInto's checks must
+// agree with: the header and section checks, then each section through
+// its per-column unpacker (trace.DecodePackedColumn, DecodeDoDColumn,
+// DecodeRLEColumn) and the meta bytes through trace.FirstInvalidMeta.
+// It returns the batch's address, PC and meta columns.
+func refDecodeColumns(payload []byte) (addrs, pcs []mem.Addr, meta []byte, err error) {
+	if len(payload) < columnsHdrBytes {
+		return nil, nil, nil, errors.New("payload lacks its header")
+	}
+	count := int(binary.BigEndian.Uint32(payload[batchSeqBytes:]))
+	if count > MaxColumnBatch {
+		return nil, nil, nil, errors.New("count over the limit")
+	}
+	rest := payload[columnsHdrBytes:]
+	for _, col := range []struct {
+		name string
+		vals *[]mem.Addr
+	}{{"address", &addrs}, {"pc", &pcs}} {
+		var tag byte
+		var data []byte
+		tag, data, rest, err = splitSection(rest, col.name)
+		switch {
+		case err != nil:
+		case tag == colEncPacked:
+			*col.vals, err = trace.DecodePackedColumn(nil, data, count)
+		case tag == colEncDoD:
+			*col.vals, err = trace.DecodeDoDColumn(nil, data, count)
+		default:
+			err = errors.New("unknown address encoding")
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	tag, col, rest, err := splitSection(rest, "meta")
+	switch {
+	case err != nil:
+	case tag == colEncRaw && len(col) == count:
+		meta = col
+	case tag == colEncRLE:
+		meta, err = trace.DecodeRLEColumn(nil, col, count)
+	default:
+		err = errors.New("bad meta section")
+	}
+	if err == nil && (trace.FirstInvalidMeta(meta) >= 0 || len(rest) > 0) {
+		err = errors.New("invalid meta byte or trailing bytes")
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return addrs, pcs, meta, nil
 }

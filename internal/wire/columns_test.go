@@ -212,6 +212,32 @@ func TestDecodeColumnsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeColumnsIntoCopiesPayload: the packed columns are copied
+// out of the payload, so a payload buffer overwritten once
+// DecodeColumnsInto returns — the daemon hands it back to the pool at
+// once — does not change the accesses its columns unpack to. The
+// batches cover packed and delta-of-delta address columns and raw and
+// run-length meta columns.
+func TestDecodeColumnsIntoCopiesPayload(t *testing.T) {
+	strided := make([]mem.Access, 3000)
+	for i := range strided {
+		strided[i] = mem.Access{Addr: 0x10000 + mem.Addr(i)*8, PC: 0x400000, Size: 8}
+	}
+	for _, accs := range [][]mem.Access{wireTestAccesses(5, 3000), strided} {
+		payload := encodedColumns(t, 1, accs)
+		var cols trace.Columns
+		if _, err := DecodeColumnsInto(&cols, payload); err != nil {
+			t.Fatal(err)
+		}
+		for i := range payload {
+			payload[i] = ^payload[i]
+		}
+		if got := cols.AppendTo(nil); !slices.Equal(got, accs) {
+			t.Fatal("accesses changed when the payload was overwritten")
+		}
+	}
+}
+
 // TestDecodeColumnsCountBound: a header declaring an absurd count must
 // be refused before any column scratch is grown.
 func TestDecodeColumnsCountBound(t *testing.T) {
@@ -258,9 +284,11 @@ func resealed(payload []byte) []byte {
 // given and resealed (section crcs recomputed, so mutations get past the
 // checksums): malformed headers, lying section lengths, block widths
 // over 64, blocks overrunning their section, truncation and trailing
-// bytes must all return errors, never panic. A payload that decodes must
-// re-encode to no more bytes than it was given, and the re-encoding must
-// decode to the same accesses.
+// bytes must all return errors, never panic. The decoder accepts a
+// payload if and only if the per-column unpackers accept every section
+// (refDecodeColumns), and its columns unpack to their values. A payload
+// that decodes must re-encode to no more bytes than it was given, and
+// the re-encoding must decode to the same accesses.
 func FuzzDecodeColumns(f *testing.F) {
 	var cols trace.Columns
 	cols.AppendBatch(wireTestAccesses(2, 64))
@@ -295,8 +323,15 @@ func FuzzDecodeColumns(f *testing.F) {
 		for _, payload := range [][]byte{data, resealed(data)} {
 			var c trace.Columns
 			seq, err := DecodeColumnsInto(&c, payload)
+			addrs, pcs, meta, refErr := refDecodeColumns(payload)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("DecodeColumnsInto error %v, per-column unpackers' error %v", err, refErr)
+			}
 			if err != nil {
 				continue
+			}
+			if !slices.Equal(c.Addrs(), addrs) || !slices.Equal(c.PCs(), pcs) || !slices.Equal(c.Meta(), meta) {
+				t.Fatal("packed columns unpack to other values than the per-column unpackers")
 			}
 			re, err := EncodeColumns(nil, seq, &c)
 			if err != nil {
@@ -533,7 +568,7 @@ func FuzzEncodeColumns(f *testing.F) {
 		if want := refEncodeColumns(7, cols); !bytes.Equal(payload, want) {
 			t.Fatalf("%d accesses: payload differs from the reference encoder", cols.Len())
 		}
-		for _, vals := range [][]mem.Addr{cols.Addrs, cols.PCs} {
+		for _, vals := range [][]mem.Addr{cols.Addrs(), cols.PCs()} {
 			packedLen, dodLen := trace.AddrColumnLens(vals)
 			buf := make([]byte, max(packedLen, dodLen)+trace.ColumnSlack)
 			if n := trace.PutPackedColumn(buf, vals); !bytes.Equal(buf[:n], refAppendPackedColumn(nil, vals)) || n != packedLen {

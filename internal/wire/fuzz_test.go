@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -56,21 +54,6 @@ func TestReadFrameEOFContract(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty stream: %v, want io.EOF", err)
 	}
-}
-
-// allocBytes returns the heap bytes fn allocates: the smaller of two
-// measurements, since an allocation by another goroutine (the fuzzing
-// engine's own) can land inside one.
-func allocBytes(fn func()) uint64 {
-	least := uint64(math.MaxUint64)
-	for range 2 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		fn()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
 }
 
 // pushAllocPerByte and pushAllocFixed bound the heap bytes one
@@ -128,7 +111,7 @@ func FuzzDecodePush(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !testutil.RaceEnabled {
 			bound := uint64(pushAllocPerByte*len(data) + pushAllocFixed)
-			if alloc := allocBytes(func() { decodePush(data) }); alloc > bound {
+			if alloc := testutil.AllocBytes(func() { decodePush(data) }); alloc > bound {
 				t.Fatalf("decoding a %d-byte push allocates %d bytes, bound %d", len(data), alloc, bound)
 			}
 		}
@@ -184,7 +167,7 @@ func FuzzDecodeHandoff(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !testutil.RaceEnabled {
-			if alloc := allocBytes(func() { DecodeHandoff(data) }); alloc > handoffAllocMax {
+			if alloc := testutil.AllocBytes(func() { DecodeHandoff(data) }); alloc > handoffAllocMax {
 				t.Fatalf("decoding a %d-byte handoff allocates %d bytes, bound %d", len(data), alloc, handoffAllocMax)
 			}
 		}
@@ -200,4 +183,89 @@ func FuzzDecodeHandoff(f *testing.F) {
 			t.Fatalf("accepted %d-byte handoff re-encodes to %d different bytes", len(data), len(re))
 		}
 	})
+}
+
+// replyAllocPerByte and replyAllocFixed bound the heap bytes one open
+// reply, retry-after or moved decode may allocate: per payload byte, the
+// strings it unquotes, plus the reply itself and an error message. A
+// string of invalid UTF-8 costs the most, each byte decoding to the
+// 3-byte U+FFFD in a buffer grown by doubling: as a value about 10.5
+// heap bytes per payload byte, as an unknown key, which is case-folded
+// too, about 18-25; valid text costs 1-5. MaxOpenPayload caps the
+// payload, and with it the total.
+const (
+	replyAllocPerByte = 32
+	replyAllocFixed   = 2 << 10
+)
+
+// FuzzDecodeOpenReplies throws arbitrary bytes at the three decoders of
+// a server's answer to an open: the open reply (decodeOpenReply), the
+// retry-after hint of a shed open (decodeRetryAfter) and the redirect
+// of a migrated session (decodeMoved). Whatever the input, each must
+// return an error or its value, never panic, and allocate at most
+// replyAllocPerByte heap bytes per payload byte plus replyAllocFixed.
+// What each accepts must round-trip: its JSON form decodes to the same
+// value.
+func FuzzDecodeOpenReplies(f *testing.F) {
+	for _, v := range []any{
+		OpenReply{SessionID: 7, QueueDepth: 64, MaxBatch: 1 << 16, Token: "tok", ResumeSeq: 12, Done: true, CheckpointEvery: 32, Wire: WireV4},
+		OpenReply{Wire: WireV4},
+		OpenReply{Wire: 3},
+		RetryAfter{AfterMillis: 250, Reason: "draining"},
+		RetryAfter{AfterMillis: maxRetryAfterMillis + 1},
+		RetryAfter{AfterMillis: -1},
+		Moved{Addr: "127.0.0.1:9000", Admin: "127.0.0.1:9001", Seq: 40},
+		Moved{Seq: 1},
+	} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"token":"` + strings.Repeat(`é`, 500) + `","wire":4}`))
+	f.Add([]byte(`{"` + strings.Repeat("\xa9", 500) + `":"","addr":"a"}`))
+	f.Add(bytes.Repeat([]byte{' '}, MaxOpenPayload+1))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !testutil.RaceEnabled {
+			bound := uint64(replyAllocPerByte*len(data) + replyAllocFixed)
+			for name, decode := range map[string]func(){
+				"open reply":  func() { decodeOpenReply(data) },
+				"retry-after": func() { decodeRetryAfter(data) },
+				"moved":       func() { decodeMoved(data) },
+			} {
+				if alloc := testutil.AllocBytes(decode); alloc > bound {
+					t.Fatalf("decoding a %d-byte %s allocates %d bytes, bound %d", len(data), name, alloc, bound)
+				}
+			}
+		}
+		if r, err := decodeOpenReply(data); err == nil {
+			if back, err := decodeOpenReply(mustMarshal(t, r)); err != nil || back != r {
+				t.Fatalf("open reply %+v does not round-trip: %+v, %v", r, back, err)
+			}
+		}
+		if ra, err := decodeRetryAfter(data); err == nil {
+			enc := mustMarshal(t, RetryAfter{AfterMillis: ra.After.Milliseconds(), Reason: ra.Reason})
+			if back, err := decodeRetryAfter(enc); err != nil || *back != *ra {
+				t.Fatalf("retry-after %+v does not round-trip: %v", *ra, err)
+			}
+		}
+		if mv, err := decodeMoved(data); err == nil {
+			enc := mustMarshal(t, Moved{Addr: mv.Addr, Admin: mv.Admin, Seq: mv.Seq})
+			if back, err := decodeMoved(enc); err != nil || *back != *mv {
+				t.Fatalf("moved %+v does not round-trip: %v", *mv, err)
+			}
+		}
+	})
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

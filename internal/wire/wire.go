@@ -185,6 +185,14 @@ func (t FrameType) String() string {
 // batch frames are a few hundred KiB.
 const MaxFramePayload = 64 << 20
 
+// MaxOpenPayload bounds the JSON payload of the open handshake's
+// frames: the open request and the open reply, retry-after and moved
+// answers. Legitimate ones are a few hundred bytes. A string of invalid
+// UTF-8 costs a JSON decoder up to about 40 heap bytes per payload
+// byte, so without the bound one hostile 64 MiB frame could make a
+// daemon or client allocate gigabytes.
+const MaxOpenPayload = 64 << 10
+
 // frameOverhead is the frame body's fixed prefix: type byte + crc32.
 const frameOverhead = 5
 

@@ -129,6 +129,17 @@ echo "==> fuzz smoke (snapshot push and handoff decoders, 10s each)"
 go test -run='^$' -fuzz='^FuzzDecodePush$' -fuzztime=10s -fuzzminimizetime=100x ./internal/wire
 go test -run='^$' -fuzz='^FuzzDecodeHandoff$' -fuzztime=10s -fuzzminimizetime=100x ./internal/wire
 
+# Short fuzz smoke on the open handshake: the open request the daemon
+# reads first off every connection, and the client's decoders of the
+# daemon's answers (open reply, retry-after hint, moved redirect).
+# Arbitrary bytes must never panic them or make them allocate past
+# their stated bounds, and what each accepts must round-trip. Both
+# targets measure allocation on every exec, so minimizing is capped at
+# 100 execs.
+echo "==> fuzz smoke (open handshake decoders, 10s each)"
+go test -run='^$' -fuzz='^FuzzDecodeOpenRequest$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+go test -run='^$' -fuzz='^FuzzDecodeOpenReplies$' -fuzztime=10s -fuzzminimizetime=100x ./internal/wire
+
 # Wire-compression regression gate: each workload shape (strided,
 # clustered, sequential) is streamed through one session and the
 # server's compression ratio is held against the value committed in the
@@ -200,7 +211,7 @@ go test -count=1 -run='^TestThroughputGate$' ./internal/core
 echo "==> bench smoke (1 iteration)"
 go test -run='^$' -bench='^(BenchmarkRun|BenchmarkExecuteColumns)$' -benchtime=1x ./internal/cpu
 go test -run='^$' -bench='^BenchmarkMeasure$' -benchtime=1x ./internal/exact
-go test -run='^$' -bench='^(BenchmarkEncodeColumns|BenchmarkTransposeColumns|BenchmarkDecodeColumns)$' -benchtime=1x ./internal/wire
+go test -run='^$' -bench='^(BenchmarkEncodeColumns|BenchmarkTransposeColumns|BenchmarkDecodeColumns|BenchmarkIngestColumns)$' -benchtime=1x ./internal/wire
 go test -run='^$' -bench='^BenchmarkSessionChurn$' -benchtime=1x ./internal/server
 
 echo "check: OK"

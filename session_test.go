@@ -135,19 +135,7 @@ func TestSessionDifferentialRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// StateBytes reports capacity growth, which legitimately differs
-	// between the server's batch sizes and the local profiler's; zero it
-	// for the remote-vs-local check.
-	neutral := func(fp string) string {
-		var w RemoteResult
-		if err := json.Unmarshal([]byte(fp), &w); err != nil {
-			t.Fatal(err)
-		}
-		w.StateBytes = 0
-		b, _ := json.Marshal(&w)
-		return string(b)
-	}
-	if neutral(fingerprint(t, newRes)) != neutral(localFP) {
+	if fingerprint(t, newRes) != localFP {
 		t.Error("remote Session result diverges from local")
 	}
 
@@ -289,7 +277,7 @@ func TestRemoteFollowsDrainWithoutRetry(t *testing.T) {
 		if out.err != nil {
 			t.Fatalf("remote profile across a drain failed: %v", out.err)
 		}
-		if neutralFP(t, out.res) != neutralFP(t, local) {
+		if fingerprint(t, out.res) != fingerprint(t, local) {
 			t.Error("migrated remote profile diverges from local")
 		}
 		checkMigrated(src, dst)
@@ -311,11 +299,11 @@ func TestRemoteFollowsDrainWithoutRetry(t *testing.T) {
 			t.Fatalf("watch delivered %d windows across the drain, local %d", len(wins), len(lwins))
 		}
 		for i := range wins {
-			if neutralFP(t, wins[i].Cumulative.Threads[0]) != neutralFP(t, lwins[i].Cumulative.Threads[0]) {
+			if fingerprint(t, wins[i].Cumulative.Threads[0]) != fingerprint(t, lwins[i].Cumulative.Threads[0]) {
 				t.Errorf("window %d diverges from local", i+1)
 			}
 		}
-		if neutralFP(t, final.Cumulative.Threads[0]) != neutralFP(t, local) {
+		if fingerprint(t, final.Cumulative.Threads[0]) != fingerprint(t, local) {
 			t.Error("migrated watched lifetime diverges from local")
 		}
 		checkMigrated(src, dst)

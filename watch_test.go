@@ -68,19 +68,6 @@ func drainWatch(t *testing.T, ch <-chan WindowSnapshot) ([]WindowSnapshot, Windo
 	return wins, final
 }
 
-// neutralFP is fingerprint with StateBytes zeroed, for comparisons that
-// legitimately cross batch-size regimes (see TestSessionDifferentialRemote).
-func neutralFP(t *testing.T, r *Result) string {
-	t.Helper()
-	w := ResultToRemote(r)
-	w.StateBytes = 0
-	b, err := json.Marshal(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
 // TestWatchLocalLifetimeBitIdentical is the tentpole differential: a
 // watched local run must deliver contiguous windows and finish with a
 // lifetime MultiResult bit-identical to an unwatched ProfileThreads on
@@ -179,7 +166,7 @@ func TestWatchDriftDetectsPhaseChange(t *testing.T) {
 
 // TestWatchRemoteDifferential watches the same stream locally and
 // against an rdxd daemon: the runs must agree window by window
-// (cumulative snapshots bit-identical modulo StateBytes) and on the
+// (cumulative snapshots bit-identical) and on the
 // lifetime result.
 func TestWatchRemoteDifferential(t *testing.T) {
 	srv, err := server.New(server.Config{Logf: func(string, ...any) {}})
@@ -223,11 +210,11 @@ func TestWatchRemoteDifferential(t *testing.T) {
 		t.Fatalf("remote delivered %d windows, local %d", len(rwins), len(lwins))
 	}
 	for i := range rwins {
-		if neutralFP(t, rwins[i].Cumulative.Threads[0]) != neutralFP(t, lwins[i].Cumulative.Threads[0]) {
+		if fingerprint(t, rwins[i].Cumulative.Threads[0]) != fingerprint(t, lwins[i].Cumulative.Threads[0]) {
 			t.Errorf("window %d: remote cumulative diverges from local", i+1)
 		}
 	}
-	if neutralFP(t, rfinal.Cumulative.Threads[0]) != neutralFP(t, lfinal.Cumulative.Threads[0]) {
+	if fingerprint(t, rfinal.Cumulative.Threads[0]) != fingerprint(t, lfinal.Cumulative.Threads[0]) {
 		t.Error("remote watched lifetime diverges from local")
 	}
 }
@@ -382,7 +369,7 @@ func TestWatchReconnectDeliversEveryWindowInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if neutralFP(t, final.Cumulative.Threads[0]) != neutralFP(t, ref) {
+	if fingerprint(t, final.Cumulative.Threads[0]) != fingerprint(t, ref) {
 		t.Error("faulted watched lifetime diverges from unfaulted run")
 	}
 }
