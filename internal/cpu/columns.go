@@ -51,9 +51,10 @@ func (m *Machine) ExecuteColumns(cols *trace.Columns) {
 // runInstrumentedColumns mirrors runInstrumented: exhaustive tools
 // observe every access, so each one is materialized from the columns.
 func (m *Machine) runInstrumentedColumns(cols *trace.Columns) {
-	n := cols.Len()
-	for i := 0; i < n; i++ {
-		a := cols.Access(i)
+	addrs, pcs, meta := cols.Addrs(), cols.PCs(), cols.Meta()
+	for i := range cols.Len() {
+		a := watchedAccess(addrs, meta, i)
+		a.PC = pcs[i]
 		m.accessIndex = m.executed
 		m.account.Accesses++
 		m.account.Instrumented++
@@ -74,7 +75,8 @@ func (m *Machine) runInstrumentedColumns(cols *trace.Columns) {
 
 // runSamplingColumns mirrors runSampling over columns. For AllAccesses
 // the overflow index comes straight from the headroom with no per-value
-// work; filtered events scan the meta column's kind bits.
+// work; filtered events scan the meta column's kind bits. Only the
+// overflowing access is materialized.
 func (m *Machine) runSamplingColumns(cols *trace.Columns, i int) int {
 	n := cols.Len()
 	h := m.pmu.Headroom()
@@ -90,8 +92,9 @@ func (m *Machine) runSamplingColumns(cols *trace.Columns, i int) int {
 			qual = h
 		}
 	} else {
+		meta := cols.Meta()
 		for k := i; k < n; k++ {
-			if ev.Matches(cols.Access(k)) {
+			if ev.Matches(mem.Access{Kind: trace.MetaKind(meta[k])}) {
 				if qual == h {
 					j = k
 					break
@@ -114,9 +117,11 @@ func (m *Machine) runSamplingColumns(cols *trace.Columns, i int) int {
 // counts every access (or there is none), only a watchpoint hit or the
 // overflow — headroom accesses ahead — can be an event, so the segment
 // probes the address column alone against the filter
-// (scanWatchedColumns). Filtered events need each access's kind: those
-// accesses are materialized one by one, PMU counting staying a local
-// pending advance flushed before any event delivery.
+// (scanWatchedColumns). Filtered events need each access's kind: the
+// segment reads the address and meta columns access by access
+// (watchedAccess), PMU counting staying a local pending advance flushed
+// before any event delivery, and materializes only the access it
+// delivers.
 func (m *Machine) runWatchedColumns(cols *trace.Columns, i int) int {
 	wps := m.filter.sync(m.drs)
 	if m.pmu == nil || m.pmu.Config().Event == pmu.AllAccesses {
@@ -127,13 +132,14 @@ func (m *Machine) runWatchedColumns(cols *trace.Columns, i int) int {
 	ev := m.pmu.Config().Event
 	var qual uint64 // qualifying accesses among the event-free cols[start:i]
 	start := i
+	addrs, meta := cols.Addrs(), cols.Meta()
 	for ; i < n; i++ {
-		a := cols.Access(i)
+		a := watchedAccess(addrs, meta, i)
 		hit := m.filter.passes(a) && coversAny(wps, a)
 		matches := ev.Matches(a)
 		if hit || (matches && qual == h) {
 			m.skip(uint64(i-start), qual)
-			m.deliver(a, hit)
+			m.deliver(cols.Access(i), hit)
 			return i + 1 // armed set / period changed: re-dispatch
 		}
 		if matches {
@@ -172,7 +178,8 @@ func (m *Machine) scanWatchedColumns(cols *trace.Columns, i int, wps []debugreg.
 }
 
 // watchedAccess is access k of the columns whose address and meta
-// columns are addrs and meta, without its PC: all Covers reads.
+// columns are addrs and meta, without its PC: all Covers and an event
+// filter read.
 func watchedAccess(addrs []mem.Addr, meta []byte, k int) mem.Access {
 	return mem.Access{Addr: addrs[k], Size: trace.MetaSize(meta[k]), Kind: trace.MetaKind(meta[k])}
 }

@@ -28,6 +28,7 @@ type A1Result struct {
 
 // RunA1 compares replacement policies over the representative workloads.
 func (o Options) RunA1() (*A1Result, error) {
+	o = o.withGroundTruth()
 	res := &A1Result{}
 	tb := report.NewTable("A1: watchpoint replacement policy", "policy", "mean accuracy")
 	for _, pol := range []core.ReplacementPolicy{core.ReplaceProbabilistic, core.ReplaceHybrid, core.ReplaceReservoir, core.ReplaceAlways, core.ReplaceNever} {
@@ -58,6 +59,7 @@ type A2Result struct {
 
 // RunA2 compares converted and raw reporting.
 func (o Options) RunA2() (*A2Result, error) {
+	o = o.withGroundTruth()
 	conv, err := o.meanAccuracyByConfig(func(c *core.Config) { c.ConvertDistances = true })
 	if err != nil {
 		return nil, err
@@ -151,6 +153,7 @@ type A5Result struct {
 // RunA5 compares bias correction on/off over the representative
 // workloads.
 func (o Options) RunA5() (*A5Result, error) {
+	o = o.withGroundTruth()
 	on, err := o.meanAccuracyByConfig(func(c *core.Config) { c.BiasCorrection = true })
 	if err != nil {
 		return nil, err

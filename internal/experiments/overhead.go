@@ -219,6 +219,7 @@ type A3Result struct {
 
 // RunA3 sweeps the profiling-cost calibration.
 func (o Options) RunA3() (*A3Result, error) {
+	o = o.withGroundTruth()
 	res := &A3Result{}
 	tb := report.NewTable("A3: cost-calibration sensitivity",
 		"cost x", "RDX mean ovh %", "exact geo slowdown", "shape intact")

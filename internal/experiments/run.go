@@ -65,8 +65,10 @@ func Run(id string, o Options) (any, error) {
 }
 
 // RunAll executes every experiment in order, returning results keyed by
-// ID. It stops at the first failure.
+// ID. It stops at the first failure. The experiments share one
+// ground-truth memo.
 func RunAll(o Options) (map[string]any, error) {
+	o = o.withGroundTruth()
 	out := make(map[string]any, len(registry))
 	for _, e := range registry {
 		fmt.Fprintf(o.out(), "\n########## %s — %s ##########\n", e.ID, e.Title)

@@ -66,7 +66,7 @@ func TestAdminControlEndpointValidation(t *testing.T) {
 			t.Errorf("GET /drain: got %s, want 405", resp.Status)
 		}
 	}
-	for _, body := range []string{"{not json", `{"unknown_field":1}`, `{"to":["="]}`} {
+	for _, body := range []string{"{not json", `{"unknown_field":1}`, `{"to":["="]}`, `{} {"garbage":`} {
 		resp, err := http.Post(base+"/drain", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

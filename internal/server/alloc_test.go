@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -312,4 +313,131 @@ func TestStreamingAllocBudget(t *testing.T) {
 	if perBatch > budget {
 		t.Errorf("streaming allocates %.1f times per batch, budget %v", perBatch, budget)
 	}
+}
+
+// TestResilientSessionAllocBytes gates, in heap bytes, what a resilient
+// session costs once the process has run one: back-to-back
+// ReconnectingClient sessions against one daemon, 8192-access batches,
+// a sync every 32 batches, and a garbage collection between batches and
+// between sessions. Every buffer the stream keeps from batch to batch
+// (replay copies, encode scratch, connection buffers, the daemon's
+// column scratch and frame buffers) must come back from a free list
+// that the collections do not empty. What remains is the session's own
+// state: handshake and result JSON, the profiler and its checkpoints.
+func TestResilientSessionAllocBytes(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const (
+		batchSize = 8192
+		batches   = 64
+		budget    = 2048 // heap bytes per batch, after the first session
+	)
+	accs, err := trace.Collect(trace.ZipfAccess(29, 0, 1<<16, 1.0, batchSize*batches))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := start(t, server.Config{})
+	session := func() {
+		rc := wire.NewReconnectingClient(s.Addr(), testConfig(65536), wire.RetryPolicy{SyncEvery: 32})
+		defer rc.Close()
+		ctx := context.Background()
+		for off := 0; off < len(accs); off += batchSize {
+			if err := rc.SendBatch(ctx, accs[off:off+batchSize]); err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+		}
+		if _, err := rc.Finish(ctx); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+	}
+	session()
+	perBatch := float64(testutil.AllocBytes(session)) / batches
+	t.Logf("resilient session after the first: %.0f heap bytes/batch (%d accesses/batch)", perBatch, batchSize)
+	if perBatch > budget {
+		t.Errorf("a resilient session allocates %.0f heap bytes per batch, budget %d", perBatch, budget)
+	}
+}
+
+// TestScratchListBound runs sessions against one daemon — a few back to
+// back, a burst of concurrent ones, a few more back to back — and
+// states the bound on the connection scratch it keeps: at most Workers
+// sets, each a 256 KiB reader, a 64 KiB writer and a frame buffer of at
+// most one batch frame, with at most QueueDepth + 2 columns in its
+// ring, each at most the unpacked columns of one batch (17 bytes per
+// access) and the packed copy (no larger, plus section headers). It also
+// keeps at least one set with columns in its ring: what the next
+// session starts from.
+func TestScratchListBound(t *testing.T) {
+	const (
+		batchSize  = 8192
+		batches    = 24
+		burst      = 16
+		workers    = 2
+		queueDepth = 4
+	)
+	accs, err := trace.Collect(trace.ZipfAccess(37, 0, 1<<16, 1.0, batchSize*batches))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := start(t, server.Config{Workers: workers, QueueDepth: queueDepth})
+	session := func() error {
+		c, err := wire.Dial(s.Addr())
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		_, err = profilePlain(c, trace.FromSlice(accs), testConfig(65536), batchSize)
+		return err
+	}
+	check := func(phase string) {
+		t.Helper()
+		// A connection returns its set after its client has read the
+		// final result, so wait for one to come back.
+		sets, cols, bytes := s.ScratchRetained()
+		for deadline := time.Now().Add(10 * time.Second); (sets == 0 || cols == 0) && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			sets, cols, bytes = s.ScratchRetained()
+		}
+		const frameBound = 64 << 10 // a batch frame of 8192 accesses, about 28 KiB here
+		bound := sets*(256<<10+64<<10+frameBound) + cols*(2*17*batchSize+4<<10)
+		t.Logf("%s: %d sets, %d columns, %d bytes (bound %d)", phase, sets, cols, bytes, bound)
+		if sets > workers || cols > sets*(queueDepth+2) || bytes > bound {
+			t.Errorf("%s: the daemon keeps %d scratch sets with %d columns in %d bytes; bound %d sets, %d columns, %d bytes",
+				phase, sets, cols, bytes, workers, sets*(queueDepth+2), bound)
+		}
+		if sets == 0 || cols == 0 {
+			t.Errorf("%s: the daemon keeps %d scratch sets with %d columns, nothing for the next session", phase, sets, cols)
+		}
+	}
+	for range 3 {
+		if err := session(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("back to back")
+	var wg sync.WaitGroup
+	errs := make([]error, burst)
+	for i := range burst {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = session()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after the burst")
+	for range 3 {
+		if err := session(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("back to back again")
 }

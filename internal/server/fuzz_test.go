@@ -45,6 +45,7 @@ func FuzzDecodeOpenRequest(f *testing.F) {
 		f.Add(b[:len(b)/2])
 	}
 	f.Add([]byte(`{"config":{},"unknown":1}`))
+	f.Add([]byte(`{"wire":4} {"garbage":`))
 	f.Add([]byte(`{"config":{"SamplePeriod":-1}}`))
 	f.Add([]byte(`{"resume_token":"` + strings.Repeat(`é`, 500) + `"}`))
 	f.Add([]byte(`{"config":{"` + strings.Repeat("\xa9", 500) + `":1}}`))

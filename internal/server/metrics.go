@@ -135,9 +135,10 @@ type Metrics struct {
 	// PipelineQueueDepth is the live count of batches sitting between
 	// the decode and execute stages across all sessions.
 	PipelineQueueDepth int64 `json:"pipeline_queue_depth"`
-	// PoolHitRate is the fraction of frame-payload buffer requests
-	// served by the wire package's pool since process start (1.0 = no
-	// ingest allocation; 0 until the first frame arrives).
+	// PoolHitRate is the fraction of frame reads since process start
+	// whose payload fit a buffer the wire package kept (a connection's
+	// own, or a size class's): 1.0 = no ingest allocation; 0 until the
+	// first frame arrives.
 	PoolHitRate float64          `json:"pool_hit_rate"`
 	Draining    bool             `json:"draining"`
 	Sessions    []SessionMetrics `json:"sessions"`

@@ -225,8 +225,8 @@ func (s *Server) handoffRetained(token string, ent *ckptEntry, targets []Migrate
 }
 
 // handleHandoff is the receiving half of a migration: it installs the
-// transferred session state durably and acknowledges. It owns payload
-// (a pooled frame buffer) and releases it.
+// transferred session state durably and acknowledges. payload is the
+// connection's frame buffer.
 func (s *Server) handleHandoff(conn net.Conn, bw *bufio.Writer, payload []byte) {
 	reject := func(err error) {
 		s.armWrite(conn)
@@ -235,18 +235,15 @@ func (s *Server) handleHandoff(conn net.Conn, bw *bufio.Writer, payload []byte) 
 	}
 	kind, seq, token, body, err := wire.DecodeHandoff(payload)
 	if err != nil {
-		wire.PutPayload(payload)
 		reject(err)
 		return
 	}
 	if !validToken(token) {
-		wire.PutPayload(payload)
 		reject(fmt.Errorf("malformed handoff token"))
 		return
 	}
-	// The body outlives the pooled frame buffer: copy it out.
+	// The body outlives the connection's frame buffer: copy it out.
 	state := append([]byte(nil), body...)
-	wire.PutPayload(payload)
 
 	s.mu.Lock()
 	draining := s.draining

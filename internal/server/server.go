@@ -64,6 +64,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpumodel"
+	"repro/internal/freelist"
 	"repro/internal/trace"
 	"repro/internal/window"
 	"repro/internal/wire"
@@ -232,9 +233,8 @@ type Server struct {
 	metrics  metrics
 	ckpts    *ckptStore
 	stopRate chan struct{}
-	// ringsPool recirculates session free-column rings (see handleConn);
-	// per-server because their capacity is QueueDepth+2.
-	ringsPool sync.Pool
+	// scratch holds the buffers of ended connections (see connScratch).
+	scratch *freelist.List[*connScratch]
 
 	// ckptq feeds the serial checkpoint writer goroutine: blob capture
 	// stays on each session's runner (it needs the machine quiescent),
@@ -284,6 +284,7 @@ func New(cfg Config) (*Server, error) {
 		ckptDone: make(chan struct{}),
 	}
 	s.exec = newExecutor(s, cfg.Workers)
+	s.scratch = freelist.New[*connScratch](cfg.Workers)
 	if cfg.AdminAddr != "" {
 		adminLn, err := net.Listen("tcp", cfg.AdminAddr)
 		if err != nil {
@@ -510,14 +511,59 @@ func (s *Server) unregister(id uint64) {
 	}
 }
 
-// Connection-buffer pools: sessions come and go, but their bufio
-// buffers (256 KiB read + 64 KiB write) recirculate — without this,
-// every session costs two large allocations that show up as per-session
-// allocation creep at pool scale.
-var (
-	connReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 256<<10) }}
-	connWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
-)
+// connScratch is everything a connection keeps from frame to frame:
+// its bufio pair (256 KiB read, 64 KiB write), the buffer it reads every
+// frame into, and its session's free-column ring. handleConn takes a
+// set when the connection arrives and returns it when the connection's
+// reader and runner are both done, so sessions come and go without
+// allocating any of it afresh. The server keeps at most Workers sets
+// (s.scratch): what the sessions its executor can run at once hand to
+// their successors. So the columns it retains are at most
+// Workers × (QueueDepth + 2), each sized for a batch of at most
+// MaxBatch accesses, and its frame buffers at most Workers × 4 MiB.
+type connScratch struct {
+	br    *bufio.Reader
+	bw    *bufio.Writer
+	frame []byte
+	// cols is the session's free-column ring: decoded-batch columns
+	// go from the executor back to the reader through it. It holds
+	// QueueDepth + 2, one past all a session can have in flight (its
+	// queue, the batch being decoded and the one executing), so
+	// scratch is always returnable without blocking and a session's
+	// steady state runs on a fixed set of columns: zero allocations
+	// per batch. Every Columns in it is Reset before use.
+	cols chan *trace.Columns
+}
+
+func (s *Server) getScratch(conn net.Conn) *connScratch {
+	sc, ok := s.scratch.Get()
+	if !ok {
+		return &connScratch{
+			br:   bufio.NewReaderSize(conn, 256<<10),
+			bw:   bufio.NewWriterSize(conn, 64<<10),
+			cols: make(chan *trace.Columns, s.cfg.QueueDepth+2),
+		}
+	}
+	sc.br.Reset(conn)
+	sc.bw.Reset(conn)
+	return sc
+}
+
+func (s *Server) putScratch(sc *connScratch) {
+	sc.br.Reset(nil)
+	sc.bw.Reset(nil)
+	s.scratch.Put(sc)
+}
+
+// recycle returns a batch's columns to the session's ring. The ring
+// holds all a session can have in flight, so it only refuses columns in
+// the impossible case of a full ring; those go to the collector.
+func (sess *session) recycle(cols *trace.Columns) {
+	select {
+	case sess.freeCols <- cols:
+	default:
+	}
+}
 
 // handleConn owns one connection: the open (or resume) handshake
 // inline, then the reader/runner goroutine pair, then the disconnect
@@ -526,12 +572,11 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 
-	br := connReaderPool.Get().(*bufio.Reader)
-	br.Reset(conn)
-	defer connReaderPool.Put(br)
-	bw := connWriterPool.Get().(*bufio.Writer)
-	bw.Reset(conn)
-	defer connWriterPool.Put(bw)
+	// Returned when handleConn returns: by then the session's reader
+	// and runner are done with it.
+	sc := s.getScratch(conn)
+	defer s.putScratch(sc)
+	bw := sc.bw
 	reject := func(err error) {
 		s.armWrite(conn)
 		wire.WriteFrame(bw, wire.FrameError, []byte(err.Error()))
@@ -547,24 +592,21 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	s.armRead(conn)
-	t, payload, err := wire.ReadFramePooled(br)
+	t, payload, err := wire.ReadFrameInto(sc.br, &sc.frame)
 	if err != nil {
 		return // client vanished before speaking
 	}
 	s.metrics.bytesIn.Add(uint64(5 + len(payload)))
 	if t == wire.FrameHandoff {
-		// A peer backend is migrating a session here; handleHandoff owns
-		// the payload buffer.
+		// A peer backend is migrating a session here.
 		s.handleHandoff(conn, bw, payload)
 		return
 	}
 	if t != wire.FrameOpen {
-		wire.PutPayload(payload)
 		reject(fmt.Errorf("expected open frame, got %s", t))
 		return
 	}
 	req, err := decodeOpenRequest(payload)
-	wire.PutPayload(payload)
 	if err != nil {
 		reject(fmt.Errorf("bad open request: %v", err))
 		return
@@ -642,22 +684,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	sess.queue = make(chan item, s.cfg.QueueDepth)
-	// freeCols recirculates decoded-batch columns from the executor back
-	// to the reader: sized one past the queue so scratch is always
-	// returnable without blocking, and the session's steady state runs
-	// on a fixed set of columns — zero allocations per batch. It seeds
-	// from (and drains back to) the wire package's column pool, so the
-	// scratch outlives the session and back-to-back sessions stop
-	// allocating it afresh. The channel recirculates across this
-	// server's sessions too — contents and all, since the ring is never
-	// closed and every Columns in it is Reset before use (ringsPool is
-	// per-server, so the capacity always matches this server's queue
-	// depth).
-	if r, _ := s.ringsPool.Get().(chan *trace.Columns); r != nil {
-		sess.freeCols = r
-	} else {
-		sess.freeCols = make(chan *trace.Columns, s.cfg.QueueDepth+2)
-	}
+	sess.freeCols = sc.cols
 	sess.bw = bw
 	sess.done = make(chan struct{})
 	// Admit the session to the executor before the reader starts; the
@@ -665,7 +692,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	// handshake (notify was a no-op until admitted flipped).
 	sess.admitted.Store(true)
 	s.exec.notify(sess)
-	go s.readLoop(sess, br)
+	go s.readLoop(sess, sc)
 	// The executor closes done after the session's terminal step
 	// (finish, protocol error, disconnect, or migration handoff).
 	<-sess.done
@@ -675,12 +702,9 @@ func (s *Server) handleConn(conn net.Conn) {
 	for it := range sess.queue {
 		if it.kind == itemBatch {
 			s.metrics.pipelineDepth.Add(-1)
-			wire.PutColumns(it.cols)
+			sess.recycle(it.cols)
 		}
 	}
-	// Hand the session's recirculating scratch — the ring with whatever
-	// columns it holds — to the next session on this server.
-	s.ringsPool.Put(sess.freeCols)
 	if sess.failed {
 		// The worker wrote the error frame, armed the linger deadline,
 		// and moved on; this connection goroutine absorbs the linger so
@@ -829,11 +853,11 @@ type item struct {
 // gets a fresh read deadline; a client silent for longer loses the
 // connection and resumes from the disconnect checkpoint.
 //
-// The loop is allocation-free at steady state: frame payloads come from
-// the wire package's pooled buffers and go back the moment decoding
-// ends, and decode targets are recirculated columns the executor
-// returns through freeCols after execution.
-func (s *Server) readLoop(sess *session, br *bufio.Reader) {
+// The loop is allocation-free at steady state: every frame is read into
+// the connection's frame buffer, which decoding copies out of, and
+// decode targets are recirculated columns the executor returns through
+// freeCols after execution.
+func (s *Server) readLoop(sess *session, sc *connScratch) {
 	queue, freeCols := sess.queue, sess.freeCols
 	defer func() {
 		close(queue)
@@ -850,7 +874,7 @@ func (s *Server) readLoop(sess *session, br *bufio.Reader) {
 	}
 	for {
 		s.armRead(sess.conn)
-		t, payload, err := wire.ReadFramePooled(br)
+		t, payload, err := wire.ReadFrameInto(sc.br, &sc.frame)
 		if err != nil {
 			// io.EOF without Finish, a mid-frame cut, or a frame that
 			// failed its checksum: the stream is unusable. Nothing to
@@ -864,20 +888,19 @@ func (s *Server) readLoop(sess *session, br *bufio.Reader) {
 			var cols *trace.Columns
 			select {
 			case cols = <-freeCols:
-			default: // ring empty: seed from the cross-session pool
-				cols = wire.GetColumns()
+			default: // ring empty: the session's first batches
+				cols = new(trace.Columns)
 			}
 			cols.Reset()
 			s.metrics.batchBytes.Add(uint64(len(payload)))
 			seq, err := wire.DecodeColumnsInto(cols, payload)
-			wire.PutPayload(payload)
 			if err != nil {
-				wire.PutColumns(cols)
+				sess.recycle(cols)
 				enqueue(item{kind: itemFail, err: fmt.Errorf("corrupt batch: %w", err)})
 				return
 			}
 			if cols.Len() > s.cfg.MaxBatch {
-				wire.PutColumns(cols)
+				sess.recycle(cols)
 				enqueue(item{kind: itemFail, err: fmt.Errorf("batch of %d accesses exceeds max %d", cols.Len(), s.cfg.MaxBatch)})
 				return
 			}
@@ -885,23 +908,20 @@ func (s *Server) readLoop(sess *session, br *bufio.Reader) {
 			s.metrics.pipelineDepth.Add(1)
 			if !enqueue(item{kind: itemBatch, cols: cols, seq: seq}) {
 				s.metrics.pipelineDepth.Add(-1)
-				wire.PutColumns(cols)
+				sess.recycle(cols)
 				return
 			}
 		case wire.FrameSync:
-			wire.PutPayload(payload)
 			if !enqueue(item{kind: itemSync}) {
 				return
 			}
 		case wire.FrameSnapshot:
-			wire.PutPayload(payload)
 			if !enqueue(item{kind: itemSnapshot}) {
 				return
 			}
 		case wire.FrameWatch:
 			var req wire.WatchRequest
 			err := unmarshalStrict(payload, &req)
-			wire.PutPayload(payload)
 			if err != nil {
 				enqueue(item{kind: itemFail, err: fmt.Errorf("corrupt watch request: %w", err)})
 				return
@@ -914,11 +934,9 @@ func (s *Server) readLoop(sess *session, br *bufio.Reader) {
 				return
 			}
 		case wire.FrameFinish:
-			wire.PutPayload(payload)
 			enqueue(item{kind: itemFinish})
 			return
 		default:
-			wire.PutPayload(payload)
 			enqueue(item{kind: itemFail, err: fmt.Errorf("unexpected %s frame", t)})
 			return
 		}
@@ -999,17 +1017,6 @@ func (s *Server) processItem(sess *session, it item) (done bool) {
 		sess.conn.SetReadDeadline(time.Now().Add(errorLinger))
 		sess.failed = true
 	}
-	// recycle returns a consumed batch's columns to the reader's ring.
-	// The ring is sized so this never blocks; columns it can't take (the
-	// reader drew extras while the ring was empty) go back to the
-	// cross-session pool.
-	recycle := func(it item) {
-		select {
-		case sess.freeCols <- it.cols:
-		default:
-			wire.PutColumns(it.cols)
-		}
-	}
 	if it.kind == itemBatch {
 		s.metrics.pipelineDepth.Add(-1)
 	}
@@ -1017,7 +1024,7 @@ func (s *Server) processItem(sess *session, it item) (done bool) {
 		// The client is gone; executing its leftovers would be
 		// work nobody reads.
 		s.metrics.droppedBatches.Add(1)
-		recycle(it)
+		sess.recycle(it.cols)
 		return false
 	}
 	switch it.kind {
@@ -1026,7 +1033,7 @@ func (s *Server) processItem(sess *session, it item) (done bool) {
 			// Already executed before a reconnect; the resume
 			// replay is discarded, so re-delivery is idempotent.
 			s.metrics.replayedBatches.Add(1)
-			recycle(it)
+			sess.recycle(it.cols)
 			return false
 		}
 		if it.seq != sess.lastApplied+1 {
@@ -1045,7 +1052,7 @@ func (s *Server) processItem(sess *session, it item) (done bool) {
 			// backpressure and throttled-scaling tests need.
 			time.Sleep(s.cfg.StepDelay)
 		}
-		recycle(it)
+		sess.recycle(it.cols)
 		sess.lastApplied = it.seq
 		sess.sinceCkpt++
 		sess.accesses.Store(sess.machine.Account().Accesses)

@@ -103,12 +103,19 @@ func mustJSON(v any) []byte {
 	return data
 }
 
-// unmarshalStrict decodes JSON, rejecting unknown fields so client and
-// server protocol versions can't silently disagree.
+// unmarshalStrict decodes one JSON value, rejecting unknown fields so
+// client and server protocol versions can't silently disagree, and
+// anything but whitespace after the value.
 func unmarshalStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("%d bytes after the JSON value", len(rest))
+	}
+	return nil
 }
 
 // decodeOpenRequest decodes a FrameOpen payload, the first frame a

@@ -185,6 +185,7 @@ func TestWhatIfRejections(t *testing.T) {
 		{"invalid ways", `{"token":"` + reply.Token + `","spec":"l1.ways=-3"}`, http.StatusBadRequest},
 		{"bad json", `{"token"`, http.StatusBadRequest},
 		{"unknown field", `{"token":"` + reply.Token + `","spec":"l2.size=2x","resample":true}`, http.StatusBadRequest},
+		{"bytes after the value", `{"token":"` + reply.Token + `","spec":"l2.size=2x"} {"garbage":`, http.StatusBadRequest},
 		{"unknown token", `{"token":"0123456789abcdef0123456789abcdef","spec":"l2.size=2x"}`, http.StatusNotFound},
 		{"malformed token", `{"token":"nope","spec":"l2.size=2x"}`, http.StatusNotFound},
 	}

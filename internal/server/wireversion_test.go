@@ -155,6 +155,52 @@ func TestRetiredBatchFrameFailsSession(t *testing.T) {
 	}
 }
 
+// TestTrailingJSONRefused: an open or a watch request with bytes after
+// its JSON value is refused with an error frame, not decoded from its
+// first value.
+func TestTrailingJSONRefused(t *testing.T) {
+	s := start(t, server.Config{})
+	const junk = ` {"garbage":`
+	t.Run("open", func(t *testing.T) {
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		req, err := json.Marshal(wire.OpenRequest{Config: testConfig(300), Wire: wire.WireV4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(conn, wire.FrameOpen, append(req, junk...)); err != nil {
+			t.Fatal(err)
+		}
+		ft, payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ft != wire.FrameError || !strings.Contains(string(payload), "after the JSON value") {
+			t.Fatalf("open with trailing bytes answered with %s %q, want a bad-open-request error", ft, payload)
+		}
+	})
+	t.Run("watch", func(t *testing.T) {
+		conn, ft, payload := rawOpen(t, s, wire.WireV4)
+		if ft != wire.FrameOpenOK {
+			t.Fatalf("open answered with %s frame: %s", ft, payload)
+		}
+		if err := wire.WriteFrame(conn, wire.FrameWatch, []byte(`{"every_batches":1}`+junk)); err != nil {
+			t.Fatal(err)
+		}
+		ft, payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ft != wire.FrameError || !strings.Contains(string(payload), "after the JSON value") {
+			t.Fatalf("watch with trailing bytes answered with %s %q, want a corrupt-watch-request error", ft, payload)
+		}
+	})
+}
+
 // TestReconnectAcrossDaemons is the cross-daemon chaos test: two
 // daemons share a checkpoint directory, and every connection goes
 // through a fault injector that drops and corrupts mid-stream. The dial

@@ -170,6 +170,12 @@ func (c *Columns) Meta() []byte {
 	return c.meta
 }
 
+// Footprint returns the bytes c's buffers hold allocated, whatever
+// their lengths: what keeping c for reuse retains.
+func (c *Columns) Footprint() int {
+	return 8*(cap(c.addrs)+cap(c.pcs)) + cap(c.meta) + cap(c.packed)
+}
+
 // Reset empties the columns, retaining capacity for reuse.
 func (c *Columns) Reset() {
 	c.addrs = c.addrs[:0]

@@ -49,39 +49,60 @@ func decodePacked(t *testing.T, cols *trace.Columns, accs []mem.Access) {
 	}
 }
 
-// TestEventFreeBatchStaysPacked: at period 65536 the first batches hold
-// no sample and no watchpoint is armed, so ExecuteColumns reads none of
-// their columns and every one stays packed. The batch holding the first
-// sample unpacks the PC column, which the sample's access carries.
+// TestEventFreeBatchStaysPacked: at period 65536 most batches hold no
+// event (no sample, no trap). ExecuteColumns reads none of the columns
+// of such a batch while no watchpoint is armed, so every one stays
+// packed; sampling loads only, it reads the meta column's kind bits
+// alone. Whatever the event, an event-free batch leaves the PC column
+// packed, before and after the first sample arms a watchpoint, and a
+// batch that delivers an event unpacks it, since the event's access
+// carries its PC.
 func TestEventFreeBatchStaysPacked(t *testing.T) {
 	const batch = 8192
-	cfg := core.DefaultConfig()
-	cfg.SamplePeriod = 65536
-	p, err := core.NewProfiler(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := p.NewMachine(cpumodel.Default())
 	accs := kernelTrace(t, "mcf", 32*batch)
-	var cols trace.Columns
-	var eventFree int
-	for off := 0; off < len(accs); off += batch {
-		decodePacked(t, &cols, accs[off:off+batch])
-		before := m.Account().Samples
-		m.ExecuteColumns(&cols)
-		addrs, pcs, meta := trace.StillPacked(&cols)
-		if m.Account().Samples != before {
-			if pcs {
-				t.Fatalf("batch at %d: a sample left the PC column packed", off)
+	for _, tc := range []struct {
+		name  string
+		event pmu.EventSelect
+	}{
+		{"all-accesses", pmu.AllAccesses},
+		{"loads-only", pmu.LoadsOnly},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.SamplePeriod = 65536
+			cfg.Event = tc.event
+			p, err := core.NewProfiler(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-		if !addrs || !pcs || !meta {
-			t.Fatalf("batch at %d: event-free batch unpacked columns: addrs %v, pcs %v, meta %v still packed", off, addrs, pcs, meta)
-		}
-		eventFree++
+			m := p.NewMachine(cpumodel.Default())
+			var cols trace.Columns
+			var unarmed, armed int // event-free batches before and after the first sample
+			for off := 0; off < len(accs); off += batch {
+				decodePacked(t, &cols, accs[off:off+batch])
+				samples, traps := m.Account().Samples, m.Account().Traps
+				m.ExecuteColumns(&cols)
+				addrs, pcs, meta := trace.StillPacked(&cols)
+				switch {
+				case m.Account().Samples != samples || m.Account().Traps != traps:
+					if pcs {
+						t.Fatalf("batch at %d: a delivered event left the PC column packed", off)
+					}
+				case !pcs:
+					t.Fatalf("batch at %d: event-free batch unpacked the PC column", off)
+				case samples > 0:
+					armed++
+				case !addrs || meta != (tc.event == pmu.AllAccesses):
+					t.Fatalf("batch at %d: event-free batch with nothing armed unpacked columns: addrs %v, meta %v still packed", off, addrs, meta)
+				default:
+					unarmed++
+				}
+			}
+			if unarmed == 0 || armed == 0 {
+				t.Fatalf("%d event-free batches before the first sample, %d after: want some of each", unarmed, armed)
+			}
+		})
 	}
-	t.Fatalf("no sample in %d event-free batches", eventFree)
 }
 
 // TestPackedColumnsMatchAppendBatch: a profile fed wire-decoded, still

@@ -9,10 +9,10 @@ import (
 	"io"
 	"math"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/freelist"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -30,15 +30,14 @@ const DefaultDialTimeout = 10 * time.Second
 // Client per session (the daemon multiplexes).
 type Client struct {
 	conn   net.Conn
-	br     *bufio.Reader
-	bw     *bufio.Writer
-	enc    batchEncoder // returned to its pools at Close
+	bufs   *connBuffers // returned to connBufs at Close
+	enc    batchEncoder // returned to encoders at Close
 	opened bool
 	// onPush receives subscribed snapshot pushes that arrive interleaved
 	// ahead of a pending reply (see expect); set via OnPush.
 	onPush  func(*Push)
 	done    bool
-	closed  bool // Close ran; the pooled buffers are gone
+	closed  bool // Close ran; the buffers are gone
 	reply   OpenReply
 	nextSeq uint64 // sequence number of the next batch (first batch is 1)
 }
@@ -55,63 +54,66 @@ func Dial(addr string) (*Client, error) {
 	return NewClient(conn), nil
 }
 
-// Client-side buffer pools: sessions churn (one Client per session by
-// design), but the 64 KiB read and 256 KiB write buffers and the
-// encoded-batch scratch recirculate across them — the client-side twin
-// of the server's connection pools, and the difference between a
-// session costing two large allocations or none.
-var (
-	clientReaderPool  = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
-	clientWriterPool  = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 256<<10) }}
-	clientScratchPool sync.Pool // stores *[]byte: encoded-batch payload scratch
-)
+// connBuffers is what a client connection reads and writes through:
+// its bufio pair and the buffer it reads every frame into. A Client
+// holds one set from NewClient to Close.
+type connBuffers struct {
+	br    *bufio.Reader
+	bw    *bufio.Writer
+	frame []byte
+}
+
+// connBufs holds the client connections' buffer sets (see pool.go).
+var connBufs = freelist.New[*connBuffers](clientFloor)
 
 // NewClient wraps an established connection (loopback pipes in tests,
 // TCP in production).
 func NewClient(conn net.Conn) *Client {
-	br := clientReaderPool.Get().(*bufio.Reader)
-	br.Reset(conn)
-	bw := clientWriterPool.Get().(*bufio.Writer)
-	bw.Reset(conn)
-	return &Client{conn: conn, br: br, bw: bw}
+	b := acquire(connBufs)
+	if b.br == nil {
+		b.br = bufio.NewReaderSize(conn, 64<<10)
+		b.bw = bufio.NewWriterSize(conn, 256<<10)
+	} else {
+		b.br.Reset(conn)
+		b.bw.Reset(conn)
+	}
+	return &Client{conn: conn, bufs: b}
 }
 
 // batchEncoder is the scratch batches are encoded through: columns and
-// a payload buffer, drawn from the pools on first use and reused, so a
+// a payload buffer, taken from encoders on first use and reused, so a
 // steady-state encode allocates nothing.
 type batchEncoder struct {
-	cols    *trace.Columns
+	s *encodeScratch
+}
+
+type encodeScratch struct {
+	cols    trace.Columns
 	payload []byte
 }
+
+// encoders holds the encode scratch of ended encoders (see pool.go).
+var encoders = freelist.New[*encodeScratch](clientFloor)
 
 // encode encodes accs as batch seq. The returned slice is valid until
 // the next encode.
 func (e *batchEncoder) encode(seq uint64, accs []mem.Access) ([]byte, error) {
-	if e.cols == nil {
-		e.cols = GetColumns()
-		if bp, _ := clientScratchPool.Get().(*[]byte); bp != nil {
-			e.payload = (*bp)[:0]
-		}
+	if e.s == nil {
+		e.s = acquire(encoders)
 	}
-	e.cols.Reset()
-	e.cols.AppendBatch(accs)
+	e.s.cols.Reset()
+	e.s.cols.AppendBatch(accs)
 	var err error
-	e.payload, err = EncodeColumns(e.payload, seq, e.cols)
-	return e.payload, err
+	e.s.payload, err = EncodeColumns(e.s.payload[:0], seq, &e.s.cols)
+	return e.s.payload, err
 }
 
-// release returns the scratch to its pools.
+// release returns the scratch to encoders.
 func (e *batchEncoder) release() {
-	if e.cols == nil {
-		return
+	if e.s != nil {
+		release(encoders, e.s)
+		e.s = nil
 	}
-	PutColumns(e.cols)
-	if cap(e.payload) > 0 {
-		bp := new([]byte)
-		*bp = e.payload[:0]
-		clientScratchPool.Put(bp)
-	}
-	*e = batchEncoder{}
 }
 
 // Open starts the session with the given profiler configuration and
@@ -142,7 +144,6 @@ func (c *Client) open(req OpenRequest) (OpenReply, error) {
 		return OpenReply{}, err
 	}
 	reply, err := decodeOpenReply(payload)
-	PutPayload(payload)
 	if err != nil {
 		return OpenReply{}, err
 	}
@@ -211,12 +212,9 @@ func (c *Client) Sync() (uint64, error) {
 		return 0, err
 	}
 	if len(payload) != 8 {
-		PutPayload(payload)
 		return 0, fmt.Errorf("wire: ack payload of %d bytes, want 8", len(payload))
 	}
-	seq := binary.BigEndian.Uint64(payload)
-	PutPayload(payload)
-	return seq, nil
+	return binary.BigEndian.Uint64(payload), nil
 }
 
 // Snapshot requests a live intermediate result: the profile the session
@@ -243,21 +241,19 @@ func (c *Client) Finish() (*Result, error) {
 	return c.readResult(FrameResult)
 }
 
-// Close releases the connection and returns the client's pooled
-// buffers. Closing without Finish abandons the session; the daemon
-// frees its state. The client is unusable afterwards.
+// Close releases the connection and returns the client's buffers.
+// Closing without Finish abandons the session; the daemon frees its
+// state. The client is unusable afterwards.
 func (c *Client) Close() error {
 	err := c.conn.Close()
 	if c.closed {
 		return err
 	}
 	c.closed = true
-	c.br.Reset(nil)
-	clientReaderPool.Put(c.br)
-	c.br = nil
-	c.bw.Reset(nil)
-	clientWriterPool.Put(c.bw)
-	c.bw = nil
+	c.bufs.br.Reset(nil)
+	c.bufs.bw.Reset(nil)
+	release(connBufs, c.bufs)
+	c.bufs = nil
 	c.enc.release()
 	return err
 }
@@ -285,10 +281,10 @@ func (c *Client) send(t FrameType, payload []byte) error {
 	if c.closed {
 		return fmt.Errorf("wire: client is closed")
 	}
-	if err := WriteFrame(c.bw, t, payload); err != nil {
+	if err := WriteFrame(c.bufs.bw, t, payload); err != nil {
 		return err
 	}
-	return c.bw.Flush()
+	return c.bufs.bw.Flush()
 }
 
 // expect reads server frames until the wanted one arrives, converting
@@ -296,14 +292,13 @@ func (c *Client) send(t FrameType, payload []byte) error {
 // a *RetryAfterError. Subscribed snapshot pushes may interleave ahead
 // of any pending reply (the one sanctioned departure from strict
 // request-order framing); expect hands each to the OnPush callback and
-// keeps reading. The payload comes from the pooled buffers: on success
-// it belongs to the caller, who must release it with PutPayload once
-// decoded; on error expect releases it itself.
+// keeps reading. The payload is the connection's frame buffer, valid
+// until the next read: callers decode it before reading again.
 func (c *Client) expect(want FrameType) ([]byte, error) {
 	if c.closed {
 		return nil, fmt.Errorf("wire: client is closed")
 	}
-	t, payload, err := ReadFramePooled(c.br)
+	t, payload, err := ReadFrameInto(c.bufs.br, &c.bufs.frame)
 	if err == io.EOF {
 		return nil, fmt.Errorf("wire: server closed the connection before replying")
 	}
@@ -312,7 +307,6 @@ func (c *Client) expect(want FrameType) ([]byte, error) {
 	}
 	if t == FrameSnapshotPush && want != FrameSnapshotPush {
 		p, err := decodePush(payload)
-		PutPayload(payload)
 		if err != nil {
 			return nil, err
 		}
@@ -322,13 +316,10 @@ func (c *Client) expect(want FrameType) ([]byte, error) {
 		return c.expect(want)
 	}
 	if t == FrameError {
-		err := fmt.Errorf("%w: %s", ErrRemote, payload)
-		PutPayload(payload)
-		return nil, err
+		return nil, fmt.Errorf("%w: %s", ErrRemote, payload)
 	}
 	if t == FrameRetryAfter {
 		ra, err := decodeRetryAfter(payload)
-		PutPayload(payload)
 		if err != nil {
 			return nil, err
 		}
@@ -336,16 +327,13 @@ func (c *Client) expect(want FrameType) ([]byte, error) {
 	}
 	if t == FrameMoved {
 		mv, err := decodeMoved(payload)
-		PutPayload(payload)
 		if err != nil {
 			return nil, err
 		}
 		return nil, mv
 	}
 	if t != want {
-		err := fmt.Errorf("wire: server sent %s frame, want %s", t, want)
-		PutPayload(payload)
-		return nil, err
+		return nil, fmt.Errorf("wire: server sent %s frame, want %s", t, want)
 	}
 	return payload, nil
 }
@@ -411,9 +399,7 @@ func (c *Client) readResult(want FrameType) (*Result, error) {
 		return nil, err
 	}
 	var res Result
-	err = json.Unmarshal(payload, &res)
-	PutPayload(payload)
-	if err != nil {
+	if err := json.Unmarshal(payload, &res); err != nil {
 		return nil, fmt.Errorf("wire: decoding result: %w", err)
 	}
 	return &res, nil

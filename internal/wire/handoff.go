@@ -85,7 +85,7 @@ func EncodeHandoff(dst []byte, kind byte, seq uint64, token string, body []byte)
 
 // DecodeHandoff splits a handoff payload into its parts. The returned
 // body aliases payload; callers installing it past the payload's
-// lifetime (pooled frame buffers) must copy it first.
+// lifetime (a connection's frame buffer) must copy it first.
 func DecodeHandoff(payload []byte) (kind byte, seq uint64, token string, body []byte, err error) {
 	if len(payload) < handoffFixed {
 		return 0, 0, "", nil, fmt.Errorf("wire: handoff payload of %d bytes shorter than its %d-byte prefix", len(payload), handoffFixed)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/freelist"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -60,8 +61,28 @@ func (p *RetryPolicy) fill() {
 		p.OpTimeout = 30 * time.Second
 	}
 	if p.SyncEvery == 0 {
-		p.SyncEvery = 32
+		p.SyncEvery = defaultSyncEvery
 	}
+}
+
+// defaultSyncEvery is RetryPolicy.SyncEvery's default.
+const defaultSyncEvery = 32
+
+// replayBufs holds replay buffers between batches and between
+// sessions. Each live client reserves its unacked window (replayWindow)
+// from its first batch until it finishes or closes, on top of
+// clientFloor default windows (see pool.go).
+var replayBufs = freelist.New[[]byte](clientFloor * defaultSyncEvery)
+
+// replayWindow is how many replay buffers a client holds at most in
+// steady state: one per batch between syncs. A client that syncs by
+// hand (SyncEvery < 0) is assumed to sync at the default cadence; its
+// buffers beyond the window are left to the garbage collector.
+func (p *RetryPolicy) replayWindow() int {
+	if p.SyncEvery > 0 {
+		return p.SyncEvery
+	}
+	return defaultSyncEvery
 }
 
 // ReconnectStats counts a ReconnectingClient's fault-tolerance events.
@@ -112,8 +133,8 @@ type ReconnectingClient struct {
 	lastAcked uint64
 	nextSeq   uint64 // session-level sequence of the next new batch
 	pending   []pendingBatch
-	free      [][]byte     // acked replay buffers awaiting reuse
-	enc       batchEncoder // returned to its pools by Finish and Close
+	reserved  int          // replay buffers reserved on replayBufs
+	enc       batchEncoder // returned to encoders by Finish and Close
 	sinceSync int
 	connected bool // a connection has succeeded at least once
 	finished  bool
@@ -197,21 +218,22 @@ func (r *ReconnectingClient) SendBatch(ctx context.Context, accs []mem.Access) e
 }
 
 // encode encodes accs as batch seq and copies the payload into a
-// recycled replay buffer when one is free (acked batches return theirs
-// via noteAcked), so a steady-state stream stops allocating once the
-// replay window's worth of buffers exists.
+// replay buffer from replayBufs (acked batches return theirs via
+// noteAcked), so a steady-state stream stops allocating once the replay
+// window's worth of buffers exists. The copy is compact: the encode
+// scratch reserves the worst case, a replay buffer only what the batch
+// took.
 func (r *ReconnectingClient) encode(seq uint64, accs []mem.Access) ([]byte, error) {
 	payload, err := r.enc.encode(seq, accs)
 	if err != nil {
 		return nil, err
 	}
-	var buf []byte
-	if n := len(r.free); n > 0 {
-		buf = r.free[n-1][:0]
-		r.free[n-1] = nil
-		r.free = r.free[:n-1]
+	if r.reserved == 0 {
+		r.reserved = r.policy.replayWindow()
+		replayBufs.Grow(r.reserved)
 	}
-	return append(buf, payload...), nil
+	buf, _ := replayBufs.Get()
+	return append(buf[:0], payload...), nil
 }
 
 // Sync requests a durable server checkpoint, trims the replay buffer to
@@ -253,17 +275,31 @@ func (r *ReconnectingClient) Finish(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	r.finished = true
-	r.pending, r.free = nil, nil
-	r.enc.release()
+	r.releaseBuffers()
 	return res, nil
 }
 
-// Close releases the current connection, if any, and the encode
-// scratch.
+// Close ends the client: it releases the current connection, if any,
+// and the client's buffers. Closing without Finish abandons the
+// session. The client is unusable afterwards.
 func (r *ReconnectingClient) Close() error {
 	r.dropConn()
-	r.enc.release()
+	r.finished = true
+	r.releaseBuffers()
 	return nil
+}
+
+// releaseBuffers returns the replay buffers still pending and the
+// encode scratch, and ends the client's reservation on replayBufs. No
+// connection is left to read a pending buffer.
+func (r *ReconnectingClient) releaseBuffers() {
+	for _, p := range r.pending {
+		replayBufs.Put(p.payload)
+	}
+	r.pending = nil
+	replayBufs.Shrink(r.reserved)
+	r.reserved = 0
+	r.enc.release()
 }
 
 // Profile streams tr through the resilient session end to end and
@@ -587,7 +623,7 @@ func (r *ReconnectingClient) noteAcked(seq uint64) {
 		if p.seq > seq {
 			keep = append(keep, p)
 		} else {
-			r.free = append(r.free, p.payload)
+			replayBufs.Put(p.payload)
 		}
 	}
 	r.pending = keep

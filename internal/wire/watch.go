@@ -42,12 +42,8 @@ func (c *Client) Watch(everyBatches int) error {
 	if err := c.send(FrameWatch, marshalJSON(WatchRequest{EveryBatches: everyBatches})); err != nil {
 		return err
 	}
-	payload, err := c.expect(FrameWatchOK)
-	if err != nil {
-		return err
-	}
-	PutPayload(payload)
-	return nil
+	_, err := c.expect(FrameWatchOK)
+	return err
 }
 
 // OnPush registers the callback expect hands pushed snapshots to when
@@ -68,9 +64,7 @@ func (c *Client) ReadPush() (*Push, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := decodePush(payload)
-	PutPayload(payload)
-	return p, err
+	return decodePush(payload)
 }
 
 func decodePush(payload []byte) (*Push, error) {

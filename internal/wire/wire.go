@@ -239,7 +239,7 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 }
 
 // readChunk bounds the up-front allocation while reading a
-// length-prefixed body beyond the pooled size classes: memory grows
+// length-prefixed body beyond maxPooledPayload: memory grows
 // with the bytes actually received, so a lying length prefix cannot
 // allocate MaxFramePayload up front.
 const readChunk = 1 << 20
@@ -248,18 +248,27 @@ const readChunk = 1 << 20
 // returned untouched when the stream ends cleanly between frames; a
 // stream cut inside a frame, an impossible length, or a checksum
 // mismatch (in-flight corruption) returns a descriptive error. The
-// payload is freshly allocated; hot paths that can release it promptly
-// should prefer ReadFramePooled.
+// payload is freshly allocated; a reader of many frames should prefer
+// ReadFrameInto.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	return readFrame(r, false)
+	return readFrame(r, nil, false)
 }
 
-// ReadFramePooled is ReadFrame drawing the payload from the frame
-// buffer pool: steady-state frame reads allocate nothing. The caller
+// ReadFrameInto is ReadFrame reading the payload into *buf, which it
+// replaces with a larger buffer when the frame does not fit (keeping
+// at most maxPooledPayload). The payload aliases *buf and is valid
+// until the next read into it: a connection reads every frame into its
+// own buffer, so its steady-state frame reads allocate nothing.
+func ReadFrameInto(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
+	return readFrame(r, buf, false)
+}
+
+// ReadFramePooled is ReadFrame drawing the payload from the payload
+// size classes, for a reader without a buffer of its own. The caller
 // must release the payload with PutPayload once nothing references its
 // contents — typically immediately after decoding it.
 func ReadFramePooled(r io.Reader) (FrameType, []byte, error) {
-	return readFrame(r, true)
+	return readFrame(r, nil, true)
 }
 
 // hdrPool recycles frame-prefix scratch buffers. A local [9]byte array
@@ -268,7 +277,7 @@ func ReadFramePooled(r io.Reader) (FrameType, []byte, error) {
 // allocation-free in both directions.
 var hdrPool = sync.Pool{New: func() any { return new([9]byte) }}
 
-func readFrame(r io.Reader, pooled bool) (FrameType, []byte, error) {
+func readFrame(r io.Reader, buf *[]byte, pooled bool) (FrameType, []byte, error) {
 	hp := hdrPool.Get().(*[9]byte)
 	defer hdrPool.Put(hp)
 	hdr := hp[:]
@@ -296,12 +305,23 @@ func readFrame(r io.Reader, pooled bool) (FrameType, []byte, error) {
 
 	size := int(n) - frameOverhead
 	var payload []byte
-	if pooled && size <= maxPooledPayload {
-		// Pool classes top out at maxPooledPayload, so the up-front
+	if size <= maxPooledPayload && (buf != nil || pooled) {
+		// Kept buffers top out at maxPooledPayload, so the up-front
 		// allocation a lying prefix can force stays bounded even here.
-		payload = GetPayload(size)
+		if pooled {
+			payload = GetPayload(size)
+		} else {
+			poolGets.Add(1)
+			if cap(*buf) < size {
+				poolMisses.Add(1)
+				*buf = make([]byte, size)
+			}
+			payload = (*buf)[:size]
+		}
 		if _, err := io.ReadFull(r, payload); err != nil {
-			PutPayload(payload)
+			if pooled {
+				PutPayload(payload)
+			}
 			return 0, nil, fmt.Errorf("wire: stream cut inside %d-byte frame: %w", n, err)
 		}
 	} else {
