@@ -48,7 +48,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:9127", "profiling listener address")
 		admin        = flag.String("admin", "127.0.0.1:9128", "admin (healthz/metrics) listener address; empty disables")
-		workers      = flag.Int("workers", 0, "executor workers multiplexing all sessions (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "most sessions executing at once (0 = GOMAXPROCS)")
 		queueDepth   = flag.Int("queue-depth", 8, "per-session bounded batch queue depth")
 		maxBatch     = flag.Int("max-batch", 1<<20, "largest accepted batch, in accesses")
 		maxSessions  = flag.Int("max-sessions", 64, "concurrent session limit")

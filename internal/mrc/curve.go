@@ -87,17 +87,26 @@ type Curve struct {
 	Points []Point `json:"points"`
 }
 
-// Sweep configures the cache-size sweep of a curve.
+// Sweep configures the cache-size sweep of a curve. A sweep may come
+// from a remote request, so its grid is bounded: at most 49 octaves of
+// at most MaxPointsPerDoubling sizes each.
 type Sweep struct {
 	// MinLines and MaxLines bound the capacity range in blocks
 	// (inclusive). Zero values derive the range from the source: 1 block
-	// up to one doubling past the largest observed distance.
+	// up to one doubling past the largest observed distance. Both are
+	// clamped to MaxSweepLines (2^48 blocks, 16 PiB of 64-byte lines).
 	MinLines uint64 `json:"min_lines,omitempty"`
 	MaxLines uint64 `json:"max_lines,omitempty"`
 	// PointsPerDoubling is how many sizes are sampled per octave
-	// (default 2).
+	// (default 2, clamped to MaxPointsPerDoubling).
 	PointsPerDoubling int `json:"points_per_doubling,omitempty"`
 }
+
+// The bounds on a Sweep's grid.
+const (
+	MaxSweepLines        = 1 << 48
+	MaxPointsPerDoubling = 64
+)
 
 // fill applies defaults, deriving the range from the largest finite
 // bucket of the source histogram (maxBucket; pass <0 when no histogram
@@ -106,9 +115,12 @@ func (s Sweep) fill(maxBucket int) Sweep {
 	if s.PointsPerDoubling <= 0 {
 		s.PointsPerDoubling = 2
 	}
+	s.PointsPerDoubling = min(s.PointsPerDoubling, MaxPointsPerDoubling)
 	if s.MinLines == 0 {
 		s.MinLines = 1
 	}
+	s.MinLines = min(s.MinLines, MaxSweepLines)
+	s.MaxLines = min(s.MaxLines, MaxSweepLines)
 	if s.MaxLines == 0 {
 		top := maxBucket + 1
 		if top < 4 {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -422,5 +423,54 @@ func TestPredictCacheEdgeCases(t *testing.T) {
 	}
 	if _, err := PredictLevels(cold, nil, 64); err == nil {
 		t.Error("empty hierarchy accepted")
+	}
+}
+
+// TestSweepBounded: a sweep can come from a remote /whatif body, so a
+// hostile one must still yield a bounded, increasing grid, and quickly.
+// Unbounded, max_lines = 2^64-1 never ended (a float past 2^63 converts
+// to 2^63 on amd64, so the octave loop never saw its end), and
+// 2^26 points per doubling ran for seconds.
+func TestSweepBounded(t *testing.T) {
+	rd := histogram.New()
+	for v := uint64(1); v < 1<<20; v *= 3 {
+		rd.Add(v, 1)
+	}
+	rd.Add(histogram.Infinite, 1)
+	// 49 octaves from one line to MaxSweepLines, each at most
+	// MaxPointsPerDoubling sizes, plus the closing MaxLines point.
+	const maxPoints = 49*MaxPointsPerDoubling + 1
+	cases := []struct {
+		name  string
+		sweep Sweep
+	}{
+		{"max_lines 2^64-1", Sweep{MaxLines: math.MaxUint64}},
+		{"max_lines 2^63", Sweep{MaxLines: 1 << 63}},
+		{"min_lines 2^64-1", Sweep{MinLines: math.MaxUint64}},
+		{"both 2^64-1, every point", Sweep{MinLines: math.MaxUint64, MaxLines: math.MaxUint64, PointsPerDoubling: math.MaxInt}},
+		{"2^26 points per doubling", Sweep{MaxLines: 1 << 20, PointsPerDoubling: 1 << 26}},
+		{"max int points per doubling", Sweep{PointsPerDoubling: math.MaxInt}},
+		{"widest grid", Sweep{MinLines: 1, MaxLines: math.MaxUint64, PointsPerDoubling: math.MaxInt}},
+		{"min past max", Sweep{MinLines: 1 << 62, MaxLines: 4}},
+	}
+	for _, tc := range cases {
+		done := make(chan *Curve, 1)
+		go func() { done <- FromHistogram(rd, 64, tc.sweep) }()
+		var c *Curve
+		select {
+		case c = <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: %+v still sweeping after 5s", tc.name, tc.sweep)
+		}
+		if n := len(c.Points); n == 0 || n > maxPoints {
+			t.Errorf("%s: %d points, want 1..%d", tc.name, n, maxPoints)
+			continue
+		}
+		for i, p := range c.Points {
+			if p.Lines == 0 || p.Lines > MaxSweepLines || i > 0 && p.Lines <= c.Points[i-1].Lines {
+				t.Errorf("%s: point %d at %d lines, after %d", tc.name, i, p.Lines, c.Points[max(i-1, 0)].Lines)
+				break
+			}
+		}
 	}
 }

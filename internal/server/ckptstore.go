@@ -27,15 +27,19 @@ type ckptEntry struct {
 // survive a daemon restart. Disk entries carry a checksum envelope, so
 // a torn write or bit rot surfaces as a descriptive resume error.
 //
-// Disk format ("RDXS", version 1, big-endian):
+// Disk format ("RDXS", version 2, big-endian):
 //
 //	magic  [4]byte "RDXS"
 //	version u8
 //	kind    u8   0 = live checkpoint, 1 = final result
 //	seq     u64
-//	crc     u32  IEEE crc32 of the body
+//	crc     u32  IEEE crc32 of version, kind, seq, len and body
 //	len     u32  body length
 //	body    len bytes
+//
+// The checksum covers the header fields too: a damaged seq or kind
+// would otherwise load as a different entry. Version 1 checksummed the
+// body alone, and its files are refused.
 type ckptStore struct {
 	mu      sync.Mutex
 	mem     map[string]*ckptEntry
@@ -55,7 +59,7 @@ const maxFreeBlobs = 32
 var ckptDiskMagic = [4]byte{'R', 'D', 'X', 'S'}
 
 const (
-	ckptDiskVersion  = 1
+	ckptDiskVersion  = 2
 	ckptKindLive     = 0
 	ckptKindFinal    = 1
 	ckptDiskOverhead = 4 + 1 + 1 + 8 + 4 + 4
@@ -234,9 +238,9 @@ func (cs *ckptStore) writeDisk(token string, kind uint8, seq uint64, body []byte
 	buf[4] = ckptDiskVersion
 	buf[5] = kind
 	binary.BigEndian.PutUint64(buf[6:], seq)
-	binary.BigEndian.PutUint32(buf[14:], crc32.ChecksumIEEE(body))
 	binary.BigEndian.PutUint32(buf[18:], uint32(len(body)))
 	buf = append(buf, body...)
+	binary.BigEndian.PutUint32(buf[14:], ckptDiskCRC(buf))
 
 	tmp := cs.path(token) + ".tmp"
 	if err := os.WriteFile(tmp, buf, 0o600); err != nil {
@@ -254,6 +258,12 @@ func (cs *ckptStore) writeDisk(token string, kind uint8, seq uint64, body []byte
 		cs.sweepDisk()
 	}
 	return nil
+}
+
+// ckptDiskCRC is the checksum of a disk entry: every byte after the
+// magic except the checksum field itself.
+func ckptDiskCRC(data []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(data[4:14]), crc32.IEEETable, data[18:])
 }
 
 func (cs *ckptStore) readDisk(token string) (*ckptEntry, error) {
@@ -278,7 +288,7 @@ func (cs *ckptStore) readDisk(token string) (*ckptEntry, error) {
 	if uint32(len(body)) != n {
 		return nil, fmt.Errorf("corrupt checkpoint: %d body bytes, envelope declares %d", len(body), n)
 	}
-	if crc32.ChecksumIEEE(body) != wantCRC {
+	if ckptDiskCRC(data) != wantCRC {
 		return nil, fmt.Errorf("corrupt checkpoint: checksum mismatch")
 	}
 	ent := &ckptEntry{seq: seq}

@@ -15,18 +15,17 @@ import (
 	"repro/internal/wire"
 )
 
-// TestExecutorChaosGOMAXPROCS4 is the work-stealing executor's
-// acceptance test: several sessions multiplexed onto a 4-worker
-// executor with GOMAXPROCS forced to 4 so workers genuinely interleave,
-// every connection routed through faultnet (seeded drops and partial
-// writes forcing reconnect/resume mid-stream), and the source backend
-// drained mid-run so live sessions are handed off to a second backend
-// by checkpoint handover. Whatever worker a session lands on, however
-// often it is stolen, re-queued, resumed, or migrated, each session's
-// final profile must be bit-identical to its local ground truth — the
-// ownership invariant (a session is stepped by at most one worker at a
-// time) makes the execution order per session identical to the
-// sequential one. scripts/check.sh runs this test under -race.
+// TestExecutorChaosGOMAXPROCS4 is the session execution model's
+// acceptance test: several sessions, each on its own connection
+// goroutine, sharing 4 execution slots with GOMAXPROCS forced to 4 so
+// sessions genuinely run in parallel, every connection routed through
+// faultnet (seeded drops and partial writes forcing reconnect/resume
+// mid-stream), and the source backend drained mid-run so live sessions
+// are handed off to a second backend by checkpoint handover. However
+// sessions interleave, resume, or migrate, each session's final profile
+// must be bit-identical to its local ground truth — only one goroutine
+// ever executes a session, so its execution order is the sequential
+// one. scripts/check.sh runs this test under -race.
 func TestExecutorChaosGOMAXPROCS4(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -90,7 +89,7 @@ func TestExecutorChaosGOMAXPROCS4(t *testing.T) {
 		}(i)
 	}
 
-	// Let the executor build up real cross-worker load, then pull the
+	// Let the sessions build up real parallel load, then pull the
 	// rug: drain the source so every live session migrates.
 	waitFor(t, "progress on source", 20*time.Second, func() bool {
 		return src.MetricsSnapshot().AccessesTotal > uint64(sessions*accesses/10)

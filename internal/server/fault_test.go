@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -573,5 +574,99 @@ func TestSequenceGapRejected(t *testing.T) {
 	}
 	if _, err := c.Finish(); err == nil || !strings.Contains(err.Error(), "sequence gap") {
 		t.Errorf("gapped batch: err=%v, want sequence-gap rejection", err)
+	}
+}
+
+// TestRestartResumesOrRefusesTornCheckpoint damages the spilled
+// checkpoint of a synced session at a few offsets (envelope kind and
+// seq, checksum, body) and cuts it short, then restarts the daemon on
+// each damaged copy and resumes the session the way a client does:
+// replaying every batch after the resume point. Each resume must either
+// be refused or finish bit-identical to the local profile; a damaged
+// file must never finish as a different profile.
+func TestRestartResumesOrRefusesTornCheckpoint(t *testing.T) {
+	const batch = 4096
+	cfg := testConfig(500)
+	accs, err := trace.Collect(trace.ZipfAccess(17, 0, 8192, 1.0, 16*batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := localProfile(t, accs, cfg)
+	batches := make([][]mem.Access, 0, len(accs)/batch)
+	for off := 0; off < len(accs); off += batch {
+		batches = append(batches, accs[off:off+batch])
+	}
+
+	dir := t.TempDir()
+	s1 := start(t, server.Config{CheckpointDir: dir, CheckpointEvery: -1})
+	c := dial(t, s1)
+	reply, err := c.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches[:len(batches)/2] {
+		if err := c.SendBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acked, err := c.Sync()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	s1.Close()
+	orig, err := os.ReadFile(filepath.Join(dir, reply.Token+".rdxs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	damage := map[string][]byte{"intact": orig}
+	for _, off := range []int{5, 13, 17, 22, len(orig) / 2, len(orig) - 1} {
+		for _, mask := range []byte{0x01, 0xFF} {
+			data := append([]byte(nil), orig...)
+			data[off] ^= mask
+			damage[fmt.Sprintf("byte %d flipped by %#x", off, mask)] = data
+		}
+	}
+	damage["cut to the header"] = orig[:22]
+	damage["cut by one byte"] = orig[:len(orig)-1]
+
+	resumed := 0
+	for label, data := range damage {
+		d := t.TempDir()
+		if err := os.WriteFile(filepath.Join(d, reply.Token+".rdxs"), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		s2 := start(t, server.Config{CheckpointDir: d})
+		c2 := dial(t, s2)
+		r, err := c2.Resume(cfg, reply.Token, acked)
+		if err != nil {
+			if label == "intact" {
+				t.Fatalf("intact checkpoint refused: %v", err)
+			}
+			s2.Close()
+			continue
+		}
+		got, err := func() (*wire.Result, error) {
+			if r.ResumeSeq > uint64(len(batches)) {
+				return nil, fmt.Errorf("resume point %d past the stream's %d batches", r.ResumeSeq, len(batches))
+			}
+			for _, b := range batches[r.ResumeSeq:] {
+				if err := c2.SendBatch(b); err != nil {
+					return nil, err
+				}
+			}
+			return c2.Finish()
+		}()
+		if err != nil {
+			t.Errorf("%s: resumed at batch %d, then: %v", label, r.ResumeSeq, err)
+		} else {
+			sameWireProfile(t, label, got, want)
+			resumed++
+		}
+		s2.Close()
+	}
+	if resumed == 0 {
+		t.Error("not even the intact checkpoint resumed")
 	}
 }

@@ -34,10 +34,8 @@ type metrics struct {
 	checkpointBytes  atomic.Uint64 // cumulative checkpoint blob bytes
 	whatifRequests   atomic.Uint64 // POST /whatif analysis queries
 
-	// Executor counters: scheduling quanta run and how many of them a
-	// worker took from a sibling's deque instead of its own.
-	executorSteps  atomic.Uint64
-	executorSteals atomic.Uint64
+	// executorSteps counts the queue items executed under a slot.
+	executorSteps atomic.Uint64
 
 	// Live-migration counters.
 	migrationsOrdered atomic.Uint64 // migration orders delivered to sessions
@@ -151,9 +149,11 @@ type Metrics struct {
 	CheckpointBytes  uint64 `json:"checkpoint_bytes"`
 	WhatIfRequests   uint64 `json:"whatif_requests"`
 
-	// Executor gauges: the fixed worker count, total scheduling quanta
-	// executed, and how many quanta were stolen from a sibling's deque —
-	// steals > 0 under load is the work-stealing path proving out.
+	// Execution gauges: the slot count (Config.Workers, the most
+	// sessions that execute at once) and the queue items executed under
+	// a slot. ExecutorSteals is always 0: sessions run on their own
+	// connection goroutines, and nothing is stolen. The field stays so
+	// readers of the JSON keep working.
 	ExecutorWorkers int    `json:"executor_workers"`
 	ExecutorSteps   uint64 `json:"executor_steps"`
 	ExecutorSteals  uint64 `json:"executor_steals"`
@@ -249,7 +249,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 
 		ExecutorWorkers: s.cfg.Workers,
 		ExecutorSteps:   m.executorSteps.Load(),
-		ExecutorSteals:  m.executorSteals.Load(),
 
 		MigrationsOrdered: m.migrationsOrdered.Load(),
 		HandoffsOut:       m.handoffsOut.Load(),

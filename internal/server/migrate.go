@@ -147,21 +147,20 @@ func rotateTargets(targets []MigrateTarget, i int) []MigrateTarget {
 }
 
 // orderMigration delivers one migration order to a session
-// (non-blocking: an order already pending is not duplicated) and wakes
-// the executor so an idle session acts on it immediately.
+// (non-blocking: an order already pending is not duplicated); an idle
+// session's runSession is waiting on the channel and acts on it at once.
 func (s *Server) orderMigration(sess *session, targets []MigrateTarget) bool {
 	select {
 	case sess.migrate <- migrateOrder{targets: targets}:
 		s.metrics.migrationsOrdered.Add(1)
-		s.exec.notify(sess)
 		return true
 	default:
 		return false
 	}
 }
 
-// migrateSession executes a migration order on the worker that owns
-// the session's current step (the machine is quiescent at a batch
+// migrateSession executes a migration order on the session's own
+// goroutine, between items (the machine is quiescent at a batch
 // boundary): durable local checkpoint, handoff to the first willing
 // target, tombstone, client redirect. It reports whether the session
 // was handed off — true means the session is terminal here; false means
@@ -304,8 +303,18 @@ type drainReply struct {
 // session to the given destinations. Idempotent: `rdx -drain` polls
 // /metrics and re-POSTs until sessions_active reaches zero.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	targets, ok := decodeControl(w, r)
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return
+	}
+	body, ok := readBody(w, r, maxControlBody)
 	if !ok {
+		return
+	}
+	targets, err := decodeDrainRequest(body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	ordered := s.Drain(targets)
@@ -316,31 +325,29 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	w.Write(mustJSON(drainReply{Draining: true, Sessions: n, Ordered: ordered}))
 }
 
-// decodeControl validates a /drain request's method, size and shape:
-// POST, bounded body, strict JSON, parsed target list. It answers the
-// request itself when it reports false.
-func decodeControl(w http.ResponseWriter, r *http.Request) ([]MigrateTarget, bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return nil, false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxControlBody))
-	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-		return nil, false
+// decodeDrainRequest decodes a POST /drain body, strictly, into its
+// target list, refusing one over maxControlBody. An empty body drains
+// without migrating.
+func decodeDrainRequest(body []byte) ([]MigrateTarget, error) {
+	if len(body) > maxControlBody {
+		return nil, fmt.Errorf("body of %d bytes exceeds limit %d", len(body), maxControlBody)
 	}
 	var req drainRequest
 	if len(body) > 0 {
 		if err := unmarshalStrict(body, &req); err != nil {
-			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-			return nil, false
+			return nil, fmt.Errorf("bad request body: %v", err)
 		}
 	}
-	targets, err := ParseMigrateTargets(req.To)
+	return ParseMigrateTargets(req.To)
+}
+
+// readBody reads an admin request's body, at most limit bytes. It
+// answers the request itself when it reports false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return nil, false
 	}
-	return targets, true
+	return body, true
 }

@@ -5,16 +5,16 @@
 //
 // # Concurrency model
 //
-// Each connection owns a reader goroutine that decodes frames into a
-// bounded per-session queue. Decode/execute work is drained by a fixed
-// work-stealing executor (see executor.go): Config.Workers workers
-// (default GOMAXPROCS), each with a deque of runnable sessions, stealing
-// from siblings when their own deque runs dry. A session is owned by at
-// most one worker at a time, so its batches execute in queue order and
-// its reply frames never interleave (single-writer per connection) —
-// results are bit-identical to the old runner-per-session model, but N
-// sessions cost N reader goroutines plus a constant worker set instead
-// of 2N goroutines, and execution parallelism tracks GOMAXPROCS exactly.
+// Each connection owns two goroutines: a reader that decodes frames into
+// a bounded per-session queue, and the connection's own goroutine, which
+// runs the session (runSession): it takes the queue's items in order and
+// executes each while holding one of Config.Workers slots (default
+// GOMAXPROCS), so at most that many sessions execute at once. Only that
+// goroutine executes the session or writes its replies, so its batches
+// run in queue order and its reply frames never interleave — per-session
+// order is sequential by construction, and results are bit-identical to
+// a local run. Which session runs on which core is the Go scheduler's
+// business.
 // Backpressure is emergent: a full session queue blocks the reader, the
 // kernel's TCP window fills, and the client's SendBatch blocks —
 // per-session server memory stays bounded by QueueDepth×MaxBatch
@@ -78,10 +78,9 @@ type Config struct {
 	// AdminAddr, when non-empty, serves /healthz and /metrics on a
 	// separate HTTP listener.
 	AdminAddr string
-	// Workers sizes the executor's fixed worker set — the bound on
-	// concurrent engine execution across all sessions (default
-	// runtime.GOMAXPROCS(0), matching the parallelism the Go scheduler
-	// can actually deliver).
+	// Workers bounds how many sessions execute at once: each queue item
+	// runs holding one of Workers slots (default runtime.GOMAXPROCS(0),
+	// matching the parallelism the Go scheduler can actually deliver).
 	Workers int
 	// QueueDepth is the per-session bounded batch queue (default 8).
 	// Together with MaxBatch it caps per-session buffered memory.
@@ -96,7 +95,7 @@ type Config struct {
 	// cpumodel.Default()).
 	Costs *cpumodel.Costs
 	// StepDelay, when set, sleeps after executing each batch while
-	// still holding the worker slot. Test hook: it makes the engine
+	// still holding the execution slot. Test hook: it makes the engine
 	// slow so backpressure is observable.
 	StepDelay time.Duration
 	// Logf receives server diagnostics (default log.Printf; use a
@@ -213,7 +212,9 @@ type Server struct {
 	ln      net.Listener
 	adminLn net.Listener
 	admin   *http.Server
-	exec    *executor // work-stealing session executor
+	// slots is the execution semaphore: a session holds one of its
+	// Workers entries while it executes a queue item.
+	slots chan struct{}
 
 	mu       sync.Mutex
 	sessions map[uint64]*session
@@ -282,8 +283,8 @@ func New(cfg Config) (*Server, error) {
 		stopRate: make(chan struct{}),
 		ckptq:    make(chan ckptReq, 16),
 		ckptDone: make(chan struct{}),
+		slots:    make(chan struct{}, cfg.Workers),
 	}
-	s.exec = newExecutor(s, cfg.Workers)
 	s.scratch = freelist.New[*connScratch](cfg.Workers)
 	if cfg.AdminAddr != "" {
 		adminLn, err := net.Listen("tcp", cfg.AdminAddr)
@@ -368,7 +369,6 @@ func (s *Server) AdminAddr() string {
 // Start launches the accept loop (and admin server, if configured) in
 // the background and returns immediately.
 func (s *Server) Start() {
-	s.exec.start()
 	s.wg.Add(1)
 	go s.acceptLoop()
 	go s.metrics.rateLoop(s.stopRate)
@@ -456,13 +456,9 @@ func (s *Server) finishClose() {
 	if already {
 		return
 	}
-	// s.wg has drained, so every session is done and the executor's
-	// deques are empty; its workers (which enqueue checkpoints) must stop
-	// before the checkpoint queue can close.
-	s.exec.close()
-	// Every remaining enqueuer ran inside s.wg, so the queue can close;
-	// waiting for the writer makes Shutdown/Close imply "all requested
-	// checkpoints are durable".
+	// s.wg has drained, so every session is done, and every enqueuer
+	// ran inside s.wg, so the queue can close; waiting for the writer
+	// makes Shutdown/Close imply "all requested checkpoints are durable".
 	close(s.ckptq)
 	<-s.ckptDone
 	close(s.stopRate)
@@ -517,8 +513,8 @@ func (s *Server) unregister(id uint64) {
 // set when the connection arrives and returns it when the connection's
 // reader and runner are both done, so sessions come and go without
 // allocating any of it afresh. The server keeps at most Workers sets
-// (s.scratch): what the sessions its executor can run at once hand to
-// their successors. So the columns it retains are at most
+// (s.scratch): what the sessions that can execute at once hand to their
+// successors. So the columns it retains are at most
 // Workers × (QueueDepth + 2), each sized for a batch of at most
 // MaxBatch accesses, and its frame buffers at most Workers × 4 MiB.
 type connScratch struct {
@@ -526,7 +522,7 @@ type connScratch struct {
 	bw    *bufio.Writer
 	frame []byte
 	// cols is the session's free-column ring: decoded-batch columns
-	// go from the executor back to the reader through it. It holds
+	// go from execution back to the reader through it. It holds
 	// QueueDepth + 2, one past all a session can have in flight (its
 	// queue, the batch being decoded and the one executing), so
 	// scratch is always returnable without blocking and a session's
@@ -566,8 +562,9 @@ func (sess *session) recycle(cols *trace.Columns) {
 }
 
 // handleConn owns one connection: the open (or resume) handshake
-// inline, then the reader/runner goroutine pair, then the disconnect
-// checkpoint if the session did not finish.
+// inline, then the session itself (runSession) with a reader goroutine
+// feeding it, then the disconnect checkpoint if the session did not
+// finish.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -687,15 +684,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	sess.freeCols = sc.cols
 	sess.bw = bw
 	sess.done = make(chan struct{})
-	// Admit the session to the executor before the reader starts; the
-	// unconditional kick picks up any migration order that raced the
-	// handshake (notify was a no-op until admitted flipped).
-	sess.admitted.Store(true)
-	s.exec.notify(sess)
 	go s.readLoop(sess, sc)
-	// The executor closes done after the session's terminal step
+	// runSession returns, closing done, at the session's terminal item
 	// (finish, protocol error, disconnect, or migration handoff).
-	<-sess.done
+	s.runSession(sess)
 	// The reader exits once it notices (its blocked enqueue aborts on
 	// done, or its next read fails); drain whatever it had queued,
 	// keeping the pipeline-depth gauge honest.
@@ -706,10 +698,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 	}
 	if sess.failed {
-		// The worker wrote the error frame, armed the linger deadline,
-		// and moved on; this connection goroutine absorbs the linger so
-		// our close cannot become a TCP reset that discards the frame
-		// before the client reads it.
+		// The error frame went out with the linger deadline armed;
+		// absorbing the linger here keeps our close from becoming a TCP
+		// reset that discards the frame before the client reads it.
 		io.Copy(io.Discard, conn)
 	}
 	// The reader and runner are both done with the profiler now; a
@@ -727,7 +718,7 @@ func (s *Server) handleConn(conn net.Conn) {
 
 // resumeSession rebuilds a session from its retained checkpoint. For a
 // finished session it carries the retained final result instead of a
-// live profiler; the runner serves it to a retried Finish.
+// live profiler; runSession serves it to a retried Finish.
 func (s *Server) resumeSession(conn net.Conn, req wire.OpenRequest) (*session, error) {
 	// Tombstone first: a migrated session's client must be redirected
 	// even while this server drains (register would shed it otherwise,
@@ -785,9 +776,9 @@ func (s *Server) resumeSession(conn net.Conn, req wire.OpenRequest) (*session, e
 
 // checkpointSession captures the session's full profiler state and
 // waits for the checkpoint writer to make it durable. Capture must only
-// run while the session's machine is quiescent (from the worker
-// stepping the session, or after its terminal step); the writer does
-// the rest.
+// run while the session's machine is quiescent (between the items
+// runSession executes, or after its terminal one); the writer does the
+// rest.
 func (s *Server) checkpointSession(sess *session) error {
 	done := make(chan error, 1)
 	s.enqueueCheckpoint(sess, done)
@@ -835,7 +826,7 @@ func (s *Server) armWrite(conn net.Conn) {
 }
 
 // item is one unit of session work, produced by the reader and
-// consumed by the runner.
+// consumed by runSession.
 type item struct {
 	kind  itemKind
 	cols  *trace.Columns // itemBatch: the decoded batch
@@ -847,26 +838,20 @@ type item struct {
 // readLoop decodes frames into the session queue. It is the only
 // sender on queue and closes it when the session's inbound side ends —
 // after Finish, on protocol error (itemFail carries it), or when the
-// connection dies (sess.dead is set so the executor discards
-// leftovers). Every enqueue — and the close — notifies the executor, so
-// an idle session is rescheduled the moment work exists. Each frame
-// gets a fresh read deadline; a client silent for longer loses the
-// connection and resumes from the disconnect checkpoint.
+// connection dies (sess.dead is set so runSession discards leftovers).
+// Each frame gets a fresh read deadline; a client silent for longer
+// loses the connection and resumes from the disconnect checkpoint.
 //
 // The loop is allocation-free at steady state: every frame is read into
 // the connection's frame buffer, which decoding copies out of, and
-// decode targets are recirculated columns the executor returns through
+// decode targets are recirculated columns runSession returns through
 // freeCols after execution.
 func (s *Server) readLoop(sess *session, sc *connScratch) {
 	queue, freeCols := sess.queue, sess.freeCols
-	defer func() {
-		close(queue)
-		s.exec.notify(sess)
-	}()
+	defer close(queue)
 	enqueue := func(it item) bool {
 		select {
 		case queue <- it:
-			s.exec.notify(sess)
 			return true
 		case <-sess.done:
 			return false
@@ -948,71 +933,63 @@ func (s *Server) readLoop(sess *session, sc *connScratch) {
 // discards the frame before the client reads it.
 const errorLinger = 2 * time.Second
 
-// stepStatus is a sessionStep verdict, telling the executor what to do
-// with the session next.
-type stepStatus int
-
-const (
-	stepYield stepStatus = iota // queue empty at poll time; reschedule on the next notify
-	stepMore                    // quantum exhausted with work still pending
-	stepDone                    // terminal: finished, failed, disconnected, or migrated
-)
-
-// stepQuantum bounds the queue items one scheduling step may process
-// before the session rotates back through the runnable set, so one
-// firehose session cannot pin an executor worker while siblings wait.
-const stepQuantum = 16
-
-// sessionStep runs one scheduling quantum of a session on the executor
-// worker that owns it for the duration of the call: migration orders
-// first (they land at batch boundaries, which is exactly between
-// items), then up to stepQuantum queue items. Replayed duplicates are
-// discarded by sequence number, snapshots and syncs answered inline,
-// and the final result emitted on Finish. The owning worker is the only
-// writer on sess.bw, and every reply write runs under the configured
-// write deadline.
-func (s *Server) sessionStep(sess *session) stepStatus {
-	for i := 0; i < stepQuantum; i++ {
+// runSession runs the session on its connection's goroutine until a
+// terminal item, then closes done. Migration orders come first (they
+// land at batch boundaries, which is exactly between items); then each
+// queue item executes holding one of the server's Workers slots.
+// Replayed duplicates are discarded by sequence number, snapshots and
+// syncs answered inline, and the final result emitted on Finish. This
+// goroutine is the only writer on sess.bw, and every reply write runs
+// under the configured write deadline.
+func (s *Server) runSession(sess *session) {
+	defer close(sess.done)
+	for {
 		select {
 		case ord := <-sess.migrate:
 			// A handed-off session is terminal here; one that every
 			// target refused keeps running.
 			if s.migrateSession(sess, sess.bw, ord) {
-				return stepDone
+				return
 			}
+			continue
 		default:
 		}
 		select {
+		case ord := <-sess.migrate:
+			if s.migrateSession(sess, sess.bw, ord) {
+				return
+			}
 		case it, ok := <-sess.queue:
 			if !ok {
 				// Queue closed without Finish: the connection dropped or
 				// the client abandoned the session. handleConn takes the
-				// disconnect checkpoint once done is signaled.
+				// disconnect checkpoint once runSession returns.
 				if n := sess.accesses.Load(); n > 0 {
 					s.cfg.Logf("rdxd: session %d disconnected after %d accesses", sess.id, n)
 				}
-				return stepDone
+				return
 			}
-			if s.processItem(sess, it) {
-				return stepDone
+			s.slots <- struct{}{}
+			s.metrics.executorSteps.Add(1)
+			done := s.processItem(sess, it)
+			<-s.slots
+			if done {
+				return
 			}
-		default:
-			return stepYield
 		}
 	}
-	return stepMore
 }
 
 // processItem executes one queue item; true means the session reached
-// a terminal state and must not be stepped again.
+// a terminal state and must not run again.
 func (s *Server) processItem(sess *session, it item) (done bool) {
 	bw := sess.bw
 	fail := func(err error) {
 		s.armWrite(sess.conn)
 		wire.WriteFrame(bw, wire.FrameError, []byte(err.Error()))
 		bw.Flush()
-		// Arm the linger window now but don't sit in it: the worker
-		// moves on, and handleConn absorbs the linger (sess.failed)
+		// Arm the linger window now but don't sit in it: handleConn
+		// absorbs the linger (sess.failed) after the slot is released,
 		// before closing the connection.
 		sess.conn.SetReadDeadline(time.Now().Add(errorLinger))
 		sess.failed = true
@@ -1047,7 +1024,7 @@ func (s *Server) processItem(sess *session, it item) (done bool) {
 		n := it.cols.Len()
 		sess.machine.ExecuteColumns(it.cols)
 		if s.cfg.StepDelay > 0 {
-			// The sleep deliberately holds the worker: StepDelay models a
+			// The sleep deliberately holds the slot: StepDelay models a
 			// slow engine, and a slot-holding slow engine is what the
 			// backpressure and throttled-scaling tests need.
 			time.Sleep(s.cfg.StepDelay)

@@ -316,6 +316,87 @@ func TestBackpressureBoundsSessionMemory(t *testing.T) {
 	}
 }
 
+// TestNoSessionStarves: with one execution slot and a slow engine, a
+// session that always has a batch queued must not keep a newcomer
+// waiting. The newcomer opens, sends one batch and syncs while the
+// firehose session keeps its queue full; the sync must return before
+// the firehose has executed starveBound further batches. Each
+// newcomer item waits behind at most one firehose item for the slot,
+// so a handful is the expected count; 16 is the old scheduler's
+// per-session quantum.
+func TestNoSessionStarves(t *testing.T) {
+	const starveBound = 16
+	s := start(t, server.Config{Workers: 1, StepDelay: time.Millisecond})
+	cfg := testConfig(500)
+	accs, err := trace.Collect(trace.ZipfAccess(3, 0, 4096, 1.0, 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hose := dial(t, s)
+	if _, err := hose.Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	hoseDone := make(chan struct{})
+	go func() {
+		defer close(hoseDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if hose.SendBatch(accs) != nil {
+				return
+			}
+		}
+	}()
+	defer func() {
+		// The engine keeps draining the firehose's queue, so a send
+		// blocked by backpressure returns.
+		close(stop)
+		<-hoseDone
+	}()
+	waitFor(t, "firehose running", 10*time.Second, func() bool {
+		return s.MetricsSnapshot().BatchesTotal >= 20
+	})
+
+	c := dial(t, s)
+	if _, err := c.Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	before := s.MetricsSnapshot().BatchesTotal
+	synced := make(chan error, 1)
+	go func() {
+		if err := c.SendBatch(accs); err != nil {
+			synced <- err
+			return
+		}
+		if acked, err := c.Sync(); err != nil || acked != 1 {
+			synced <- fmt.Errorf("acked %d, %v", acked, err)
+			return
+		}
+		synced <- nil
+	}()
+	select {
+	case err := <-synced:
+		if err != nil {
+			t.Fatalf("newcomer: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatalf("newcomer's sync still waiting after 20s; the firehose executed %d batches meanwhile",
+			s.MetricsSnapshot().BatchesTotal-before)
+	}
+	// Every batch executed in between but the newcomer's own was the
+	// firehose's.
+	if n := s.MetricsSnapshot().BatchesTotal - before - 1; n > starveBound {
+		t.Errorf("firehose executed %d batches while the newcomer's batch and sync waited; bound %d", n, starveBound)
+	} else {
+		t.Logf("firehose executed %d batches while the newcomer waited", n)
+	}
+}
+
 // TestKilledConnectionFreesSession: a client that disappears mid-stream
 // must not leak its session.
 func TestKilledConnectionFreesSession(t *testing.T) {

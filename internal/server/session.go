@@ -17,33 +17,26 @@ import (
 
 // session is one remote profiling run: a dedicated Profiler+Machine
 // pair plus the counters the admin endpoint reports. Execution state is
-// touched only by the executor worker currently stepping the session
-// (at most one at a time — see executor.go); the atomics exist so
-// /metrics can observe a live session without pausing it.
+// touched only by the connection goroutine running the session
+// (runSession); the atomics exist so /metrics can observe a live
+// session without pausing it.
 type session struct {
 	id      uint64
 	conn    net.Conn
 	prof    *core.Profiler
 	machine *cpu.Machine
 
-	// Executor plumbing, created by handleConn after the handshake.
+	// Session plumbing, created by handleConn after the handshake.
 	// queue carries decoded work from the reader; freeCols recirculates
-	// batch scratch back to it; bw is the session's reply
-	// writer (single-writer: only the owning worker touches it after the
-	// open reply); done closes when the session's last step returns.
+	// batch scratch back to it; bw is the session's reply writer
+	// (single-writer: only runSession touches it after the open reply);
+	// done closes when runSession returns.
 	queue    chan item
 	freeCols chan *trace.Columns
 	bw       *bufio.Writer
 	done     chan struct{}
 
-	// sched is the executor's per-session scheduling state (sessIdle …
-	// sessDone); admitted flips once the plumbing above exists, gating
-	// notify so a migration order racing the handshake cannot schedule a
-	// half-built session.
-	sched    atomic.Int32
-	admitted atomic.Bool
-
-	// Fault-tolerance state, owned by the stepping worker.
+	// Fault-tolerance state, owned by runSession.
 	token       string // resume token handed to the client at open
 	lastApplied uint64 // highest batch sequence number executed
 	sinceCkpt   int    // batches executed since the last checkpoint
@@ -52,9 +45,9 @@ type session struct {
 	failed      bool   // an error frame went out; handleConn lingers before close
 
 	// migrate delivers migration orders to the session (capacity 1; a
-	// duplicate order while one is pending is dropped). The owning
-	// worker acts on it at the next batch boundary — or at the step a
-	// notify triggers when the session is idle.
+	// duplicate order while one is pending is dropped). runSession acts
+	// on it at the next batch boundary, or at once when the session is
+	// idle.
 	migrate  chan migrateOrder
 	migrated bool // session handed off; skip the disconnect checkpoint
 
@@ -62,8 +55,8 @@ type session struct {
 	accesses   atomic.Uint64 // executed so far
 	stateBytes atomic.Uint64 // profiler state after the last batch
 
-	// Continuous-profiling state, owned by the stepping worker except
-	// for the atomics /metrics reads. watchEvery > 0 subscribes the
+	// Continuous-profiling state, owned by runSession except for the
+	// atomics /metrics reads. watchEvery > 0 subscribes the
 	// session: a FrameSnapshotPush goes out every watchEvery executed
 	// batches, and each pushed snapshot is also folded into winCol, the
 	// server-side window collector behind the drift counter and the

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -66,6 +65,26 @@ func (s *Server) retryAfterSeconds() string {
 	return strconv.Itoa(secs)
 }
 
+// maxWhatIfBody bounds POST /whatif request bodies.
+const maxWhatIfBody = 1 << 20
+
+// decodeWhatIfRequest decodes a POST /whatif body strictly, refusing one
+// over maxWhatIfBody or without a spec. The sweep it carries needs no
+// check here: mrc bounds every sweep's grid.
+func decodeWhatIfRequest(body []byte) (whatIfRequest, error) {
+	var req whatIfRequest
+	if len(body) > maxWhatIfBody {
+		return req, fmt.Errorf("body of %d bytes exceeds limit %d", len(body), maxWhatIfBody)
+	}
+	if err := unmarshalStrict(body, &req); err != nil {
+		return req, fmt.Errorf("bad request body: %v", err)
+	}
+	if req.Spec == "" {
+		return req, fmt.Errorf("missing what-if spec")
+	}
+	return req, nil
+}
+
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -86,18 +105,13 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, ok := readBody(w, r, maxWhatIfBody)
+	if !ok {
+		return
+	}
+	req, err := decodeWhatIfRequest(body)
 	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var req whatIfRequest
-	if err := unmarshalStrict(body, &req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Spec == "" {
-		http.Error(w, "missing what-if spec", http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 

@@ -259,3 +259,48 @@ func TestWhatIfDraining(t *testing.T) {
 		t.Errorf("drain did not complete cleanly: %v", err)
 	}
 }
+
+// TestWhatIfHostileSweep: a sweep in the body is bounded by mrc, so a
+// hostile one is answered with a bounded curve well inside the admin
+// timeout, instead of a 503 while the handler goroutine spins on.
+func TestWhatIfHostileSweep(t *testing.T) {
+	s := start(t, server.Config{AdminAddr: "127.0.0.1:0"})
+	base := "http://" + s.AdminAddr()
+	c := dial(t, s)
+	reply, err := c.Open(testConfig(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	accs, err := trace.Collect(trace.Cyclic(0, 4096, 50000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SendBatch(accs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sweep := range []string{
+		`{"max_lines":18446744073709551615}`,
+		`{"max_lines":1048576,"points_per_doubling":67108864}`,
+		`{"min_lines":18446744073709551615,"points_per_doubling":9223372036854775807}`,
+	} {
+		begin := time.Now()
+		resp, body := postWhatIf(t, base, `{"token":"`+reply.Token+`","spec":"l2.size=2x","sweep":`+sweep+`}`)
+		if took := time.Since(begin); took > 5*time.Second {
+			t.Errorf("sweep %s: answered after %v", sweep, took)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("sweep %s: status %d (%s)", sweep, resp.StatusCode, body)
+			continue
+		}
+		var res whatIfResult
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(res.Report.Curve.Points); n == 0 || n > 49*64+1 {
+			t.Errorf("sweep %s: %d curve points", sweep, n)
+		}
+	}
+}

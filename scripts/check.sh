@@ -35,19 +35,20 @@ if ! diff -u API.txt /tmp/rdx-api-surface.txt; then
 fi
 
 # Multicore tier-1: the default test pass above runs at the host's
-# GOMAXPROCS (1 on the CI box), which never exercises the executor's
-# cross-worker stealing or the parallel merge fan-in. Re-run the suite
-# pinned to 4 so those paths are covered even on a single-core host.
+# GOMAXPROCS (1 on the CI box), where sessions never execute in
+# parallel and the merge fan-in never runs on two cores. Re-run the
+# suite pinned to 4 so those paths are covered even on a single-core
+# host.
 echo "==> go test ./... (GOMAXPROCS=4)"
 GOMAXPROCS=4 go test -count=1 ./...
 
-# Executor chaos smoke: 6 concurrent sessions on a 4-worker
-# work-stealing executor at GOMAXPROCS=4, behind a fault-injecting
-# transport, with every session handed off mid-stream to a second
-# backend via checkpoint drain. Results must stay bit-identical to
-# local ground truth — under the race detector, since stealing races
-# workers by design.
-echo "==> executor chaos smoke (-race, GOMAXPROCS=4)"
+# Session chaos smoke: 6 concurrent sessions, each on its own
+# connection goroutine, sharing 4 execution slots at GOMAXPROCS=4,
+# behind a fault-injecting transport, with every session handed off
+# mid-stream to a second backend via checkpoint drain. Results must stay
+# bit-identical to local ground truth — under the race detector, since
+# sessions, readers, drains and the checkpoint writer race by design.
+echo "==> session chaos smoke (-race, GOMAXPROCS=4)"
 go test -race -run='^TestExecutorChaosGOMAXPROCS4$' -count=1 ./internal/server
 
 # Pool fault smoke: the multi-backend E2E (64 streams, 3 backends,
@@ -139,6 +140,16 @@ go test -run='^$' -fuzz='^FuzzDecodeHandoff$' -fuzztime=10s -fuzzminimizetime=10
 echo "==> fuzz smoke (open handshake decoders, 10s each)"
 go test -run='^$' -fuzz='^FuzzDecodeOpenRequest$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server
 go test -run='^$' -fuzz='^FuzzDecodeOpenReplies$' -fuzztime=10s -fuzzminimizetime=100x ./internal/wire
+
+# Short fuzz smoke on the admin API's bodies: POST /whatif and POST
+# /drain. Arbitrary bytes must never panic either decoder or make it
+# allocate past its stated bound, what each accepts must round-trip, and
+# the sweep a what-if body carries must build a bounded curve. Both
+# targets measure allocation on every exec, so minimizing is capped at
+# 100 execs.
+echo "==> fuzz smoke (admin body decoders, 10s each)"
+go test -run='^$' -fuzz='^FuzzDecodeWhatIfRequest$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+go test -run='^$' -fuzz='^FuzzDecodeDrainRequest$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server
 
 # Wire-compression regression gate: each workload shape (strided,
 # clustered, sequential) is streamed through one session and the
