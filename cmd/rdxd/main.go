@@ -23,10 +23,10 @@
 // where they left off. With -checkpoint-dir the checkpoints are
 // spilled to disk and sessions survive a daemon restart.
 //
-// Sessions may subscribe to pushed window snapshots (the wire watch
-// frames; Session.Watch on the client side). The daemon windows each
-// watched session's profile as it streams, scores consecutive windows
-// for phase drift, and — when a window's working set grows past
+// A watched session (Session.Watch on the client side) takes a live
+// snapshot at each window boundary. The daemon windows each session's
+// profile by the snapshots it serves, scores consecutive windows for
+// phase drift, and — when a window's working set grows past
 // -alert-working-set-bytes — logs an alert once per excursion and
 // surfaces it on /metrics.
 package main

@@ -191,9 +191,6 @@ func (c *Cache) MissRatio() float64 {
 	return float64(c.misses) / float64(c.accesses)
 }
 
-// Resident returns the number of lines currently cached.
-func (c *Cache) Resident() int { return len(c.resident) }
-
 // Simulate drains a trace through a cache and returns the miss ratio.
 func Simulate(r trace.Reader, cfg Config) (float64, error) {
 	c, err := New(cfg)

@@ -105,9 +105,6 @@ func New(costs cpumodel.Costs, opts ...Option) *Machine {
 // PMU returns the attached PMU (nil if none).
 func (m *Machine) PMU() *pmu.PMU { return m.pmu }
 
-// DebugRegisters returns the attached debug-register file (nil if none).
-func (m *Machine) DebugRegisters() *debugreg.File { return m.drs }
-
 // Account returns the cycle account for this machine's run.
 func (m *Machine) Account() *cpumodel.Account { return m.account }
 

@@ -168,15 +168,8 @@ func (f *File) FreeSlot() int {
 	return -1
 }
 
-// ArmedCount returns how many slots are currently armed. It is O(1).
-func (f *File) ArmedCount() int { return f.armedCount }
-
 // AnyArmed reports whether at least one slot is armed. It is O(1).
 func (f *File) AnyArmed() bool { return f.armedCount > 0 }
-
-// ArmedMask returns the armed-slot bitmask (bit i set iff slot i is
-// armed). Only meaningful for files of at most 64 slots.
-func (f *File) ArmedMask() uint64 { return f.armedMask }
 
 // ArmedSlots appends the indices of armed slots to dst and returns it.
 func (f *File) ArmedSlots(dst []int) []int {

@@ -134,8 +134,8 @@ func TestFreeSlotAndCounts(t *testing.T) {
 	if got := f.FreeSlot(); got != -1 {
 		t.Errorf("FreeSlot on full = %d", got)
 	}
-	if got := f.ArmedCount(); got != 3 {
-		t.Errorf("ArmedCount = %d", got)
+	if got := len(f.ArmedSlots(nil)); got != 3 {
+		t.Errorf("%d slots armed, want 3", got)
 	}
 	f.Disarm(1)
 	if got := f.FreeSlot(); got != 1 {
@@ -146,7 +146,7 @@ func TestFreeSlotAndCounts(t *testing.T) {
 		t.Errorf("ArmedSlots = %v", slots)
 	}
 	f.DisarmAll()
-	if f.ArmedCount() != 0 {
+	if f.AnyArmed() {
 		t.Error("DisarmAll left slots armed")
 	}
 }

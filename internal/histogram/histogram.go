@@ -166,15 +166,6 @@ func (h *Histogram) Clone() *Histogram {
 	}
 }
 
-// Fraction returns the fraction of total weight in bucket b.
-func (h *Histogram) Fraction(b int) float64 {
-	t := h.Total()
-	if t == 0 {
-		return 0
-	}
-	return h.Weight(b) / t
-}
-
 // Mean returns the weighted mean of finite observations, using each
 // bucket's geometric midpoint as its representative value.
 func (h *Histogram) Mean() float64 {

@@ -89,24 +89,6 @@ func (t *Table) WriteText(w io.Writer) error {
 	return err
 }
 
-// WriteCSV renders the table as CSV (no quoting needed for our cells).
-func (t *Table) WriteCSV(w io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(t.headers, ","))
-	sb.WriteByte('\n')
-	for _, row := range t.rows {
-		sb.WriteString(strings.Join(row, ","))
-		sb.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// Percent formats a ratio as a percentage string ("5.2%").
-func Percent(v float64) string {
-	return fmt.Sprintf("%.2f%%", v*100)
-}
-
 // Bytes formats a byte count with binary units.
 func Bytes(v uint64) string {
 	switch {

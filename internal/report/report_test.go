@@ -25,18 +25,6 @@ func TestTableText(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRow("x", 2)
-	var sb strings.Builder
-	if err := tb.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.String(); got != "a,b\nx,2\n" {
-		t.Errorf("CSV = %q", got)
-	}
-}
-
 func TestFloatFormatting(t *testing.T) {
 	tests := []struct {
 		v    float64
@@ -51,12 +39,6 @@ func TestFloatFormatting(t *testing.T) {
 		if got := formatFloat(tt.v); got != tt.want {
 			t.Errorf("formatFloat(%v) = %q, want %q", tt.v, got, tt.want)
 		}
-	}
-}
-
-func TestPercent(t *testing.T) {
-	if got := Percent(0.0512); got != "5.12%" {
-		t.Errorf("Percent = %q", got)
 	}
 }
 

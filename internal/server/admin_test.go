@@ -52,6 +52,32 @@ func TestAdminOversizedBodyRejected(t *testing.T) {
 	}
 }
 
+// TestWhatIfBodyCap: a /whatif body one byte over the admin body cap is
+// refused with a 400 while it is read, before it is decoded; the same
+// request padded to exactly the cap is decoded and answered (404: no
+// session has its token).
+func TestWhatIfBodyCap(t *testing.T) {
+	s := start(t, server.Config{AdminAddr: "127.0.0.1:0"})
+	const req = `{"token":"nosuch","spec":"l2.size=2x"}`
+	post := func(size int) (int, string) {
+		t.Helper()
+		body := req + strings.Repeat(" ", size-len(req))
+		resp, err := http.Post("http://"+s.AdminAddr()+"/whatif", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(reply)
+	}
+	if code, reply := post(server.MaxControlBody + 1); code != http.StatusBadRequest || !strings.Contains(reply, "too large") {
+		t.Errorf("body one byte over the cap: got %d %q, want 400 from the bounded read", code, reply)
+	}
+	if code, reply := post(server.MaxControlBody); code != http.StatusNotFound {
+		t.Errorf("body at the cap: got %d %q, want 404 for the unknown token", code, reply)
+	}
+}
+
 // TestAdminControlEndpointValidation: wrong method, malformed JSON,
 // unknown fields, and bad target specs are all crisp 4xx answers.
 func TestAdminControlEndpointValidation(t *testing.T) {

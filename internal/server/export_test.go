@@ -16,3 +16,6 @@ func (s *Server) ScratchRetained() (sets, cols, bytes int) {
 	})
 	return sets, cols, bytes
 }
+
+// MaxControlBody is the admin request body cap.
+const MaxControlBody = maxControlBody

@@ -83,8 +83,8 @@ func FuzzDecodeOpenRequest(f *testing.F) {
 // structs, and lists cost the most: each 3-byte "{}," of a hierarchy
 // grows a slice of 48-byte levels by doubling, about 70 heap bytes per
 // payload byte, and each 4-byte "\"a\"," of a drain list grows a slice of
-// strings and then one of 32-byte targets, about 64. maxWhatIfBody and
-// maxControlBody cap the payload, and with it the total.
+// strings and then one of 32-byte targets, about 64. maxControlBody caps
+// the payload, and with it the total.
 const (
 	adminAllocPerByte = 96
 	adminAllocFixed   = 8 << 10
@@ -111,6 +111,15 @@ func sweepHistogram() *histogram.Histogram {
 	return rd
 }
 
+// levelsAtCap is a what-if body of exactly maxControlBody bytes listing
+// empty hierarchy levels, the costliest body per byte the cap admits.
+func levelsAtCap() []byte {
+	const head, tail = `{"token":"t","spec":"x","hierarchy":[`, `{}]}`
+	n := (maxControlBody - len(head) - len(tail)) / 3
+	body := head + strings.Repeat(`{},`, n) + tail
+	return append([]byte(body), bytes.Repeat([]byte{' '}, maxControlBody-len(body))...)
+}
+
 // FuzzDecodeWhatIfRequest throws arbitrary bytes at the POST /whatif
 // body decoder. Whatever the input, it must return an error or a
 // request, never panic, and allocate at most adminAllocPerByte heap
@@ -125,6 +134,7 @@ func FuzzDecodeWhatIfRequest(f *testing.F) {
 		f.Add([]byte(`{"token":"t","spec":"l2.size=2x","sweep":` + sw + `}`))
 	}
 	f.Add([]byte(`{"token":"t","spec":"x","hierarchy":[` + strings.Repeat(`{},`, 20000) + `{}]}`))
+	f.Add(levelsAtCap())
 	f.Add([]byte(`{"token":"` + strings.Repeat("\xa9", 500) + `","spec":"x"}`))
 	f.Add([]byte(`{"spec":"x","` + strings.Repeat("\xa9", 500) + `":1}`))
 	f.Add([]byte(`{"token":"t"}`))
@@ -148,8 +158,11 @@ func FuzzDecodeWhatIfRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted what-if request fails to encode: %v", err)
 		}
-		back, err := decodeWhatIfRequest(enc)
-		if err != nil {
+		// The re-encoding may outgrow the body cap (each "{}" level
+		// re-encodes at 50 bytes, each invalid UTF-8 byte as "\ufffd"),
+		// so it is decoded again past the size check.
+		var back whatIfRequest
+		if err := unmarshalStrict(enc, &back); err != nil {
 			t.Fatalf("what-if request %s does not decode again: %v", enc, err)
 		}
 		if again, _ := json.Marshal(back); !bytes.Equal(again, enc) {

@@ -45,10 +45,8 @@ type metrics struct {
 	movedResumes      atomic.Uint64 // resume attempts answered with a redirect
 
 	// Continuous-profiling counters.
-	watchSubscriptions atomic.Uint64 // FrameWatch subscriptions accepted
-	snapshotPushes     atomic.Uint64 // FrameSnapshotPush frames emitted
-	driftEvents        atomic.Uint64 // windows the drift detector flagged
-	wsAlerts           atomic.Uint64 // working-set-past-L3 alert onsets
+	driftEvents atomic.Uint64 // windows the drift detector flagged
+	wsAlerts    atomic.Uint64 // working-set-past-L3 alert onsets
 
 	rateMu       sync.Mutex
 	accessRate   float64 // accesses/sec over the last sample window
@@ -98,8 +96,8 @@ type SessionMetrics struct {
 	Accesses   uint64 `json:"accesses"`
 	StateBytes uint64 `json:"state_bytes"`
 	// WindowWSBytes is the working set of the session's latest closed
-	// observation window (0 for unwatched sessions); WSAlert is true
-	// while it sits above Config.AlertWorkingSetBytes.
+	// observation window (0 for sessions that never took a snapshot);
+	// WSAlert is true while it sits above Config.AlertWorkingSetBytes.
 	WindowWSBytes uint64 `json:"window_ws_bytes,omitempty"`
 	WSAlert       bool   `json:"ws_alert,omitempty"`
 }
@@ -118,8 +116,10 @@ type Metrics struct {
 	AccessesPerSec float64 `json:"accesses_per_sec"`
 	BatchesTotal   uint64  `json:"batches_total"`
 	DroppedBatches uint64  `json:"dropped_batches"`
-	SnapshotsTotal uint64  `json:"snapshots_total"`
-	BytesIn        uint64  `json:"bytes_in"`
+	// SnapshotsTotal counts the snapshots served, a watched run's
+	// window boundaries included.
+	SnapshotsTotal uint64 `json:"snapshots_total"`
+	BytesIn        uint64 `json:"bytes_in"`
 	// BatchBytes is the cumulative batch-frame payload bytes received;
 	// BytesPerAccess = BatchBytes/AccessesTotal is the measured wire cost
 	// of one access, and CompressionRatio relates it to the 18-byte
@@ -166,13 +166,12 @@ type Metrics struct {
 	MovedResumes      uint64 `json:"moved_resumes"`
 
 	// Continuous-profiling counters, and the currently-firing alerts —
-	// one human-readable line per watched session whose latest window's
-	// working set exceeds the configured (L3-sized) threshold.
-	WatchSubscriptions uint64   `json:"watch_subscriptions"`
-	SnapshotPushes     uint64   `json:"snapshot_pushes"`
-	DriftEvents        uint64   `json:"drift_events"`
-	WSAlertsTotal      uint64   `json:"ws_alerts_total"`
-	Alerts             []string `json:"alerts,omitempty"`
+	// one human-readable line per session whose latest window's working
+	// set exceeds the configured (L3-sized) threshold. Every served
+	// snapshot closes a window (see SnapshotsTotal).
+	DriftEvents   uint64   `json:"drift_events"`
+	WSAlertsTotal uint64   `json:"ws_alerts_total"`
+	Alerts        []string `json:"alerts,omitempty"`
 }
 
 // MetricsSnapshot assembles the current metrics, including the
@@ -256,10 +255,8 @@ func (s *Server) MetricsSnapshot() Metrics {
 		HandoffFailures:   m.handoffFailures.Load(),
 		MovedResumes:      m.movedResumes.Load(),
 
-		WatchSubscriptions: m.watchSubscriptions.Load(),
-		SnapshotPushes:     m.snapshotPushes.Load(),
-		DriftEvents:        m.driftEvents.Load(),
-		WSAlertsTotal:      m.wsAlerts.Load(),
-		Alerts:             alerts,
+		DriftEvents:   m.driftEvents.Load(),
+		WSAlertsTotal: m.wsAlerts.Load(),
+		Alerts:        alerts,
 	}
 }

@@ -281,8 +281,10 @@ func (s *Server) handleHandoff(conn net.Conn, bw *bufio.Writer, payload []byte) 
 	bw.Flush()
 }
 
-// maxControlBody bounds /drain request bodies; target lists are tiny,
-// so anything larger is a client bug or abuse.
+// maxControlBody bounds admin request bodies (/drain and /whatif):
+// target lists and cache hierarchies are tiny, so anything larger is a
+// client bug or abuse. A list body decodes at up to about 70 heap bytes
+// per byte, so the cap also bounds what one request can allocate.
 const maxControlBody = 64 << 10
 
 // drainRequest is the POST /drain body.

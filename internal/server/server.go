@@ -828,11 +828,10 @@ func (s *Server) armWrite(conn net.Conn) {
 // item is one unit of session work, produced by the reader and
 // consumed by runSession.
 type item struct {
-	kind  itemKind
-	cols  *trace.Columns // itemBatch: the decoded batch
-	seq   uint64         // itemBatch: the batch's sequence number
-	every int            // itemWatch: the push cadence (0 cancels)
-	err   error          // itemFail: the protocol error to report
+	kind itemKind
+	cols *trace.Columns // itemBatch: the decoded batch
+	seq  uint64         // itemBatch: the batch's sequence number
+	err  error          // itemFail: the protocol error to report
 }
 
 // readLoop decodes frames into the session queue. It is the only
@@ -902,20 +901,6 @@ func (s *Server) readLoop(sess *session, sc *connScratch) {
 			}
 		case wire.FrameSnapshot:
 			if !enqueue(item{kind: itemSnapshot}) {
-				return
-			}
-		case wire.FrameWatch:
-			var req wire.WatchRequest
-			err := unmarshalStrict(payload, &req)
-			if err != nil {
-				enqueue(item{kind: itemFail, err: fmt.Errorf("corrupt watch request: %w", err)})
-				return
-			}
-			if req.EveryBatches < 0 {
-				enqueue(item{kind: itemFail, err: fmt.Errorf("negative watch cadence %d", req.EveryBatches)})
-				return
-			}
-			if !enqueue(item{kind: itemWatch, every: req.EveryBatches}) {
 				return
 			}
 		case wire.FrameFinish:
@@ -1036,15 +1021,6 @@ func (s *Server) processItem(sess *session, it item) (done bool) {
 		sess.stateBytes.Store(sess.prof.StateBytes())
 		s.metrics.batchesTotal.Add(1)
 		s.metrics.accessesTotal.Add(uint64(n))
-		if sess.watchEvery > 0 && sess.lastApplied%uint64(sess.watchEvery) == 0 {
-			// A watch boundary: push the snapshot before anything else
-			// can happen to the session, so the push stream is exactly
-			// the poll stream a client snapshotting at every boundary
-			// would have seen.
-			if s.pushSnapshot(sess) {
-				return true
-			}
-		}
 		if s.cfg.CheckpointEvery > 0 && sess.sinceCkpt >= s.cfg.CheckpointEvery {
 			// Capture now, persist concurrently: execution of the
 			// next batch overlaps the checkpoint's disk write.
@@ -1068,29 +1044,6 @@ func (s *Server) processItem(sess *session, it item) (done bool) {
 		if err := bw.Flush(); err != nil {
 			return true
 		}
-	case itemWatch:
-		if sess.completed {
-			fail(fmt.Errorf("session already finished"))
-			return true
-		}
-		sess.watchEvery = it.every
-		if it.every > 0 {
-			s.metrics.watchSubscriptions.Add(1)
-			if sess.winCol == nil {
-				// The collector survives cadence changes and reconnect
-				// re-subscriptions: windows keep their indices and the
-				// drift history stays continuous.
-				sess.winCol = window.NewCollector(
-					sess.prof.Config().Granularity.BlockSize(), 0, window.DriftOptions{})
-			}
-		}
-		s.armWrite(sess.conn)
-		if err := wire.WriteFrame(bw, wire.FrameWatchOK, nil); err != nil {
-			return true
-		}
-		if err := bw.Flush(); err != nil {
-			return true
-		}
 	case itemSnapshot:
 		if sess.completed {
 			fail(fmt.Errorf("session already finished"))
@@ -1098,6 +1051,7 @@ func (s *Server) processItem(sess *session, it item) (done bool) {
 		}
 		snap := sess.prof.Snapshot()
 		s.metrics.snapshotsTotal.Add(1)
+		s.observeWindow(sess, snap)
 		s.armWrite(sess.conn)
 		if err := writeJSONFrame(bw, wire.FrameSnapshotResult, wire.FromCore(snap, false)); err != nil {
 			return true
@@ -1132,34 +1086,31 @@ func (s *Server) processItem(sess *session, it item) (done bool) {
 	return false
 }
 
-// pushSnapshot emits one boundary snapshot to a watched session's
-// client and folds it into the server-side window accounting: the
-// drift counter, the per-session working-set gauge, and the
-// "working set grew past L3" alert. True means the write failed and
-// the session is done, matching the snapshot reply path — the client
-// reconnects, resumes, and re-subscribes.
-func (s *Server) pushSnapshot(sess *session) (done bool) {
-	snap := sess.prof.Snapshot()
-	if sess.winCol != nil {
-		w := sess.winCol.Observe(snap.Accesses, snap.Samples, snap.ReuseDistance, snap.ReuseTime)
-		sess.windowWS.Store(w.WorkingSetBytes)
-		if w.Score != nil && w.Score.Drift {
-			s.metrics.driftEvents.Add(1)
-		}
-		if s.cfg.AlertWorkingSetBytes > 0 && w.WorkingSetBytes > uint64(s.cfg.AlertWorkingSetBytes) {
-			if !sess.wsAlert.Swap(true) { // rising edge: count and log once per excursion
-				s.metrics.wsAlerts.Add(1)
-				s.cfg.Logf("rdxd: session %d: working set %d bytes grew past the %d-byte (L3) threshold",
-					sess.id, w.WorkingSetBytes, s.cfg.AlertWorkingSetBytes)
-			}
-		} else {
-			sess.wsAlert.Store(false)
-		}
+// observeWindow folds one served snapshot into the session's window
+// accounting: the window collector (created at the session's first
+// snapshot) closes the window since the previous one, and its drift
+// score and working set feed the drift counter, the per-session
+// working-set gauge and the "working set grew past L3" alert. A
+// watched run snapshots at every window boundary, so these fire at its
+// boundaries.
+func (s *Server) observeWindow(sess *session, snap *core.Result) {
+	if sess.winCol == nil {
+		sess.winCol = window.NewCollector(sess.prof.Config().Granularity.BlockSize(), 0, window.DriftOptions{})
 	}
-	s.metrics.snapshotPushes.Add(1)
-	s.armWrite(sess.conn)
-	return writeJSONFrame(sess.bw, wire.FrameSnapshotPush,
-		wire.Push{Seq: sess.lastApplied, Result: wire.FromCore(snap, false)}) != nil
+	w := sess.winCol.Observe(snap.Accesses, snap.Samples, snap.ReuseDistance, snap.ReuseTime)
+	sess.windowWS.Store(w.WorkingSetBytes)
+	if w.Score != nil && w.Score.Drift {
+		s.metrics.driftEvents.Add(1)
+	}
+	if s.cfg.AlertWorkingSetBytes > 0 && w.WorkingSetBytes > uint64(s.cfg.AlertWorkingSetBytes) {
+		if !sess.wsAlert.Swap(true) { // rising edge: count and log once per excursion
+			s.metrics.wsAlerts.Add(1)
+			s.cfg.Logf("rdxd: session %d: working set %d bytes grew past the %d-byte (L3) threshold",
+				sess.id, w.WorkingSetBytes, s.cfg.AlertWorkingSetBytes)
+		}
+	} else {
+		sess.wsAlert.Store(false)
+	}
 }
 
 func writeJSONFrame(bw *bufio.Writer, t wire.FrameType, v any) error {

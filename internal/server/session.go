@@ -56,17 +56,12 @@ type session struct {
 	stateBytes atomic.Uint64 // profiler state after the last batch
 
 	// Continuous-profiling state, owned by runSession except for the
-	// atomics /metrics reads. watchEvery > 0 subscribes the
-	// session: a FrameSnapshotPush goes out every watchEvery executed
-	// batches, and each pushed snapshot is also folded into winCol, the
-	// server-side window collector behind the drift counter and the
-	// working-set alert. The subscription survives reconnects only
-	// because resuming clients re-send FrameWatch (it is connection
-	// state on the client, session state here once set).
-	watchEvery int
-	winCol     *window.Collector
-	windowWS   atomic.Uint64 // latest window's working-set bytes
-	wsAlert    atomic.Bool   // working set exceeded Config.AlertWorkingSetBytes
+	// atomics /metrics reads. winCol is the server-side window
+	// collector behind the drift counter and the working-set alert:
+	// every snapshot the session serves closes one window in it.
+	winCol   *window.Collector
+	windowWS atomic.Uint64 // latest window's working-set bytes
+	wsAlert  atomic.Bool   // working set exceeded Config.AlertWorkingSetBytes
 }
 
 // migrateOrder asks a session's runner to hand the session to one of
@@ -83,7 +78,6 @@ const (
 	itemSync
 	itemFinish
 	itemFail
-	itemWatch
 )
 
 // mustJSON marshals a value the server constructed itself; failure is a

@@ -65,16 +65,13 @@ func (s *Server) retryAfterSeconds() string {
 	return strconv.Itoa(secs)
 }
 
-// maxWhatIfBody bounds POST /whatif request bodies.
-const maxWhatIfBody = 1 << 20
-
 // decodeWhatIfRequest decodes a POST /whatif body strictly, refusing one
-// over maxWhatIfBody or without a spec. The sweep it carries needs no
+// over maxControlBody or without a spec. The sweep it carries needs no
 // check here: mrc bounds every sweep's grid.
 func decodeWhatIfRequest(body []byte) (whatIfRequest, error) {
 	var req whatIfRequest
-	if len(body) > maxWhatIfBody {
-		return req, fmt.Errorf("body of %d bytes exceeds limit %d", len(body), maxWhatIfBody)
+	if len(body) > maxControlBody {
+		return req, fmt.Errorf("body of %d bytes exceeds limit %d", len(body), maxControlBody)
 	}
 	if err := unmarshalStrict(body, &req); err != nil {
 		return req, fmt.Errorf("bad request body: %v", err)
@@ -105,7 +102,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, ok := readBody(w, r, maxWhatIfBody)
+	body, ok := readBody(w, r, maxControlBody)
 	if !ok {
 		return
 	}

@@ -135,29 +135,47 @@ func TestWireCompressionRatio(t *testing.T) {
 // with an error frame instead of executing it.
 func TestRetiredBatchFrameFailsSession(t *testing.T) {
 	s := start(t, server.Config{})
-	conn, ft, payload := rawOpen(t, s, wire.WireV4)
-	if ft != wire.FrameOpenOK {
-		t.Fatalf("v4 open answered with %s frame: %s", ft, payload)
-	}
-	batch := append(make([]byte, 8), "RDT3"...)
-	if err := wire.WriteFrame(conn, wire.FrameType(0x02), batch); err != nil {
-		t.Fatal(err)
-	}
-	ft, payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft != wire.FrameError || !strings.Contains(string(payload), "unexpected") {
-		t.Fatalf("0x02 frame answered with %s %q, want an unexpected-frame error", ft, payload)
-	}
+	retiredFrameFails(t, s, 0x02, append(make([]byte, 8), "RDT3"...))
 	if m := s.MetricsSnapshot(); m.BatchesTotal != 0 {
 		t.Errorf("server executed %d batches", m.BatchesTotal)
 	}
 }
 
-// TestTrailingJSONRefused: an open or a watch request with bytes after
-// its JSON value is refused with an error frame, not decoded from its
-// first value.
+// TestRetiredWatchFrameFailsSession: the retired watch subscription
+// frame type (0x08) sent mid-session is an unexpected frame, and the
+// session fails with an error frame instead of subscribing.
+func TestRetiredWatchFrameFailsSession(t *testing.T) {
+	s := start(t, server.Config{})
+	retiredFrameFails(t, s, 0x08, []byte(`{"every_batches":1}`))
+	if m := s.MetricsSnapshot(); m.SnapshotsTotal != 0 {
+		t.Errorf("server served %d snapshots", m.SnapshotsTotal)
+	}
+}
+
+// retiredFrameFails opens a session on s, sends it one frame of the
+// unassigned type ft, and asserts the session answers with an
+// unexpected-frame error.
+func retiredFrameFails(t *testing.T, s *server.Server, ft wire.FrameType, payload []byte) {
+	t.Helper()
+	conn, got, reply := rawOpen(t, s, wire.WireV4)
+	if got != wire.FrameOpenOK {
+		t.Fatalf("v4 open answered with %s frame: %s", got, reply)
+	}
+	if err := wire.WriteFrame(conn, ft, payload); err != nil {
+		t.Fatal(err)
+	}
+	got, reply, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != wire.FrameError || !strings.Contains(string(reply), "unexpected") {
+		t.Fatalf("%#x frame answered with %s %q, want an unexpected-frame error", uint8(ft), got, reply)
+	}
+}
+
+// TestTrailingJSONRefused: an open request with bytes after its JSON
+// value is refused with an error frame, not decoded from its first
+// value.
 func TestTrailingJSONRefused(t *testing.T) {
 	s := start(t, server.Config{})
 	const junk = ` {"garbage":`
@@ -181,22 +199,6 @@ func TestTrailingJSONRefused(t *testing.T) {
 		}
 		if ft != wire.FrameError || !strings.Contains(string(payload), "after the JSON value") {
 			t.Fatalf("open with trailing bytes answered with %s %q, want a bad-open-request error", ft, payload)
-		}
-	})
-	t.Run("watch", func(t *testing.T) {
-		conn, ft, payload := rawOpen(t, s, wire.WireV4)
-		if ft != wire.FrameOpenOK {
-			t.Fatalf("open answered with %s frame: %s", ft, payload)
-		}
-		if err := wire.WriteFrame(conn, wire.FrameWatch, []byte(`{"every_batches":1}`+junk)); err != nil {
-			t.Fatal(err)
-		}
-		ft, payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ft != wire.FrameError || !strings.Contains(string(payload), "after the JSON value") {
-			t.Fatalf("watch with trailing bytes answered with %s %q, want a corrupt-watch-request error", ft, payload)
 		}
 	})
 }

@@ -165,16 +165,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("StdDev constant = %v", got)
-	}
-	got := StdDev([]float64{1, 3})
-	if math.Abs(got-1) > 1e-12 {
-		t.Errorf("StdDev(1,3) = %v, want 1", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	tests := []struct {

@@ -35,20 +35,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(n))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
 // Percentile returns the q-th percentile (q in [0,100]) of xs using
 // linear interpolation between closest ranks. xs need not be sorted.
 func Percentile(xs []float64, q float64) float64 {

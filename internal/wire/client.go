@@ -29,13 +29,10 @@ const DefaultDialTimeout = 10 * time.Second
 // for concurrent use; a caller wanting parallel sessions opens one
 // Client per session (the daemon multiplexes).
 type Client struct {
-	conn   net.Conn
-	bufs   *connBuffers // returned to connBufs at Close
-	enc    batchEncoder // returned to encoders at Close
-	opened bool
-	// onPush receives subscribed snapshot pushes that arrive interleaved
-	// ahead of a pending reply (see expect); set via OnPush.
-	onPush  func(*Push)
+	conn    net.Conn
+	bufs    *connBuffers // returned to connBufs at Close
+	enc     batchEncoder // returned to encoders at Close
+	opened  bool
 	done    bool
 	closed  bool // Close ran; the buffers are gone
 	reply   OpenReply
@@ -136,7 +133,11 @@ func (c *Client) open(req OpenRequest) (OpenReply, error) {
 		return OpenReply{}, fmt.Errorf("wire: session already open")
 	}
 	req.Wire = WireV4
-	if err := c.send(FrameOpen, marshalJSON(req)); err != nil {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return OpenReply{}, err
+	}
+	if err := c.send(FrameOpen, body); err != nil {
 		return OpenReply{}, err
 	}
 	payload, err := c.expect(FrameOpenOK)
@@ -287,13 +288,12 @@ func (c *Client) send(t FrameType, payload []byte) error {
 	return c.bufs.bw.Flush()
 }
 
-// expect reads server frames until the wanted one arrives, converting
-// FrameError into an ErrRemote-wrapped error and FrameRetryAfter into
-// a *RetryAfterError. Subscribed snapshot pushes may interleave ahead
-// of any pending reply (the one sanctioned departure from strict
-// request-order framing); expect hands each to the OnPush callback and
-// keeps reading. The payload is the connection's frame buffer, valid
-// until the next read: callers decode it before reading again.
+// expect reads the server's reply to the pending request, converting
+// FrameError into an ErrRemote-wrapped error, FrameRetryAfter into a
+// *RetryAfterError and FrameMoved into a *MovedError; any other frame
+// but the wanted one is an error. The payload is the connection's
+// frame buffer, valid until the next read: callers decode it before
+// reading again.
 func (c *Client) expect(want FrameType) ([]byte, error) {
 	if c.closed {
 		return nil, fmt.Errorf("wire: client is closed")
@@ -304,16 +304,6 @@ func (c *Client) expect(want FrameType) ([]byte, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	if t == FrameSnapshotPush && want != FrameSnapshotPush {
-		p, err := decodePush(payload)
-		if err != nil {
-			return nil, err
-		}
-		if c.onPush != nil {
-			c.onPush(p)
-		}
-		return c.expect(want)
 	}
 	if t == FrameError {
 		return nil, fmt.Errorf("%w: %s", ErrRemote, payload)
@@ -398,6 +388,11 @@ func (c *Client) readResult(want FrameType) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeResult(payload)
+}
+
+// decodeResult decodes a FrameSnapshotResult or FrameResult payload.
+func decodeResult(payload []byte) (*Result, error) {
 	var res Result
 	if err := json.Unmarshal(payload, &res); err != nil {
 		return nil, fmt.Errorf("wire: decoding result: %w", err)

@@ -56,29 +56,29 @@ func TestReadFrameEOFContract(t *testing.T) {
 	}
 }
 
-// pushAllocPerByte and pushAllocFixed bound the heap bytes one
-// decodePush call may allocate: pushAllocPerByte per payload byte plus
-// pushAllocFixed for the Result, its two histograms, the decoder state
-// and an error message. The per-byte term is set by the attribution
-// array: an element as short as "{}," still holds a 56-byte PairStat,
-// 18.7 heap bytes per payload byte, and the decoder's scanner stack
-// under nesting 9990 arrays deep costs 17.9. A bare-number ("0,") or
-// string ("\"\",") element is refused before any PairStat is
+// resultAllocPerByte and resultAllocFixed bound the heap bytes one
+// decodeResult call may allocate: resultAllocPerByte per payload byte
+// plus resultAllocFixed for the Result, its two histograms, the decoder
+// state and an error message. The per-byte term is set by the
+// attribution array: an element as short as "{}," still holds a 56-byte
+// PairStat, 18.7 heap bytes per payload byte, and the decoder's scanner
+// stack under nesting 9990 arrays deep costs 17.9. A bare-number ("0,")
+// or string ("\"\",") element is refused before any PairStat is
 // allocated; the default decoder would spend about 210 bytes per payload
 // byte on it. A histogram that sized its buckets from an index it had
 // not checked fails the bound on a payload of a few dozen bytes.
 const (
-	pushAllocPerByte = 24
-	pushAllocFixed   = 16 << 10
+	resultAllocPerByte = 24
+	resultAllocFixed   = 16 << 10
 )
 
-// FuzzDecodePush throws arbitrary bytes at the snapshot-push decoder,
-// which reads server-initiated frames off a watched session's
-// connection. Whatever the input, it must return an error or a push,
-// never panic, and allocate at most pushAllocPerByte heap bytes per
-// payload byte plus pushAllocFixed. A push it accepts must round-trip:
-// its JSON encoding decodes to a push with the same encoding.
-func FuzzDecodePush(f *testing.F) {
+// FuzzDecodeResult throws arbitrary bytes at the result decoder, which
+// reads every snapshot and final result off a session's connection.
+// Whatever the input, it must return an error or a result, never
+// panic, and allocate at most resultAllocPerByte heap bytes per payload
+// byte plus resultAllocFixed. A result it accepts must round-trip: its
+// JSON encoding decodes to a result with the same encoding.
+func FuzzDecodeResult(f *testing.F) {
 	cfg := core.DefaultConfig()
 	cfg.SamplePeriod = 300
 	p, err := core.NewProfiler(cfg)
@@ -89,47 +89,47 @@ func FuzzDecodePush(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	full, err := json.Marshal(Push{Seq: 8, Result: FromCore(res, false)})
+	full, err := json.Marshal(FromCore(res, false))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(full)
 	f.Add(full[:len(full)/2])
-	f.Add([]byte(`{"seq":1,"result":{}}`))
-	f.Add([]byte(`{"seq":1,"result":{"reuse_time":{"buckets":{"64":1},"count":1}}}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"reuse_time":{"buckets":{"64":1},"count":1}}`))
 	// A bucket index no uint64 distance reaches, which must not size
 	// the histogram.
-	f.Add([]byte(`{"seq":1,"result":{"reuse_time":{"buckets":{"1000000":1}}}}`))
-	f.Add([]byte(`{"seq":1}`))
+	f.Add([]byte(`{"reuse_time":{"buckets":{"1000000":1}}}`))
+	f.Add([]byte(`null`))
 	f.Add([]byte{})
 	// Attribution arrays of bare numbers, of empty strings and of empty
 	// objects, the densest an attribution can be per payload byte.
-	f.Add([]byte(`{"seq":1,"result":{"attribution":[` + strings.Repeat("0,", 5000) + `0]}}`))
-	f.Add([]byte(`{"seq":1,"result":{"attribution":[{},` + strings.Repeat(`"",`, 5000) + `""]}}`))
-	f.Add([]byte(`{"seq":1,"result":{"attribution":[` + strings.Repeat("{},", 5000) + `{}]}}`))
+	f.Add([]byte(`{"attribution":[` + strings.Repeat("0,", 5000) + `0]}`))
+	f.Add([]byte(`{"attribution":[{},` + strings.Repeat(`"",`, 5000) + `""]}`))
+	f.Add([]byte(`{"attribution":[` + strings.Repeat("{},", 5000) + `{}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !testutil.RaceEnabled {
-			bound := uint64(pushAllocPerByte*len(data) + pushAllocFixed)
-			if alloc := testutil.AllocBytes(func() { decodePush(data) }); alloc > bound {
-				t.Fatalf("decoding a %d-byte push allocates %d bytes, bound %d", len(data), alloc, bound)
+			bound := uint64(resultAllocPerByte*len(data) + resultAllocFixed)
+			if alloc := testutil.AllocBytes(func() { decodeResult(data) }); alloc > bound {
+				t.Fatalf("decoding a %d-byte result allocates %d bytes, bound %d", len(data), alloc, bound)
 			}
 		}
-		p, err := decodePush(data)
+		r, err := decodeResult(data)
 		if err != nil {
 			return
 		}
-		enc, err := json.Marshal(p)
+		enc, err := json.Marshal(r)
 		if err != nil {
-			t.Fatalf("accepted push fails to encode: %v", err)
+			t.Fatalf("accepted result fails to encode: %v", err)
 		}
-		p2, err := decodePush(enc)
+		r2, err := decodeResult(enc)
 		if err != nil {
-			t.Fatalf("re-encoded push rejected: %v", err)
+			t.Fatalf("re-encoded result rejected: %v", err)
 		}
-		enc2, err := json.Marshal(p2)
+		enc2, err := json.Marshal(r2)
 		if err != nil || !bytes.Equal(enc, enc2) {
-			t.Fatalf("push does not round-trip: %v", err)
+			t.Fatalf("result does not round-trip: %v", err)
 		}
 	})
 }

@@ -101,9 +101,6 @@ type ReconnectStats struct {
 	// Moves counts migration redirects followed: the session was handed
 	// to another backend and this client resumed it there.
 	Moves uint64
-	// Pushes counts subscribed snapshot pushes delivered (replayed
-	// duplicates dropped by sequence number are not counted).
-	Pushes uint64
 }
 
 // pendingBatch is one unacknowledged batch held for replay: its encoded
@@ -139,15 +136,6 @@ type ReconnectingClient struct {
 	connected bool // a connection has succeeded at least once
 	finished  bool
 	moves     int // moved redirects followed since the last successful op
-
-	// Watch subscription state. The subscription itself is connection
-	// state (each reconnect re-subscribes in ensure); the sequence
-	// bookkeeping is session state, so replayed pushes dedup across
-	// connections.
-	watchEvery  int
-	onPush      func(*Push)
-	lastPushSeq uint64
-	lastPush    *Push
 
 	stats ReconnectStats
 }
@@ -257,6 +245,25 @@ func (r *ReconnectingClient) Sync(ctx context.Context) (uint64, error) {
 	return acked, nil
 }
 
+// Snapshot returns the session's live intermediate result: the profile
+// it would report if the stream ended after the last batch sent. A
+// reply lost with its connection is asked for again after the resume
+// replays the unacknowledged tail, which puts the session back at the
+// same batch; profiling is deterministic, so the retried snapshot is
+// the one the lost reply carried.
+func (r *ReconnectingClient) Snapshot(ctx context.Context) (*Result, error) {
+	var res *Result
+	err := r.withRetry(ctx, func(c *Client) error {
+		s, err := c.Snapshot()
+		if err != nil {
+			return err
+		}
+		res = s
+		return nil
+	})
+	return res, err
+}
+
 // Finish ends the stream and returns the final result. If the final
 // result frame is lost in flight, the retry resumes the session — the
 // server retains a finished session's result for exactly this replay —
@@ -308,22 +315,16 @@ func (r *ReconnectingClient) releaseBuffers() {
 // daemon: a single remote run, a pool dispatch and a watched thread all
 // run it. A read error ends the run with an error that wraps it.
 //
-// With watchEvery > 0 the run is watched: the session subscribes to
-// pushed snapshots every watchEvery batches and the loop paces itself
-// on them — after each boundary batch it waits for that boundary's
-// snapshot (WatchSnapshot) and hands it to onWatch before sending
-// more, so every boundary reaches onWatch exactly once, in order,
-// across reconnects and migrations. An error from onWatch ends the run
-// with that error. onWatch is not called when watchEvery is 0.
+// With watchEvery > 0 the run is watched: after every watchEvery-th
+// batch the loop takes that boundary's snapshot (Snapshot) and hands
+// it to onWatch before sending more, so every boundary reaches onWatch
+// exactly once, in order, across reconnects and migrations. An error
+// from onWatch ends the run with that error. onWatch is not called
+// when watchEvery is 0.
 func (r *ReconnectingClient) Profile(ctx context.Context, tr trace.Reader, opts ProfileOptions, watchEvery int, onWatch func(*Result) error) (*Result, error) {
 	batch := opts.BatchSize
 	if batch <= 0 {
 		batch = trace.DefaultBatchSize
-	}
-	if watchEvery > 0 {
-		if err := r.Watch(ctx, watchEvery, nil); err != nil {
-			return nil, err
-		}
 	}
 	var buf []mem.Access
 	if batch <= trace.DefaultBatchSize {
@@ -338,8 +339,8 @@ func (r *ReconnectingClient) Profile(ctx context.Context, tr trace.Reader, opts 
 			if err := r.SendBatch(ctx, buf[:n]); err != nil {
 				return nil, err
 			}
-			if seq := r.nextSeq - 1; watchEvery > 0 && seq%uint64(watchEvery) == 0 {
-				snap, err := r.WatchSnapshot(ctx, seq)
+			if watchEvery > 0 && (r.nextSeq-1)%uint64(watchEvery) == 0 {
+				snap, err := r.Snapshot(ctx)
 				if err != nil {
 					return nil, err
 				}
@@ -356,112 +357,6 @@ func (r *ReconnectingClient) Profile(ctx context.Context, tr trace.Reader, opts 
 		}
 	}
 	return r.Finish(ctx)
-}
-
-// Watch subscribes the session to pushed snapshots every everyBatches
-// executed batches (0 cancels). onPush, when non-nil, receives each
-// push as it drains off the connection — on the goroutine driving the
-// client, like every other callback. The subscription survives
-// reconnects: ensure re-subscribes each fresh connection, and pushes
-// re-emitted by idempotent replay are dropped by sequence number, so
-// the callback sees every boundary exactly once, in order.
-func (r *ReconnectingClient) Watch(ctx context.Context, everyBatches int, onPush func(*Push)) error {
-	if r.finished {
-		return fmt.Errorf("wire: session already finished")
-	}
-	if everyBatches < 0 {
-		return fmt.Errorf("wire: negative watch cadence %d", everyBatches)
-	}
-	r.watchEvery = everyBatches
-	r.onPush = onPush
-	return r.withRetry(ctx, func(c *Client) error {
-		c.OnPush(r.notePush)
-		return c.Watch(everyBatches)
-	})
-}
-
-// WatchSnapshot returns the subscribed snapshot covering batch seq —
-// normally the push the server emitted when it executed that batch.
-// The caller must be paced: batch seq sent, nothing beyond it. That
-// pacing is what makes the boundary fault-proof. If the push is lost
-// with its connection, the resumed session either re-executes the
-// boundary batch from replay (the push fires again, bit-identical
-// because profiling is deterministic) or already sits exactly at seq
-// (the replay was discarded as idempotent), in which case a plain
-// snapshot poll returns the state the push carried.
-func (r *ReconnectingClient) WatchSnapshot(ctx context.Context, seq uint64) (*Result, error) {
-	if r.watchEvery <= 0 {
-		return nil, fmt.Errorf("wire: WatchSnapshot without a watch subscription")
-	}
-	if r.nextSeq <= seq {
-		return nil, fmt.Errorf("wire: WatchSnapshot(%d) before batch %d was sent", seq, seq)
-	}
-	if r.lastPushSeq > seq {
-		return nil, fmt.Errorf("wire: watch boundary %d already superseded by push %d", seq, r.lastPushSeq)
-	}
-	var res *Result
-	err := r.withRetry(ctx, func(c *Client) error {
-		for {
-			// The boundary may already have drained as a side effect of
-			// another read (an auto-sync ack, a replay) via notePush.
-			if p := r.lastPush; p != nil && p.Seq == seq {
-				res = p.Result
-				return nil
-			}
-			// If this connection resumed at or past the boundary, its
-			// replay discarded the boundary batch and no push for it
-			// will ever arrive here; the session sits exactly at seq
-			// (the caller sent nothing beyond it), so a poll recovers
-			// the identical snapshot.
-			if r.reply.ResumeSeq >= seq {
-				s, err := c.Snapshot()
-				if err != nil {
-					return err
-				}
-				res = s
-				return nil
-			}
-			p, err := c.ReadPush()
-			if err != nil {
-				return err
-			}
-			r.notePush(p)
-			if p.Seq > seq {
-				return fmt.Errorf("wire: watch pushed boundary %d past awaited %d", p.Seq, seq)
-			}
-		}
-	})
-	return res, err
-}
-
-// resubscribe re-arms the watch subscription on a fresh connection,
-// dropping the connection on failure (the caller's retry loop handles
-// it like any other open-time fault).
-func (r *ReconnectingClient) resubscribe(ctx context.Context, c *Client) error {
-	if r.watchEvery <= 0 {
-		return nil
-	}
-	c.OnPush(r.notePush)
-	r.armDeadline(ctx)
-	if err := c.Watch(r.watchEvery); err != nil {
-		r.dropConn()
-		return r.checkCtx(ctx, err)
-	}
-	return nil
-}
-
-// notePush records one drained push, dropping replayed duplicates by
-// sequence number, and forwards fresh ones to the Watch callback.
-func (r *ReconnectingClient) notePush(p *Push) {
-	if p.Seq <= r.lastPushSeq {
-		return
-	}
-	r.lastPushSeq = p.Seq
-	r.lastPush = p
-	r.stats.Pushes++
-	if r.onPush != nil {
-		r.onPush(p)
-	}
 }
 
 // maxConsecutiveMoves bounds moved redirects followed without an
@@ -567,9 +462,6 @@ func (r *ReconnectingClient) ensure(ctx context.Context) (*Client, error) {
 		r.reply = reply
 		r.token = reply.Token
 		r.connected = true
-		if err := r.resubscribe(ctx, c); err != nil {
-			return nil, err
-		}
 		return c, nil
 	}
 
@@ -588,12 +480,6 @@ func (r *ReconnectingClient) ensure(ctx context.Context) (*Client, error) {
 		// The session finished server-side; nothing to replay, the
 		// retried Finish will fetch the retained result.
 		return c, nil
-	}
-	// Re-subscribe before replaying: a replayed batch that re-crosses a
-	// watch boundary must push again, or a snapshot lost with the old
-	// connection would be gone for good.
-	if err := r.resubscribe(ctx, c); err != nil {
-		return nil, err
 	}
 	for _, p := range r.pending {
 		if c.NextSeq() != p.seq {

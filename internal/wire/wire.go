@@ -21,19 +21,13 @@
 //
 // Frames never interleave within one direction of a connection. The
 // client speaks first (FrameOpen); the server replies to each
-// result-bearing request (FrameSnapshot, FrameFinish, FrameSync,
-// FrameWatch) in request order, so the client can match replies
-// without ids. FrameError may replace any reply and is terminal for
-// the session; FrameRetryAfter may replace the open reply and asks the
-// client to come back later.
-//
-// One frame type relaxes the request-reply shape: after a FrameWatch
-// subscription, the server emits FrameSnapshotPush frames on its own
-// initiative, at batch-cadence boundaries. A push may therefore arrive
-// where the client awaits a pending reply; pushes carry their own
-// sequence numbers and the client skips past them (delivering each to
-// the watch callback) until the awaited reply arrives. Replies
-// themselves still never reorder.
+// result-bearing request (FrameSnapshot, FrameFinish, FrameSync) in
+// request order, so the client can match replies without ids. Every
+// server frame answers exactly one request: the server never speaks
+// unasked. FrameError may replace any reply and is terminal for the
+// session; FrameRetryAfter may replace the open reply and asks the
+// client to come back later; FrameMoved may replace any reply of a
+// migrated session.
 //
 // # Batch payloads
 //
@@ -51,7 +45,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -81,8 +74,8 @@ const (
 	// number; empty payload. The reply is FrameAck.
 	FrameSync FrameType = 0x05
 	// FrameBatchV3 (client→server) is the columnar batch frame: one
-	// access batch in the column encoding of EncodeColumns. Type 0x02 is
-	// unassigned: a session that receives it fails.
+	// access batch in the column encoding of EncodeColumns. Types 0x02
+	// and 0x08 are unassigned: a session that receives either fails.
 	FrameBatchV3 FrameType = 0x06
 	// FrameHandoff (backend→backend) transfers one retained session
 	// state — a live checkpoint or a finished session's final result —
@@ -90,14 +83,6 @@ const (
 	// in place of FrameOpen; the receiver installs the state durably
 	// and answers FrameHandoffOK. Payload: see EncodeHandoff.
 	FrameHandoff FrameType = 0x07
-	// FrameWatch (client→server) subscribes the session to pushed
-	// snapshots: the server emits a FrameSnapshotPush after every
-	// WatchRequest.EveryBatches executed batches; payload WatchRequest
-	// (JSON). The reply is FrameWatchOK. A second FrameWatch replaces
-	// the cadence; EveryBatches 0 cancels the subscription. The
-	// subscription is connection state, not session state: a resumed
-	// session re-subscribes.
-	FrameWatch FrameType = 0x08
 
 	// FrameOpenOK (server→client) acknowledges FrameOpen; payload
 	// OpenReply.
@@ -124,18 +109,9 @@ const (
 	FrameMoved FrameType = 0x16
 	// FrameHandoffOK (server→backend) acknowledges FrameHandoff: the
 	// transferred session state is installed durably and a client
-	// resuming by token will find it; empty payload.
+	// resuming by token will find it; empty payload. Types 0x18 and
+	// 0x19 are unassigned.
 	FrameHandoffOK FrameType = 0x17
-	// FrameWatchOK (server→client) acknowledges FrameWatch: the
-	// subscription (or cancellation) is in effect for every batch the
-	// session executes after it; empty payload.
-	FrameWatchOK FrameType = 0x18
-	// FrameSnapshotPush (server→client) is a server-initiated live
-	// snapshot, emitted at the cadence a FrameWatch subscription
-	// requested; payload Push (JSON). Unlike every other server frame
-	// it is not a reply and may precede one — see the framing notes in
-	// the package comment.
-	FrameSnapshotPush FrameType = 0x19
 )
 
 // String names the frame type for diagnostics.
@@ -169,12 +145,6 @@ func (t FrameType) String() string {
 		return "moved"
 	case FrameHandoffOK:
 		return "handoff-ok"
-	case FrameWatch:
-		return "watch"
-	case FrameWatchOK:
-		return "watch-ok"
-	case FrameSnapshotPush:
-		return "snapshot-push"
 	default:
 		return fmt.Sprintf("FrameType(%#x)", uint8(t))
 	}
@@ -508,14 +478,4 @@ func ToCore(res *Result) *core.Result {
 		r.Footprint = footprint.NewEstimatorFromHistogram(res.ReuseTime, res.Accesses)
 	}
 	return r
-}
-
-// marshalJSON marshals v, panicking on programmer error (all wire
-// messages are marshalable by construction).
-func marshalJSON(v any) []byte {
-	data, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("wire: marshaling %T: %v", v, err))
-	}
-	return data
 }

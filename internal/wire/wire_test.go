@@ -281,7 +281,8 @@ func TestClientRejectsOtherWireVersions(t *testing.T) {
 			var req OpenRequest
 			json.Unmarshal(payload, &req)
 			offered <- req.Wire
-			WriteFrame(sconn, FrameOpenOK, marshalJSON(OpenReply{SessionID: 1, Wire: ver}))
+			reply, _ := json.Marshal(OpenReply{SessionID: 1, Wire: ver})
+			WriteFrame(sconn, FrameOpenOK, reply)
 		}()
 		c := NewClient(cconn)
 		_, err := c.Open(core.DefaultConfig())

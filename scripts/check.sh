@@ -120,14 +120,15 @@ go test -run='^$' -fuzz='^FuzzParseSpec$' -fuzztime=10s ./internal/mrc
 echo "==> fuzz smoke (checkpoint restore, 10s)"
 go test -run='^$' -fuzz='^FuzzRestoreProfiler$' -fuzztime=10s -fuzzminimizetime=100x ./internal/core
 
-# Short fuzz smoke on the two other frames a peer sends: the snapshot
-# push a watched session reads off its connection, and the session
-# handoff a draining daemon sends its destination. Arbitrary bytes must
-# never panic either decoder or make it allocate past its stated bound,
-# and what each accepts must round-trip. Both targets measure allocation
-# on every exec, so minimizing is capped at 100 execs.
-echo "==> fuzz smoke (snapshot push and handoff decoders, 10s each)"
-go test -run='^$' -fuzz='^FuzzDecodePush$' -fuzztime=10s -fuzzminimizetime=100x ./internal/wire
+# Short fuzz smoke on the two other payloads a peer sends: the result
+# JSON every snapshot and final result carries to the client, and the
+# session handoff a draining daemon sends its destination. Arbitrary
+# bytes must never panic either decoder or make it allocate past its
+# stated bound, and what each accepts must round-trip. Both targets
+# measure allocation on every exec, so minimizing is capped at 100
+# execs.
+echo "==> fuzz smoke (result and handoff decoders, 10s each)"
+go test -run='^$' -fuzz='^FuzzDecodeResult$' -fuzztime=10s -fuzzminimizetime=100x ./internal/wire
 go test -run='^$' -fuzz='^FuzzDecodeHandoff$' -fuzztime=10s -fuzzminimizetime=100x ./internal/wire
 
 # Short fuzz smoke on the open handshake: the open request the daemon

@@ -102,9 +102,8 @@ type WatchOptions struct {
 // window snapshots to the returned channel: one WindowSnapshot per
 // window boundary, in order, then a Final snapshot carrying the
 // lifetime result, then close. This is the one way to observe a run:
-// remote sessions deliver the windows server-initiated via the wire
-// watch subscription, which survives reconnects without losing or
-// reordering a single boundary.
+// a remote thread polls its daemon at each boundary, retried across
+// reconnects, so no boundary is lost, repeated or reordered.
 //
 // The lifetime aggregate never flows through the windowing code — it
 // is the same exact-sum merge of per-thread finals ProfileThreads
@@ -271,9 +270,9 @@ func (s *Session) watchThread(ctx context.Context, i int, r Reader, wo WindowOpt
 
 // watchThreadRemote drives one stream against an rdxd backend through
 // the resilient client's watched loop: it sends the batches of one
-// window, then blocks on the boundary's pushed snapshot before sending
-// more. That pacing is what makes every boundary recoverable across a
-// reconnect or a migration (see wire.ReconnectingClient.WatchSnapshot).
+// window, then takes the boundary's snapshot before sending more. That
+// pacing is what makes every boundary recoverable across a reconnect
+// or a migration (see wire.ReconnectingClient.Snapshot).
 func (s *Session) watchThreadRemote(ctx context.Context, r Reader, tcfg core.Config, wo WindowOptions, pl *pool.Pool, send func(threadEvent) bool) (*core.Result, error) {
 	addr := s.remotes[0].Addr
 	if pl != nil {

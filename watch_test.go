@@ -10,6 +10,8 @@ package rdx
 import (
 	"context"
 	"encoding/json"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -255,12 +257,12 @@ func pollSnapshots(t *testing.T, addr string, accs []Access, cfg Config, batch, 
 	return polled
 }
 
-// TestWatchMatchesDeprecatedSnapshotPolling pins the contract that a
-// Watch subscription is the poll it replaces: at the equivalent cadence
-// it delivers cumulative snapshots byte-identical (StateBytes included
-// — same daemon, same batches) to what polling Client.Snapshot
+// TestWatchMatchesSnapshotPolling pins the contract that a remote Watch
+// is a paced snapshot poll: at the equivalent cadence it delivers
+// cumulative snapshots byte-identical (StateBytes included — same
+// daemon, same batches) to what polling Client.Snapshot by hand
 // observed.
-func TestWatchMatchesDeprecatedSnapshotPolling(t *testing.T) {
+func TestWatchMatchesSnapshotPolling(t *testing.T) {
 	srv, err := server.New(server.Config{Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -302,6 +304,140 @@ func TestWatchMatchesDeprecatedSnapshotPolling(t *testing.T) {
 		if string(b) != polled[i] {
 			t.Errorf("boundary %d: watched snapshot differs from polled snapshot", i+1)
 		}
+	}
+}
+
+// snapshotDropConn is a client connection that loses the reply to
+// every other snapshot request: on the client's write of a FrameSnapshot
+// frame it passes the frame on, so the daemon serves the snapshot, and
+// then closes the connection before the reply can be read. The client
+// flushes each frame on its own, so a snapshot request is one write of
+// exactly one empty-payload frame.
+type snapshotDropConn struct {
+	net.Conn
+	snapshots *atomic.Int64 // snapshot requests written, across connections
+}
+
+func (c snapshotDropConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if err == nil && len(p) == 9 && wire.FrameType(p[4]) == wire.FrameSnapshot && c.snapshots.Add(1)%2 == 1 {
+		c.Conn.Close()
+	}
+	return n, err
+}
+
+// TestWatchLostSnapshotReply loses the reply to the first request for
+// every window boundary of a watched remote run. The resilient client
+// must resume, ask again and deliver each boundary once, in order,
+// byte-identical to an unfaulted watched run, and finish with a
+// lifetime result bit-identical to it.
+func TestWatchLostSnapshotReply(t *testing.T) {
+	srv, err := server.New(server.Config{Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Close()
+	ctx := context.Background()
+	cfg := policyConfig(ReplaceProbabilistic)
+	accs, err := trace.Collect(ZipfAccess(37, 0, 4096, 1.0, 120000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch := func(policy RetryPolicy) ([]WindowSnapshot, WindowSnapshot) {
+		t.Helper()
+		ch, err := New(WithConfig(cfg), WithRemote(srv.Addr()), WithRetry(policy),
+			WithRemoteOptions(RemoteOptions{BatchSize: 2048})).
+			Watch(ctx, WatchOptions{
+				Streams: []Reader{FromSlice(accs)},
+				Window:  &WindowOptions{EveryAccesses: 16384},
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wins, final := drainWatch(t, ch)
+		if final.Err != nil {
+			t.Fatal(final.Err)
+		}
+		return wins, final
+	}
+
+	want, wantFinal := watch(RetryPolicy{})
+
+	var snapshots, conns atomic.Int64
+	policy := RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}
+	policy.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		conns.Add(1)
+		return snapshotDropConn{Conn: conn, snapshots: &snapshots}, nil
+	}
+	got, gotFinal := watch(policy)
+
+	// 120000 accesses in 2048-access batches = 59 batches; a boundary
+	// every 8 batches = 7 windows, each asked for twice.
+	if len(want) != 7 || len(got) != len(want) {
+		t.Fatalf("faulted run delivered %d windows, unfaulted %d, want 7", len(got), len(want))
+	}
+	if n := snapshots.Load(); n != 2*int64(len(want)) {
+		t.Errorf("%d snapshot requests written, want %d (each boundary lost once)", n, 2*len(want))
+	}
+	// A resume may be shed while the daemon still holds the dropped
+	// connection's session, so a lost reply costs at least one dial.
+	if n := conns.Load(); n < int64(len(want))+1 {
+		t.Errorf("%d connections, want at least %d (one per lost reply, plus the first)", n, len(want)+1)
+	}
+	for i := range got {
+		if fingerprint(t, got[i].Cumulative.Threads[0]) != fingerprint(t, want[i].Cumulative.Threads[0]) {
+			t.Errorf("boundary %d: snapshot after a lost reply differs from the unfaulted one", i+1)
+		}
+	}
+	if watchMultiFP(t, gotFinal.Cumulative) != watchMultiFP(t, wantFinal.Cumulative) {
+		t.Error("faulted watched lifetime diverges from the unfaulted run")
+	}
+}
+
+// TestWatchRemoteRaisesDaemonAlerts: the daemon windows a watched
+// remote run by the boundary snapshots it serves, so a phase change
+// (tiny cyclic working set, then a large random one) raises a drift
+// event and exactly one working-set alert on its metrics.
+func TestWatchRemoteRaisesDaemonAlerts(t *testing.T) {
+	srv, err := server.New(server.Config{AlertWorkingSetBytes: 4096, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Close()
+	cfg := DefaultConfig()
+	cfg.SamplePeriod = 64 // dense sampling so every window clears MinSamples
+	phased := trace.Concat(
+		Cyclic(0, 64, 65536),
+		trace.RandomUniform(17, 0, 1<<15, 65536),
+	)
+	ch, err := New(WithConfig(cfg), WithRemote(srv.Addr()),
+		WithRemoteOptions(RemoteOptions{BatchSize: 2048})).
+		Watch(context.Background(), WatchOptions{
+			Streams: []Reader{phased},
+			Window:  &WindowOptions{EveryAccesses: 16384},
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wins, final := drainWatch(t, ch)
+	if final.Err != nil {
+		t.Fatal(final.Err)
+	}
+	m := srv.MetricsSnapshot()
+	if m.SnapshotsTotal != uint64(len(wins)) || len(wins) != 8 {
+		t.Errorf("daemon served %d snapshots for %d windows, want 8", m.SnapshotsTotal, len(wins))
+	}
+	if m.DriftEvents < 1 {
+		t.Error("no drift event recorded across the phase change")
+	}
+	if m.WSAlertsTotal != 1 {
+		t.Errorf("ws_alerts_total = %d, want exactly 1 (one rising edge)", m.WSAlertsTotal)
 	}
 }
 
