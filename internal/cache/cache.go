@@ -180,9 +180,6 @@ func (c *Cache) Access(a mem.Access) bool {
 // Accesses returns the number of simulated accesses.
 func (c *Cache) Accesses() uint64 { return c.accesses }
 
-// Misses returns the number of misses.
-func (c *Cache) Misses() uint64 { return c.misses }
-
 // MissRatio returns misses/accesses.
 func (c *Cache) MissRatio() float64 {
 	if c.accesses == 0 {

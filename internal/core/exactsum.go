@@ -7,8 +7,8 @@ import "math/big"
 // attribution weights are genuinely non-integer floats (Kaplan-Meier
 // censoring redistribution and the accesses/unitTotal weight scale in
 // buildResult), so plain float64 summation is order-dependent in the
-// last ulp — which would make a parallel merge tree produce different
-// bits than the sequential fold. Summing in a big.Float wide enough to
+// last ulp — which would make the merged bits depend on the order the
+// results are added in. Summing in a big.Float wide enough to
 // hold any float64 sum exactly makes addition associative; the single
 // rounding happens once, at extraction.
 //
@@ -33,18 +33,6 @@ func (s *exactSum) add(v float64, tmp *big.Float) {
 	}
 	tmp.SetFloat64(v)
 	s.f.Add(s.f, tmp)
-}
-
-// addSum folds another exact partial sum into s (both stay exact: the
-// precision window covers the combined value).
-func (s *exactSum) addSum(o *exactSum) {
-	if o.f == nil {
-		return
-	}
-	if s.f == nil {
-		s.f = new(big.Float).SetPrec(exactSumPrec)
-	}
-	s.f.Add(s.f, o.f)
 }
 
 // float64 rounds the exact sum to the nearest float64 — the one place

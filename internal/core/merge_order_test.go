@@ -66,8 +66,7 @@ func sameAggregates(t *testing.T, label string, got, want *MultiResult) {
 	}
 }
 
-// TestMergerAddOrderIndependent is the prerequisite evidence for the
-// parallel merge tree: feeding the same results to Merger.Add in
+// TestMergerAddOrderIndependent: feeding the same results to Merger.Add in
 // shuffled orders must produce byte-identical merged aggregates. With
 // plain float64 accumulation this fails in the last ulp for weights
 // like these; the exact-sum accumulator makes addition associative and
@@ -96,58 +95,6 @@ func TestMergerAddOrderIndependent(t *testing.T) {
 		for k, idx := range order {
 			if got.Threads[k] != results[idx] {
 				t.Fatalf("trial %d: Threads[%d] not the added result", trial, k)
-			}
-		}
-	}
-}
-
-// TestMergerTreeShapesIdentical checks Merger.Merge against the
-// sequential fold for arbitrary tree shapes: random binary trees over
-// the same leaves must all produce byte-identical aggregates, and
-// left-to-right trees identical Threads order too.
-func TestMergerTreeShapesIdentical(t *testing.T) {
-	results := mergeTestResults(t, 60000)
-	want := MergeResults(results)
-
-	rng := stats.NewRNG(7)
-	for trial := 0; trial < 10; trial++ {
-		// One merger per leaf, then combine random adjacent pairs until
-		// one remains: a random-shaped, order-preserving reduction tree.
-		mergers := make([]*Merger, len(results))
-		for i, r := range results {
-			mergers[i] = NewMerger()
-			mergers[i].Add(r)
-		}
-		for len(mergers) > 1 {
-			i := int(rng.Uint64n(uint64(len(mergers) - 1)))
-			mergers[i].Merge(mergers[i+1])
-			mergers = append(mergers[:i+1], mergers[i+2:]...)
-		}
-		got := mergers[0].Result()
-		sameAggregates(t, "random merge tree", got, want)
-		for i := range want.Threads {
-			if got.Threads[i] != want.Threads[i] {
-				t.Fatal("adjacent-pair merge tree must preserve Threads order")
-			}
-		}
-	}
-}
-
-// TestMergeResultsParallelBitIdentical proves the parallel tree
-// reduction is invisible: for every worker count it returns the same
-// bytes as the sequential fold, Threads order included.
-func TestMergeResultsParallelBitIdentical(t *testing.T) {
-	results := mergeTestResults(t, 60000)
-	want := MergeResults(results)
-	for _, workers := range []int{1, 2, 3, 4, 8, 16} {
-		got := MergeResultsParallel(results, workers)
-		sameAggregates(t, "parallel merge", got, want)
-		if len(got.Threads) != len(want.Threads) {
-			t.Fatalf("workers=%d: %d threads, want %d", workers, len(got.Threads), len(want.Threads))
-		}
-		for i := range want.Threads {
-			if got.Threads[i] != want.Threads[i] {
-				t.Fatalf("workers=%d: Threads order changed", workers)
 			}
 		}
 	}

@@ -193,21 +193,17 @@ func (p *Profiler) onTrap(t debugreg.Trap) {
 }
 
 // Run profiles an access stream end to end with the given cost model and
-// returns the result. It is the one-call convenience wrapper around
-// NewMachine + machine.Run + Result, executing on the batched engine.
+// returns the result: RunContext with a context that is never
+// cancelled.
 func (p *Profiler) Run(r trace.Reader, costs cpumodel.Costs) (*Result, error) {
-	m := p.NewMachine(costs)
-	if err := m.Run(r); err != nil {
-		return nil, err
-	}
-	return p.Result(), nil
+	return p.RunContext(context.Background(), r, costs)
 }
 
 // RunContext is Run honoring ctx: cancellation is checked at every
 // batch boundary, so a profile of an unbounded (or merely long) stream
 // returns promptly with ctx.Err() once the context is cancelled or its
-// deadline passes. The result is bit-identical to Run's — it drives the
-// same engine through the batch-invariant Execute/Finish pair.
+// deadline passes. It drives the batched engine through the
+// batch-invariant Execute/Finish pair.
 func (p *Profiler) RunContext(ctx context.Context, r trace.Reader, costs cpumodel.Costs) (*Result, error) {
 	m := p.NewMachine(costs)
 	if err := trace.EachBatch(ctx, r, m.Execute); err != nil {

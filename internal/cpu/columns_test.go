@@ -42,7 +42,7 @@ func edgeTrace(seed uint64, n int) []mem.Access {
 	return accs
 }
 
-// TestExecuteColumnsMatchesExecute is the columnar engine's differential
+// TestExecuteColumnsMatchesExecute is the column form's differential
 // gate: driving the machine with ExecuteColumns over irregular batch
 // boundaries must reproduce the row-wise Execute run bit-exactly —
 // identical event logs (indices, addresses, handler-observed counter

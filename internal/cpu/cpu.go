@@ -12,10 +12,11 @@
 //
 // # Batched execution engine
 //
-// Run reads the stream in []mem.Access batches (trace.EachBatch, which
-// lends in-memory traces without copying them) and executes each batch
-// in segments separated by profiling events, instead of dispatching a
-// closure per access:
+// One engine executes each batch in segments separated by profiling
+// events, instead of dispatching a closure per access. A batch is rows
+// (Run, Execute) or columns (ExecuteColumns, as wire v4 frames decode),
+// read through one view (batch), the only code that knows the layout;
+// the dispatch loop and each kind of segment exist once:
 //
 //   - with no watchpoint armed, the PMU's Headroom (qualifying events
 //     until the next overflow) bounds a bulk Advance over the whole
@@ -40,8 +41,9 @@
 //
 // The engine is bit-exact with the retained per-access reference loop
 // (RunReference): same stream and configuration produce identical
-// counters, samples, traps and handler-observed state. See DESIGN.md
-// "Batched execution engine" for the invariants.
+// counters, samples, traps and handler-observed state, whichever form
+// the batches take. See DESIGN.md "Batched execution engine" for the
+// invariants.
 package cpu
 
 import (
@@ -68,7 +70,6 @@ type Machine struct {
 
 	accessIndex uint64 // index of the access currently executing
 	executed    uint64 // accesses executed so far (index of the next one)
-	running     bool
 
 	filter watchFilter // the armed slots and their filter, kept across segments
 }
@@ -115,12 +116,11 @@ func (m *Machine) Account() *cpumodel.Account { return m.account }
 // observe it there.
 func (m *Machine) AccessIndex() uint64 { return m.accessIndex }
 
-// Run executes the stream to exhaustion on the batched engine. It may be
-// called once per machine.
+// Run executes the stream to exhaustion on the batched engine: its
+// batches through Execute, then Finish. It may be called once per
+// machine.
 func (m *Machine) Run(r trace.Reader) error {
-	m.running = true
-	defer func() { m.running = false }()
-	if err := trace.EachBatch(context.TODO(), r, m.executeBatch); err != nil {
+	if err := trace.EachBatch(context.TODO(), r, m.Execute); err != nil {
 		return err
 	}
 	m.finish()
@@ -135,12 +135,25 @@ func (m *Machine) Run(r trace.Reader) error {
 // execution state (PMU headroom, pending bulk advances) carries across
 // calls. Not safe for concurrent use; all calls must come from one
 // goroutine.
-func (m *Machine) Execute(batch []mem.Access) {
-	if len(batch) == 0 {
-		return
-	}
-	m.executeBatch(batch)
-}
+func (m *Machine) Execute(rows []mem.Access) { m.execute(batch{rows: rows}) }
+
+// ExecuteColumns runs one batch held in columnar form through the
+// batched engine — the vectorized form of Execute for streams that
+// arrive as wire v4 column frames. Results are bit-identical to
+// Execute over the materialized accesses (the differential tests pin
+// this): it is the same engine, reading the batch's columns instead of
+// its rows, and event-free stretches never materialize a mem.Access at
+// all — a free run is a counter add, and an AllAccesses sampling
+// segment jumps straight from the PMU's headroom to the overflowing
+// index. Accesses are reconstructed from the columns only where an
+// event can observe them, and a column still packed
+// (wire.DecodeColumnsInto) is unpacked only when the engine first reads
+// it: a watched segment reads the address column, a filter pass the
+// meta column, an event all three. A batch at a long period with no
+// watchpoint armed and no overflow unpacks nothing.
+// Like Execute, call once per batch in order, then Finish; not safe for
+// concurrent use.
+func (m *Machine) ExecuteColumns(cols *trace.Columns) { m.execute(batch{cols: cols}) }
 
 // Finish settles end-of-run accounting after the last Execute call.
 // Run and RunReference call it internally; only incremental (Execute)
@@ -184,8 +197,6 @@ func (m *Machine) SetState(s MachineState) {
 // RunReference produce identical results — and as the baseline the
 // engine benchmarks compare against.
 func (m *Machine) RunReference(r trace.Reader) error {
-	m.running = true
-	defer func() { m.running = false }()
 	err := trace.ForEach(r, func(a mem.Access) bool {
 		m.accessIndex = m.executed
 		m.account.Accesses++
@@ -223,77 +234,56 @@ func (m *Machine) finish() {
 	}
 }
 
-// executeBatch runs one batch through the segmented fast path.
-func (m *Machine) executeBatch(batch []mem.Access) {
+// execute runs one batch, in either form, through the segmented fast
+// path.
+func (m *Machine) execute(b batch) {
+	n := b.len()
 	if m.instr != nil {
-		m.runInstrumented(batch)
+		// Exhaustive tools observe every access, so there is nothing to
+		// skip (this is exactly the asymmetry the paper measures).
+		for i := range n {
+			m.deliver(b.access(i), m.drs != nil)
+		}
 		return
 	}
-	n := len(batch)
-	i := 0
-	for i < n {
-		if m.drs != nil && m.drs.AnyArmed() {
-			i = m.runWatched(batch, i)
-			continue
+	for i := 0; i < n; {
+		switch {
+		case m.drs != nil && m.drs.AnyArmed():
+			i = m.runWatched(&b, i)
+		case m.pmu != nil:
+			i = m.runSampling(&b, i)
+		default:
+			// Free run: no profiling hardware can observe these accesses.
+			m.skip(uint64(n-i), 0)
+			i = n
 		}
-		if m.pmu != nil {
-			i = m.runSampling(batch, i)
-			continue
-		}
-		// Free run: no profiling hardware can observe these accesses.
-		m.skip(uint64(n-i), 0)
-		i = n
 	}
 }
 
-// runInstrumented executes batch accesses through the full per-access
-// path: exhaustive tools observe every access, so there is nothing to
-// skip (this is exactly the asymmetry the paper measures).
-func (m *Machine) runInstrumented(batch []mem.Access) {
-	for _, a := range batch {
-		m.accessIndex = m.executed
-		m.account.Accesses++
-		m.account.Instrumented++
-		m.instr(m.executed, a)
-		if m.drs != nil {
-			if n := m.drs.Check(a); n > 0 {
-				m.account.Traps += uint64(n)
-			}
-		}
-		if m.pmu != nil {
-			if m.pmu.Tick(a) {
-				m.account.Samples++
-			}
-		}
-		m.executed++
-	}
-}
-
-// runSampling advances through batch[i:] with no watchpoint armed: the
+// runSampling advances through b from i with no watchpoint armed: the
 // only possible event is a PMU overflow, whose position is known in
 // advance from the counter's headroom. Everything before it is a bulk
 // counter advance; the delivering access runs through the precise Tick
-// path. Returns the index after the last executed access.
-func (m *Machine) runSampling(batch []mem.Access, i int) int {
-	n := len(batch)
-	h := m.pmu.Headroom()
+// path. For AllAccesses the overflow index comes straight from the
+// headroom with no per-access work; filtered events read each access's
+// kind. Returns the index after the last executed access.
+func (m *Machine) runSampling(b *batch, i int) int {
+	n := b.len()
 	ev := m.pmu.Config().Event
 
 	// Find j, the index of the access that overflows the counter (the
-	// (h+1)-th qualifying access), or n if no overflow falls inside the
-	// batch; qual counts qualifying accesses in batch[i:j].
+	// (Headroom+1)-th qualifying access), or n if no overflow falls
+	// inside the batch; qual counts qualifying accesses in [i, j).
 	j := n
 	var qual uint64
 	if ev == pmu.AllAccesses {
-		if h == pmu.NoOverflow || uint64(n-i) <= h {
-			qual = uint64(n - i)
-		} else {
-			j = i + int(h)
-			qual = h
-		}
+		j = m.segmentEnd(i, n)
+		qual = uint64(j - i)
 	} else {
+		h := m.pmu.Headroom()
+		b.unpackMeta()
 		for k := i; k < n; k++ {
-			if ev.Matches(batch[k]) {
+			if ev.Matches(mem.Access{Kind: b.kind(k)}) {
 				if qual == h {
 					j = k
 					break
@@ -307,13 +297,13 @@ func (m *Machine) runSampling(batch []mem.Access, i int) int {
 	if j == n {
 		return n
 	}
-	// batch[j] overflows: deliver precisely, then let the dispatcher
+	// Access j overflows: deliver precisely, then let the dispatcher
 	// re-evaluate (the handler may have armed watchpoints).
-	m.deliver(batch[j], false)
+	m.deliver(b.access(j), false)
 	return j + 1
 }
 
-// runWatched advances through batch[i:] with at least one watchpoint
+// runWatched advances through b from i with at least one watchpoint
 // armed. When the sampler counts every access (or there is none), only
 // a watchpoint hit or the overflow — headroom accesses ahead — can be an
 // event, so the segment probes each address's filter bit alone
@@ -321,23 +311,25 @@ func (m *Machine) runSampling(batch []mem.Access, i int) int {
 // accesses are checked one by one, PMU counting staying a local pending
 // advance flushed before any event delivery. Returns the index after
 // the last executed access.
-func (m *Machine) runWatched(batch []mem.Access, i int) int {
+func (m *Machine) runWatched(b *batch, i int) int {
 	wps := m.filter.sync(m.drs)
 	if m.pmu == nil || m.pmu.Config().Event == pmu.AllAccesses {
-		return m.scanWatched(batch, i, wps)
+		return m.scanWatched(b, i, wps)
 	}
-	n := len(batch)
+	n := b.len()
 	h := m.pmu.Headroom()
 	ev := m.pmu.Config().Event
-	var qual uint64 // qualifying accesses among the event-free batch[start:i]
+	var qual uint64 // qualifying accesses among the event-free [start, i)
 	start := i
+	b.unpackAddrs()
+	b.unpackMeta()
 	for ; i < n; i++ {
-		a := batch[i]
+		a := b.watched(i)
 		hit := m.filter.passes(a) && coversAny(wps, a)
 		matches := ev.Matches(a)
 		if hit || (matches && qual == h) {
 			m.skip(uint64(i-start), qual)
-			m.deliver(a, hit)
+			m.deliver(b.access(i), hit)
 			return i + 1 // armed set / period changed: re-dispatch
 		}
 		if matches {
@@ -351,14 +343,19 @@ func (m *Machine) runWatched(batch []mem.Access, i int) int {
 // scanWatched is runWatched for a sampler counting every access, or
 // none. The event is the first access before the overflow index whose
 // filter bit is set and which Covers confirms, else the overflow, else
-// none in this batch.
-func (m *Machine) scanWatched(batch []mem.Access, i int, wps []debugreg.Watchpoint) int {
-	n := len(batch)
+// none in this batch. An access the filter passes is checked without its
+// PC, so a false positive leaves a packed PC column packed.
+func (m *Machine) scanWatched(b *batch, i int, wps []debugreg.Watchpoint) int {
+	n := b.len()
 	end := m.segmentEnd(i, n)
 	j, hit := end, false
-	for k := i; k < end; k++ {
-		k += firstProbeRow(m.filter.bits, m.filter.mask, batch[k:end])
-		if k < end && coversAny(wps, batch[k]) {
+	b.unpackAddrs()
+	k := b.firstProbe(&m.filter, i, end)
+	if k < end {
+		b.unpackMeta()
+	}
+	for ; k < end; k = b.firstProbe(&m.filter, k+1, end) {
+		if coversAny(wps, b.watched(k)) {
 			j, hit = k, true
 			break
 		}
@@ -367,15 +364,16 @@ func (m *Machine) scanWatched(batch []mem.Access, i int, wps []debugreg.Watchpoi
 	if j == n {
 		return n
 	}
-	// batch[j] traps, overflows, or both: deliver precisely, then
+	// Access j traps, overflows, or both: deliver precisely, then
 	// re-dispatch (the armed set or period changed). The overflow index
 	// was not scanned.
-	m.deliver(batch[j], hit || coversAny(wps, batch[j]))
+	a := b.access(j)
+	m.deliver(a, hit || coversAny(wps, a))
 	return j + 1
 }
 
-// segmentEnd is where a scanned segment over [i, n) stops: the
-// overflowing index, headroom accesses ahead, or n.
+// segmentEnd is where a segment over [i, n) that the sampler counts in
+// full stops: the overflowing index, headroom accesses ahead, or n.
 func (m *Machine) segmentEnd(i, n int) int {
 	if m.pmu != nil {
 		if h := m.pmu.Headroom(); h < uint64(n-i) {
@@ -395,13 +393,18 @@ func (m *Machine) skip(k, qual uint64) {
 	}
 }
 
-// deliver executes a, the access a segment ends on, with the precise
-// check-then-tick sequence of RunReference: it traps when hit, then
-// ticks the sampler. Every earlier access has been flushed by skip, so
-// handlers read exact counter values.
+// deliver executes a, the access a segment ends on (or, instrumented,
+// every access), with the precise sequence of RunReference: it calls
+// the instrumentation, traps when hit, then ticks the sampler. Every
+// earlier access has been flushed by skip, so handlers read exact
+// counter values.
 func (m *Machine) deliver(a mem.Access, hit bool) {
 	m.accessIndex = m.executed
 	m.account.Accesses++
+	if m.instr != nil {
+		m.account.Instrumented++
+		m.instr(m.executed, a)
+	}
 	if hit {
 		if t := m.drs.Check(a); t > 0 {
 			m.account.Traps += uint64(t)

@@ -107,7 +107,7 @@ func wideEdgeTrace(seed uint64, n int) []mem.Access {
 	return accs
 }
 
-// TestBatchedEngineMatchesReference is the row engine's differential
+// TestBatchedEngineMatchesReference is the row form's differential
 // gate: Run must reproduce RunReference bit-exactly for every trace
 // length and PMU configuration, over a random trace and over
 // wideEdgeTrace's address-space ends, arming read-write and write-only
@@ -161,22 +161,68 @@ func differReference(t *testing.T, cfg pmu.Config, slots int, costs cpumodel.Cos
 
 // differColumnsReference drives ExecuteColumns over batch boundaries
 // drawn from seed — empty and single-access batches included — and
-// requires RunReference's results, as differReference does for Run.
+// requires RunReference's results, as differReference does for Run. It
+// runs the batches twice: as AppendBatch builds them, every column
+// unpacked, and packed as a decoded wire batch holds them (packColumns),
+// so the engine unpacks each column when it first reads it.
 func differColumnsReference(t *testing.T, cfg pmu.Config, slots int, costs cpumodel.Costs, accs []mem.Access, watch debugreg.WatchKind, seed uint64) {
 	t.Helper()
-	col := newRDXLike(cfg, slots, costs)
-	col.watch = watch
-	rng := stats.NewRNG(seed)
-	var cols trace.Columns
-	for pos := 0; pos < len(accs); {
-		n := min(int(rng.Uint64n(40)), len(accs)-pos)
-		cols.Reset()
-		cols.AppendBatch(accs[pos : pos+n])
-		col.m.ExecuteColumns(&cols)
-		pos += n
+	for _, packed := range []bool{false, true} {
+		col := newRDXLike(cfg, slots, costs)
+		col.watch = watch
+		rng := stats.NewRNG(seed)
+		var cols trace.Columns
+		for pos := 0; pos < len(accs); {
+			n := min(int(rng.Uint64n(40)), len(accs)-pos)
+			if packed {
+				packColumns(t, &cols, accs[pos:pos+n])
+			} else {
+				cols.Reset()
+				cols.AppendBatch(accs[pos : pos+n])
+			}
+			col.m.ExecuteColumns(&cols)
+			pos += n
+		}
+		col.m.Finish()
+		matchReference(t, col, cfg, slots, costs, accs, watch)
 	}
-	col.m.Finish()
-	matchReference(t, col, cfg, slots, costs, accs, watch)
+}
+
+// packColumns refills cols with accs held packed, as the wire decoder
+// leaves a batch: the address and PC columns encoded by PutAddrColumn,
+// the meta column raw or run-length encoded, whichever is smaller, each
+// walked by CheckColumn and handed to AppendPacked.
+func packColumns(t *testing.T, cols *trace.Columns, accs []mem.Access) {
+	t.Helper()
+	cols.Reset()
+	n := len(accs)
+	if n == 0 {
+		return
+	}
+	var plain trace.Columns
+	plain.AppendBatch(accs)
+	check := func(enc trace.ColumnEncoding, data []byte) trace.PackedColumn {
+		p, err := trace.CheckColumn(enc, data, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	addrCol := func(vals []mem.Addr) trace.PackedColumn {
+		buf := make([]byte, trace.PackedColumnMax(n)+trace.ColumnSlack)
+		k, dod := trace.PutAddrColumn(buf, vals)
+		if dod {
+			return check(trace.EncDoD, buf[:k])
+		}
+		return check(trace.EncPacked, buf[:k])
+	}
+	meta := check(trace.EncRaw, plain.Meta())
+	if k := trace.RLEColumnLen(plain.Meta()); k < n {
+		buf := make([]byte, k+trace.ColumnSlack)
+		trace.PutRLEColumn(buf, plain.Meta())
+		meta = check(trace.EncRLE, buf[:k])
+	}
+	cols.AppendPacked(addrCol(plain.Addrs()), addrCol(plain.PCs()), meta)
 }
 
 // matchReference runs accs through RunReference on a machine configured
@@ -215,7 +261,8 @@ func matchReference(t *testing.T, fast *rdxLike, cfg pmu.Config, slots int, cost
 // PMU configuration, slot count and watchpoint kind, and requires the
 // same results from both. When every size fits a meta byte (0–15) it
 // also drives ExecuteColumns over irregular batch boundaries drawn from
-// the seed byte and requires the same results from it.
+// the seed byte, in unpacked and in packed columns, and requires the
+// same results from each.
 //
 // Input: a 4-byte header (event, randomize, skid and watch-kind bits;
 // period; seed; slots), then one 4-byte record per access: kind bit and
@@ -232,7 +279,7 @@ func FuzzRunMatchesReference(f *testing.F) {
 	f.Add([]byte("CC0000000000000\x0000 \x00"))
 	// Nine slots, accesses up to 15 bytes wide packed against both ends
 	// of the address space, under the all-access and the loads-only
-	// event: the column engine's filter wraps around 0 and holds more
+	// event: the column form's filter wraps around 0 and holds more
 	// than four slots.
 	edges := []byte{2, 8, 5, 0, 0, 15, 3, 0, 3, 4, 6, 0, 1, 8, 2, 0, 2, 15, 12, 0, 0, 1, 0, 0, 3, 8, 1, 0, 0, 8, 9, 0}
 	f.Add(append([]byte{0x00, 3, 1, 8}, bytes.Repeat(edges, 6)...))

@@ -140,7 +140,7 @@ func (f *watchFilter) passes(a mem.Access) bool {
 }
 
 // firstProbeRow returns the index of the first row the filter passes,
-// or len(rows). It is the row engine's scan loop, kept out of line from
+// or len(rows). It is the row form's scan loop, kept out of line from
 // the exact check so that the loop holds its state in registers
 // (inlined, it spills the hash and the bitmap to the stack).
 //

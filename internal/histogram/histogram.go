@@ -149,14 +149,6 @@ func (h *Histogram) Total() float64 {
 // TotalFinite returns the total weight excluding cold observations.
 func (h *Histogram) TotalFinite() float64 { return h.Total() - h.cold }
 
-// Scale multiplies every weight (including cold) by f.
-func (h *Histogram) Scale(f float64) {
-	for i := range h.buckets {
-		h.buckets[i] *= f
-	}
-	h.cold *= f
-}
-
 // Clone returns a deep copy.
 func (h *Histogram) Clone() *Histogram {
 	return &Histogram{

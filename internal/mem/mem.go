@@ -58,12 +58,6 @@ type Access struct {
 	Kind Kind
 }
 
-// Overlaps reports whether the byte ranges [a.Addr, a.Addr+a.Size) and
-// [b.Addr, b.Addr+b.Size) intersect.
-func (a Access) Overlaps(b Access) bool {
-	return a.Addr < b.Addr+Addr(b.Size) && b.Addr < a.Addr+Addr(a.Size)
-}
-
 // String formats the access for diagnostics.
 func (a Access) String() string {
 	return fmt.Sprintf("%s %d@%#x", a.Kind, a.Size, uint64(a.Addr))

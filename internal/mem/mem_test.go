@@ -14,29 +14,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestAccessOverlaps(t *testing.T) {
-	tests := []struct {
-		a, b Access
-		want bool
-	}{
-		{Access{Addr: 0, Size: 8}, Access{Addr: 0, Size: 8}, true},
-		{Access{Addr: 0, Size: 8}, Access{Addr: 7, Size: 1}, true},
-		{Access{Addr: 0, Size: 8}, Access{Addr: 8, Size: 1}, false},
-		{Access{Addr: 8, Size: 1}, Access{Addr: 0, Size: 8}, false},
-		{Access{Addr: 4, Size: 4}, Access{Addr: 0, Size: 8}, true},
-		{Access{Addr: 100, Size: 2}, Access{Addr: 101, Size: 2}, true},
-		{Access{Addr: 100, Size: 1}, Access{Addr: 101, Size: 1}, false},
-	}
-	for _, tt := range tests {
-		if got := tt.a.Overlaps(tt.b); got != tt.want {
-			t.Errorf("%v.Overlaps(%v) = %v, want %v", tt.a, tt.b, got, tt.want)
-		}
-		if got := tt.b.Overlaps(tt.a); got != tt.want {
-			t.Errorf("overlap not symmetric for %v, %v", tt.a, tt.b)
-		}
-	}
-}
-
 func TestGranularityBlock(t *testing.T) {
 	tests := []struct {
 		g    Granularity

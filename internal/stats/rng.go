@@ -1,7 +1,7 @@
 // Package stats supplies the small statistical utilities the rest of the
 // system leans on: a fast deterministic random-number generator suitable
-// for hot simulation loops, summary statistics (means, geometric means,
-// percentiles), and reservoir sampling.
+// for hot simulation loops and summary statistics (means, geometric
+// means, percentiles).
 package stats
 
 import "math"
@@ -74,15 +74,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// ExpFloat64 returns an exponentially distributed value with mean 1.
-func (r *RNG) ExpFloat64() float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
 }
 
 // Perm fills dst with a uniformly random permutation of [0, len(dst)).

@@ -88,18 +88,6 @@ func TestRNGNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestRNGExpFloat64Mean(t *testing.T) {
-	r := NewRNG(13)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean = %v, want ~1", mean)
-	}
-}
-
 func TestRNGPermIsPermutation(t *testing.T) {
 	r := NewRNG(5)
 	p := make([]int, 100)
@@ -187,47 +175,5 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	Percentile(xs, 50)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("Percentile mutated input: %v", xs)
-	}
-}
-
-func TestReservoirFillsThenSamples(t *testing.T) {
-	r := NewReservoir[int](NewRNG(1), 4)
-	for i := 0; i < 4; i++ {
-		if idx, ok := r.Offer(i); !ok || idx != i {
-			t.Fatalf("Offer(%d) during fill = (%d, %v)", i, idx, ok)
-		}
-	}
-	if len(r.Items()) != 4 {
-		t.Fatalf("reservoir size = %d, want 4", len(r.Items()))
-	}
-	for i := 4; i < 1000; i++ {
-		if idx, ok := r.Offer(i); ok && (idx < 0 || idx >= 4) {
-			t.Fatalf("admitted at bad index %d", idx)
-		}
-	}
-	if r.Seen() != 1000 {
-		t.Errorf("Seen = %d, want 1000", r.Seen())
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Each of N items should end up retained with probability k/N.
-	const k, n, trials = 5, 100, 20000
-	counts := make([]int, n)
-	rng := NewRNG(77)
-	for trial := 0; trial < trials; trial++ {
-		r := NewReservoir[int](rng, k)
-		for i := 0; i < n; i++ {
-			r.Offer(i)
-		}
-		for _, v := range r.Items() {
-			counts[v]++
-		}
-	}
-	want := float64(trials) * k / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-want)/want > 0.15 {
-			t.Errorf("item %d retained %d times, want ~%v (±15%%)", i, c, want)
-		}
 	}
 }

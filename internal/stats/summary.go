@@ -58,46 +58,3 @@ func Percentile(xs []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
 }
-
-// Reservoir maintains a uniform random sample of up to k items observed
-// from a stream of unknown length (Vitter's algorithm R). It underpins
-// the watchpoint replacement policy that keeps RDX's armed addresses a
-// uniform sample of all PMU-sampled addresses.
-type Reservoir[T any] struct {
-	rng   *RNG
-	items []T
-	seen  uint64
-	k     int
-}
-
-// NewReservoir returns a reservoir that retains at most k items.
-func NewReservoir[T any](rng *RNG, k int) *Reservoir[T] {
-	if k <= 0 {
-		panic("stats: NewReservoir with k <= 0")
-	}
-	return &Reservoir[T]{rng: rng, items: make([]T, 0, k), k: k}
-}
-
-// Offer presents one stream item. It returns the index the item was
-// stored at and true if the item was admitted, or -1 and false if it was
-// rejected. When the reservoir is full, admission evicts the item at the
-// returned index.
-func (r *Reservoir[T]) Offer(item T) (int, bool) {
-	r.seen++
-	if len(r.items) < r.k {
-		r.items = append(r.items, item)
-		return len(r.items) - 1, true
-	}
-	j := r.rng.Uint64n(r.seen)
-	if j < uint64(r.k) {
-		r.items[j] = item
-		return int(j), true
-	}
-	return -1, false
-}
-
-// Items returns the current sample. The slice aliases internal storage.
-func (r *Reservoir[T]) Items() []T { return r.items }
-
-// Seen returns how many items have been offered.
-func (r *Reservoir[T]) Seen() uint64 { return r.seen }
